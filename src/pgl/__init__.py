@@ -10,167 +10,22 @@ the Poisson law with mean 1.  The package computes the quenched
 histograms, exact and bounded Stein-method error terms for the Poisson
 approximation, and the tail/union-bound mechanism that defeats convergence
 when the bias decays too slowly.
+
+Every name a submodule lists in its ``__all__`` is re-exported here.
 """
 
-from .analytics import (
-    BalancedSpec,
-    ChenSteinParams,
-    ChenSteinReport,
-    OutlierMass,
-    TailMass,
-    balanced_product,
-    chen_stein_terms,
-    critical_onset_index,
-    exact_annealed_pmf,
-    exact_likelihood_mean,
-    hit_probability,
-    likelihood_ratio,
-    log_likelihood_values,
-    mean_abs_likelihood_deviation,
-    outlier_mass,
-    overlap_pair_probabilities,
-    pair_hit_probability,
-    symbol_sum_tail_mass,
-    union_bound_hit_probability,
-)
-from .counter import (
-    CountDistribution,
-    WindowHistogram,
-    count_word,
-    distribution_to_csv,
-    histogram_to_csv,
-    quenched_distribution,
-    window_histogram,
-)
-from .errors import CapabilityError, ResourceError
-from .runner import (
-    DEFAULT_K_LIST,
-    DEFAULT_SCHEDULES,
-    BoundsRecord,
-    ExperimentConfig,
-    NonconvRecord,
-    ResultRecord,
-    records_to_csv,
-    records_to_json,
-    run_annealed,
-    run_bounds,
-    run_nonconv,
-    run_quenched,
-    schedule_info,
-)
-from .sampler import (
-    PackedSequence,
-    Word,
-    derive_seed,
-    mix64,
-    read_bits,
-    sample_sequence,
-    sample_word,
-    sample_words,
-    write_bits,
-)
-from .schedule import (
-    BiasSchedule,
-    Constant,
-    KakutaniClass,
-    LogPower,
-    Table,
-    Zero,
-    cesaro_average,
-    classify_kakutani,
-    first_persistent_below,
-    gamma,
-    gamma_slice,
-    parse_schedule,
-    validate,
-)
-from .stats import (
-    TvResult,
-    aggregate_annealed,
-    binomial_ci,
-    poisson_distribution,
-    poisson_pmf,
-    tv_distance,
-)
+from . import analytics, counter, errors, runner, sampler, schedule, stats
+from .analytics import *  # noqa: F403
+from .counter import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .runner import *  # noqa: F403
+from .sampler import *  # noqa: F403
+from .schedule import *  # noqa: F403
+from .stats import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "CapabilityError",
-    "ResourceError",
-    # schedule
-    "BiasSchedule",
-    "Zero",
-    "Constant",
-    "LogPower",
-    "Table",
-    "KakutaniClass",
-    "gamma",
-    "gamma_slice",
-    "validate",
-    "classify_kakutani",
-    "cesaro_average",
-    "first_persistent_below",
-    "parse_schedule",
-    # sampler
-    "PackedSequence",
-    "Word",
-    "mix64",
-    "derive_seed",
-    "sample_sequence",
-    "sample_word",
-    "sample_words",
-    "write_bits",
-    "read_bits",
-    # counter
-    "WindowHistogram",
-    "CountDistribution",
-    "window_histogram",
-    "count_word",
-    "quenched_distribution",
-    "histogram_to_csv",
-    "distribution_to_csv",
-    # stats
-    "poisson_pmf",
-    "poisson_distribution",
-    "TvResult",
-    "tv_distance",
-    "aggregate_annealed",
-    "binomial_ci",
-    # analytics
-    "ChenSteinParams",
-    "ChenSteinReport",
-    "BalancedSpec",
-    "TailMass",
-    "OutlierMass",
-    "likelihood_ratio",
-    "hit_probability",
-    "log_likelihood_values",
-    "exact_likelihood_mean",
-    "pair_hit_probability",
-    "overlap_pair_probabilities",
-    "mean_abs_likelihood_deviation",
-    "outlier_mass",
-    "chen_stein_terms",
-    "exact_annealed_pmf",
-    "balanced_product",
-    "symbol_sum_tail_mass",
-    "union_bound_hit_probability",
-    "critical_onset_index",
-    # runner
-    "ExperimentConfig",
-    "ResultRecord",
-    "BoundsRecord",
-    "NonconvRecord",
-    "run_quenched",
-    "run_annealed",
-    "run_bounds",
-    "run_nonconv",
-    "schedule_info",
-    "records_to_csv",
-    "records_to_json",
-    "DEFAULT_SCHEDULES",
-    "DEFAULT_K_LIST",
-]
+__all__ = ["__version__"]
+for _module in (errors, schedule, sampler, counter, stats, analytics, runner):
+    __all__ += _module.__all__
+del _module

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import binom as _binom
 
 from .counter import CountDistribution
 from .errors import CapabilityError
@@ -582,7 +581,9 @@ def symbol_sum_tail_mass(k: int, eta: float) -> TailMass:
 
     Exact via the binomial tail (sum over counts of +1 symbols), alongside
     the Gaussian tail Phi(-eta).  Boundary sums exactly at -eta sqrt(k) are
-    excluded (strict inequality).
+    excluded (strict inequality).  The tail is an integer sum of binomial
+    coefficients, built by a running recurrence, and one correctly rounded
+    int division by 2^k.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
@@ -594,7 +595,12 @@ def symbol_sum_tail_mass(k: int, eta: float) -> TailMass:
         m_max = int(nearest) - 1
     else:
         m_max = math.floor(threshold)
-    exact = float(_binom.cdf(m_max, k, 0.5)) if m_max >= 0 else 0.0
+    total = 0
+    coefficient = 1
+    for m in range(m_max + 1):
+        total += coefficient
+        coefficient = coefficient * (k - m) // (m + 1)
+    exact = total / (1 << k)
     normal = 0.5 * math.erfc(eta / math.sqrt(2.0))
     return TailMass(exact=exact, normal_approx=normal)
 

@@ -33,14 +33,11 @@ __all__ = [
     "histogram_to_csv",
     "distribution_to_csv",
     "DENSE_CAP",
-    "SPARSE_CAP",
 ]
 
-# Dense counting keeps a 2^k array of 32-bit counters (256 MiB at the cap);
-# above it a sorted sparse map is used, and above SPARSE_CAP the code array
-# itself would exceed the memory policy.
+# Counting keeps a 2^k array of 32-bit counters (256 MiB at the cap); above
+# it the counters would exceed the memory policy.
 DENSE_CAP = 26
-SPARSE_CAP = 28
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +45,7 @@ class WindowHistogram:
     """Occurrence counts of every level-k pattern over the first 2^k windows."""
 
     k: int
-    counts: np.ndarray | dict[int, int]
+    counts: np.ndarray
     distinct: int
 
     @property
@@ -58,8 +55,6 @@ class WindowHistogram:
     def count(self, word: Word) -> int:
         if word.k != self.k:
             raise ValueError(f"word has level {word.k}, histogram has level {self.k}")
-        if isinstance(self.counts, dict):
-            return self.counts.get(word.code, 0)
         return int(self.counts[word.code])
 
 
@@ -104,14 +99,14 @@ class CountDistribution:
 def window_histogram(sequence: PackedSequence, k: int) -> WindowHistogram:
     """Count every level-k pattern over window positions 1..2^k.
 
-    Needs length >= 2^k + k - 1.  Dense 32-bit counting up to DENSE_CAP,
-    sparse map up to SPARSE_CAP, ResourceError beyond.
+    Needs length >= 2^k + k - 1.  32-bit counters up to DENSE_CAP,
+    ResourceError beyond.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
-    if k > SPARSE_CAP:
+    if k > DENSE_CAP:
         raise ResourceError(
-            f"level {k} exceeds the memory policy (sparse cap {SPARSE_CAP}); "
+            f"level {k} exceeds the memory policy (cap {DENSE_CAP}); "
             "lower k or raise the policy in a fork that has the memory"
         )
     n = 1 << k
@@ -123,13 +118,8 @@ def window_histogram(sequence: PackedSequence, k: int) -> WindowHistogram:
     codes = bits[0:n].astype(np.uint32)
     for t in range(1, k):
         codes |= bits[t : t + n].astype(np.uint32) << np.uint32(t)
-    if k <= DENSE_CAP:
-        counts = np.bincount(codes, minlength=n).astype(np.uint32)
-        distinct = int(np.count_nonzero(counts))
-        return WindowHistogram(k=k, counts=counts, distinct=distinct)
-    unique, unique_counts = np.unique(codes, return_counts=True)
-    sparse = {int(c): int(m) for c, m in zip(unique, unique_counts)}
-    return WindowHistogram(k=k, counts=sparse, distinct=len(sparse))
+    counts = np.bincount(codes, minlength=n).astype(np.uint32)
+    return WindowHistogram(k=k, counts=counts, distinct=int(np.count_nonzero(counts)))
 
 
 def count_word(sequence: PackedSequence, word: Word) -> int:
@@ -157,11 +147,7 @@ def quenched_distribution(histogram: WindowHistogram) -> CountDistribution:
     iterating the absent patterns.
     """
     n = 1 << histogram.k
-    if isinstance(histogram.counts, dict):
-        occurring = np.fromiter(histogram.counts.values(), dtype=np.int64)
-    else:
-        occurring = histogram.counts[histogram.counts > 0]
-    multiplicity = np.bincount(occurring)
+    multiplicity = np.bincount(histogram.counts[histogram.counts > 0])
     weights = {int(m): int(c) for m, c in enumerate(multiplicity) if m > 0 and c > 0}
     weights[0] = n - histogram.distinct
     pmf = {m: w / n for m, w in sorted(weights.items())}
@@ -178,13 +164,8 @@ def histogram_to_csv(histogram: WindowHistogram, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["word_code", "count"])
-        if isinstance(histogram.counts, dict):
-            for code in sorted(histogram.counts):
-                writer.writerow([code, histogram.counts[code]])
-        else:
-            nz = np.nonzero(histogram.counts)[0]
-            for code in nz:
-                writer.writerow([int(code), int(histogram.counts[code])])
+        for code in np.nonzero(histogram.counts)[0]:
+            writer.writerow([int(code), int(histogram.counts[code])])
 
 
 def distribution_to_csv(distribution: CountDistribution, path: str | Path) -> None:

@@ -7,6 +7,8 @@ what this build will compute, and are reported with exit code 2.
 
 from __future__ import annotations
 
+__all__ = ["CapabilityError", "ResourceError"]
+
 
 class CapabilityError(RuntimeError):
     """The request is outside the supported parameter envelope (e.g. exact
@@ -15,4 +17,4 @@ class CapabilityError(RuntimeError):
 
 class ResourceError(RuntimeError):
     """The request would exceed the memory/time policy (e.g. a histogram
-    level beyond the dense/sparse envelope)."""
+    level beyond the counting envelope)."""

@@ -39,13 +39,7 @@ from .analytics import (
 from .counter import DENSE_CAP, count_word, quenched_distribution, window_histogram
 from .errors import CapabilityError, ResourceError
 from .sampler import MAX_WORD_LEVEL, derive_seed, sample_sequence, sample_word
-from .schedule import (
-    cesaro_average,
-    classify_kakutani,
-    gamma,
-    parse_schedule,
-    validate,
-)
+from .schedule import Table, cesaro_average, classify_kakutani, parse_schedule, validate
 from .stats import aggregate_annealed, binomial_ci, poisson_distribution, tv_distance
 
 __all__ = [
@@ -139,7 +133,14 @@ class ExperimentConfig:
             raise ValueError("union_bound_samples must be >= 0")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time_limit must be positive when set")
-        self.parsed_schedules()  # malformed specs invalidate the config
+        # Malformed specs, and biases outside (-1/2, 1/2) anywhere on the
+        # probe grid or in a table, invalidate the config before any work.
+        for schedule in self.parsed_schedules():
+            entries = range(1, len(schedule.values) + 1) if isinstance(schedule, Table) else ()
+            violations = validate(schedule, entries)
+            if violations:
+                more = f" ({len(violations) - 1} more)" if len(violations) > 1 else ""
+                raise ValueError(f"schedule {schedule.label}: {violations[0]}{more}")
 
     def parsed_schedules(self):
         return [parse_schedule(spec) for spec in self.schedules]
@@ -215,7 +216,7 @@ class NonconvRecord:
     tail_rate: float
     tail_and_hit_rate: float
     union_bound_mean: float | None
-    union_bound_count: int
+    union_bound_samples: int
     status: str = "ok"
     wall_time_s: float = 0.0
     timeout: bool = False
@@ -261,131 +262,93 @@ def _flag_timeout(config: ExperimentConfig, elapsed: float) -> bool:
 # Quenched / annealed
 
 
-def _quenched_one(schedule, k: int, seed: int, config: ExperimentConfig):
-    start = time.perf_counter()
-    try:
-        sequence = sample_sequence(schedule, (1 << k) + k - 1, seed)
-        law = quenched_distribution(window_histogram(sequence, k))
-        tv = tv_distance(law, _poisson_one()).distance
-    except (ResourceError, MemoryError) as exc:
-        elapsed = time.perf_counter() - start
-        record = ResultRecord(
-            schedule=schedule.label,
-            k=k,
-            seed=seed,
-            mode="quenched",
-            p0=None,
-            p1=None,
-            p2=None,
-            tv_to_po1=None,
-            status=f"error: {exc}",
-            wall_time_s=elapsed,
-            timeout=_flag_timeout(config, elapsed),
-        )
-        return record, None
-    elapsed = time.perf_counter() - start
-    record = ResultRecord(
-        schedule=schedule.label,
-        k=k,
-        seed=seed,
-        mode="quenched",
-        p0=law.mass(0),
-        p1=law.mass(1),
-        p2=law.mass(2),
-        tv_to_po1=tv,
-        wall_time_s=elapsed,
-        timeout=_flag_timeout(config, elapsed),
-    )
-    return record, law
-
-
-def _quenched_tasks(config: ExperimentConfig):
-    schedules = config.parsed_schedules()
+def _trial_tasks(config: ExperimentConfig) -> list[tuple]:
     return [
         (schedule, k, trial)
-        for schedule in schedules
+        for schedule in config.parsed_schedules()
         for k in config.k_list
         for trial in range(config.trials)
     ]
 
 
-def run_quenched(config: ExperimentConfig) -> list[ResultRecord]:
-    """Per-trial quenched laws for every (schedule, level, trial)."""
-    _require_sweep_levels(config, "quenched")
-    tasks = _quenched_tasks(config)
+def _law_record(
+    label: str, k: int, seed: int, mode: str, law, start: float,
+    config: ExperimentConfig, status: str = "ok", p0_stderr: float | None = None,
+) -> ResultRecord:
+    """Summarize a count law (None after an error) against Poisson(1)."""
+    p0 = p1 = p2 = tv = None
+    if law is not None:
+        p0, p1, p2 = law.mass(0), law.mass(1), law.mass(2)
+        tv = tv_distance(law, _poisson_one()).distance
+    elapsed = time.perf_counter() - start
+    return ResultRecord(
+        schedule=label, k=k, seed=seed, mode=mode, p0=p0, p1=p1, p2=p2, tv_to_po1=tv,
+        p0_stderr=p0_stderr, status=status, wall_time_s=elapsed,
+        timeout=_flag_timeout(config, elapsed),
+    )
+
+
+def _quenched_one(schedule, k: int, seed: int, config: ExperimentConfig):
+    start = time.perf_counter()
+    law, status = None, "ok"
+    try:
+        sequence = sample_sequence(schedule, (1 << k) + k - 1, seed)
+        law = quenched_distribution(window_histogram(sequence, k))
+    except (ResourceError, MemoryError) as exc:
+        status = f"error: {exc}"
+    return _law_record(schedule.label, k, seed, "quenched", law, start, config, status), law
+
+
+def _quenched_trials(config: ExperimentConfig, mode: str):
+    """Sorted per-trial records, and each (task, law) pair in task order."""
+    _require_sweep_levels(config, mode)
+    tasks = _trial_tasks(config)
 
     def work(task):
         schedule, k, trial = task
-        seed = derive_seed(config.master_seed, trial)
-        record, _ = _quenched_one(schedule, k, seed, config)
-        return record
+        return _quenched_one(schedule, k, derive_seed(config.master_seed, trial), config)
 
-    records = _map_tasks(work, tasks, config.threads)
-    return sorted(records, key=lambda r: (r.schedule, r.k, r.seed))
+    outcomes = _map_tasks(work, tasks, config.threads)
+    records = sorted((record for record, _ in outcomes), key=lambda r: (r.schedule, r.k, r.seed))
+    return records, [(task, law) for task, (_, law) in zip(tasks, outcomes)]
+
+
+def run_quenched(config: ExperimentConfig) -> list[ResultRecord]:
+    """Per-trial quenched laws for every (schedule, level, trial)."""
+    records, _ = _quenched_trials(config, "quenched")
+    return records
 
 
 def run_annealed(config: ExperimentConfig) -> list[ResultRecord]:
     """Quenched trials plus, per (schedule, level), their trial average.
 
     Aggregate rows carry mode="annealed", the master seed, and the standard
-    error of the no-match mass across trials.
+    error of the no-match mass across trials.  Laws are averaged in trial
+    order.
     """
-    _require_sweep_levels(config, "annealed")
-    tasks = _quenched_tasks(config)
-
-    def work(task):
-        schedule, k, trial = task
-        seed = derive_seed(config.master_seed, trial)
-        record, law = _quenched_one(schedule, k, seed, config)
-        return schedule.label, k, trial, record, law
-
-    outcomes = _map_tasks(work, tasks, config.threads)
-    trial_records = [item[3] for item in outcomes]
-
-    groups: dict[tuple[str, int], list[tuple[int, object]]] = {}
-    for label, k, trial, _, law in outcomes:
-        groups.setdefault((label, k), []).append((trial, law))
+    records, task_laws = _quenched_trials(config, "annealed")
+    groups: dict[tuple[str, int], list] = {}
+    for (schedule, k, _), law in sorted(task_laws, key=lambda pair: pair[0][2]):
+        laws = groups.setdefault((schedule.label, k), [])
+        if law is not None:
+            laws.append(law)
 
     aggregates = []
-    for (label, k), members in sorted(groups.items()):
+    for (label, k), laws in sorted(groups.items()):
         start = time.perf_counter()
-        laws = [law for _, law in sorted(members, key=lambda item: item[0]) if law is not None]
-        if not laws:
-            aggregates.append(
-                ResultRecord(
-                    schedule=label,
-                    k=k,
-                    seed=config.master_seed,
-                    mode="annealed",
-                    p0=None,
-                    p1=None,
-                    p2=None,
-                    tv_to_po1=None,
-                    status="error: no successful trials to aggregate",
-                )
-            )
-            continue
-        mean_law, stderr = aggregate_annealed(laws)
-        tv = tv_distance(mean_law, _poisson_one()).distance
-        elapsed = time.perf_counter() - start
-        aggregates.append(
-            ResultRecord(
-                schedule=label,
-                k=k,
-                seed=config.master_seed,
-                mode="annealed",
-                p0=mean_law.mass(0),
-                p1=mean_law.mass(1),
-                p2=mean_law.mass(2),
-                tv_to_po1=tv,
+        if laws:
+            mean_law, stderr = aggregate_annealed(laws)
+            record = _law_record(
+                label, k, config.master_seed, "annealed", mean_law, start, config,
                 p0_stderr=stderr.get(0, 0.0),
-                wall_time_s=elapsed,
-                timeout=_flag_timeout(config, elapsed),
             )
-        )
-
-    trial_records.sort(key=lambda r: (r.schedule, r.k, r.seed))
-    return trial_records + aggregates
+        else:
+            record = _law_record(
+                label, k, config.master_seed, "annealed", None, start, config,
+                status="error: no successful trials to aggregate",
+            )
+        aggregates.append(record)
+    return records + aggregates
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +397,7 @@ def run_nonconv(config: ExperimentConfig) -> list[NonconvRecord]:
     patterns (in trial order) also get an exact positionwise union bound.
     """
     _require_sweep_levels(config, "nonconv")
-    schedules = config.parsed_schedules()
-    tasks = [
-        (schedule, k, trial)
-        for schedule in schedules
-        for k in config.k_list
-        for trial in range(config.trials)
-    ]
+    tasks = _trial_tasks(config)
 
     def work(task):
         schedule, k, trial = task
@@ -455,7 +412,7 @@ def run_nonconv(config: ExperimentConfig) -> list[NonconvRecord]:
 
     outcomes = _map_tasks(work, tasks, config.threads)
     groups: dict[tuple[str, int], list] = {}
-    schedule_by_label = {s.label: s for s in schedules}
+    schedule_by_label = {task[0].label: task[0] for task in tasks}
     for label, k, trial, word, hit, in_tail in outcomes:
         groups.setdefault((label, k), []).append((trial, word, hit, in_tail))
 
@@ -498,7 +455,7 @@ def run_nonconv(config: ExperimentConfig) -> list[NonconvRecord]:
                 tail_rate=tail_count / trials,
                 tail_and_hit_rate=tail_hit / trials,
                 union_bound_mean=union_mean,
-                union_bound_count=len(union_values),
+                union_bound_samples=len(union_values),
                 wall_time_s=elapsed,
                 timeout=_flag_timeout(config, elapsed),
             )
@@ -519,7 +476,7 @@ def schedule_info(spec_text: str) -> dict:
         "label": schedule.label,
         "kakutani": classify_kakutani(schedule).value,
         "violations": validate(schedule),
-        "gamma": {str(n): gamma(schedule, n) for n in sample_points},
+        "gamma": {str(n): schedule.gamma(n) for n in sample_points},
         "cesaro": {
             str(n): cesaro_average(schedule, n) for n in (10**3, 10**6)
         },
@@ -557,8 +514,6 @@ def records_to_csv(mode: str, records) -> str:
     writer.writerow(columns)
     for record in records:
         data = record.as_dict()
-        if "union_bound_count" in data:
-            data["union_bound_samples"] = data["union_bound_count"]
         writer.writerow([_format_cell(data.get(col)) for col in columns])
     return buffer.getvalue()
 

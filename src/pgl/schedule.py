@@ -26,8 +26,6 @@ __all__ = [
     "LogPower",
     "Table",
     "KakutaniClass",
-    "gamma",
-    "gamma_slice",
     "validate",
     "classify_kakutani",
     "cesaro_average",
@@ -204,16 +202,6 @@ class Table(BiasSchedule):
 def _check_index(n: int) -> None:
     if n < 1:
         raise ValueError(f"positions are 1-based, got {n}")
-
-
-def gamma(schedule: BiasSchedule, n: int) -> float:
-    """Bias at position n (1-based).  Accepts arbitrarily large indices."""
-    return schedule.gamma(n)
-
-
-def gamma_slice(schedule: BiasSchedule, start: int, count: int) -> np.ndarray:
-    """Biases at positions start..start+count-1 as a float64 vector."""
-    return schedule.gamma_slice(start, count)
 
 
 def validate(schedule: BiasSchedule, extra_indices: Sequence[int] = ()) -> list[str]:

@@ -508,6 +508,10 @@ class TestSymbolSumTail:
         result = symbol_sum_tail_mass(400, 0.5)
         assert abs(result.exact - result.normal_approx) < 0.03
 
+    def test_exact_sum_is_correctly_rounded(self):
+        # level 15, eta 0.1: m <= 7 of 15 plus symbols, exactly half the mass
+        assert symbol_sum_tail_mass(15, 0.1).exact == 0.5
+
     def test_extreme_threshold_empties_the_tail(self):
         assert symbol_sum_tail_mass(16, 10.0).exact == 0.0
 

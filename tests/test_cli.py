@@ -39,6 +39,15 @@ class TestBasics:
         assert sum(1 for l in lines if l.startswith("ok")) >= 7
         assert not any("FAIL" in l for l in lines)
 
+    def test_import_does_not_load_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, pgl; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, timeout=240,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestQuenchedCommand:
     def test_csv_on_stdout(self):
@@ -78,6 +87,21 @@ class TestQuenchedCommand:
         proc = run_cli("quenched", "--schedule", "bogus:1", "--k", "4")
         assert proc.returncode == 1
         assert "unknown kind" in proc.stderr
+
+    @pytest.mark.parametrize("spec", ["const:0.7", "const:nan"])
+    def test_out_of_range_bias_exits_one_before_any_work(self, spec):
+        proc = run_cli("bounds", "--schedule", spec, "--k", "8")
+        assert proc.returncode == 1
+        assert "outside (-1/2, 1/2)" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_out_of_range_table_entry_exits_one(self, tmp_path):
+        path = tmp_path / "bias.txt"
+        path.write_text("0.1\n0.6\n0.1\n")
+        proc = run_cli("bounds", "--schedule", f"table:{path}", "--k", "8")
+        assert proc.returncode == 1
+        assert "gamma(2) = 0.6" in proc.stderr
+        assert proc.stdout == ""
 
     def test_thread_flag_keeps_output_identical(self, tmp_path):
         outs = []

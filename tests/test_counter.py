@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import pgl.counter as counter
 from conftest import naive_window_counts, pack_bits
 from pgl.counter import (
     count_word,
@@ -20,8 +19,6 @@ from pgl.schedule import Constant, LogPower, Zero
 
 
 def histogram_as_dict(hist) -> dict[int, int]:
-    if isinstance(hist.counts, dict):
-        return dict(hist.counts)
     codes = np.nonzero(hist.counts)[0]
     return {int(c): int(hist.counts[c]) for c in codes}
 
@@ -71,20 +68,7 @@ class TestHistogram:
             window_histogram(seq, 0)
         # the memory-policy guard fires before any length check
         with pytest.raises(ResourceError, match="memory policy"):
-            window_histogram(seq, 29)
-
-    def test_sparse_and_dense_paths_agree(self, monkeypatch):
-        seq = sample_sequence(Zero(), (1 << 4) + 3, seed=21)
-        dense = window_histogram(seq, 4)
-        monkeypatch.setattr(counter, "DENSE_CAP", 2)
-        sparse = window_histogram(seq, 4)
-        assert isinstance(sparse.counts, dict)
-        assert histogram_as_dict(sparse) == histogram_as_dict(dense)
-        assert sparse.distinct == dense.distinct
-        for code in range(16):
-            assert sparse.count(Word(4, code)) == dense.count(Word(4, code))
-        assert (quenched_distribution(sparse).pmf
-                == quenched_distribution(dense).pmf)
+            window_histogram(seq, 27)
 
 
 class TestCountWord:

@@ -1,0 +1,81 @@
+"""Golden CSV guard: the sweeps print what they printed when the files in
+tests/golden/ were recorded, whatever the thread count.
+
+quenched, annealed and nonconv must match byte for byte.  bounds must match
+every string cell exactly and every float cell within 1e-12 relative, so
+that a change in floating-point summation order inside the Stein terms is
+allowed and nothing else is.
+
+To record the files again after an intended change of output, run
+``PYTHONPATH=src python tests/test_golden.py`` and name the change in
+CHANGES.md.
+"""
+
+import csv
+import io
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from pgl.runner import (
+    ExperimentConfig,
+    records_to_csv,
+    run_annealed,
+    run_bounds,
+    run_nonconv,
+    run_quenched,
+)
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# mode -> (sweep, config fields); schedules default unless named.
+CASES = {
+    "quenched": (run_quenched, {"k_list": (10, 14), "trials": 3}),
+    "annealed": (run_annealed, {"k_list": (10, 14), "trials": 3}),
+    "nonconv": (run_nonconv, {"k_list": (10, 12, 14), "trials": 20}),
+    # k = 8 full-sum C, k = 14 exact B with bound C, k = 21 bound B with
+    # Monte Carlo C: every Stein path.
+    "bounds": (
+        run_bounds,
+        {"schedules": ("logpow:0.5", "logpow:1.0", "zero"), "k_list": (8, 14, 21)},
+    ),
+}
+
+
+def render(mode: str, threads: int) -> str:
+    sweep, fields = CASES[mode]
+    config = ExperimentConfig(threads=threads, **fields)
+    return records_to_csv(mode, sweep(config))
+
+
+def assert_close_cells(got: str, want: str) -> None:
+    got_rows = list(csv.reader(io.StringIO(got)))
+    want_rows = list(csv.reader(io.StringIO(want)))
+    assert len(got_rows) == len(want_rows)
+    for got_row, want_row in zip(got_rows, want_rows):
+        assert len(got_row) == len(want_row)
+        for g, w in zip(got_row, want_row):
+            if g == w:
+                continue
+            # Only float cells may differ, and only by rounding.
+            assert math.isclose(float(g), float(w), rel_tol=1e-12, abs_tol=0.0), (g, w)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("mode", ["quenched", "annealed", "nonconv"])
+def test_sweep_csv_is_byte_identical(mode, threads):
+    want = (GOLDEN_DIR / f"{mode}.csv").read_text()
+    assert render(mode, threads) == want
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_bounds_csv_matches_within_rounding(threads):
+    want = (GOLDEN_DIR / "bounds.csv").read_text()
+    assert_close_cells(render("bounds", threads), want)
+
+
+if __name__ == "__main__":
+    for name in sys.argv[1:] or CASES:
+        (GOLDEN_DIR / f"{name}.csv").write_text(render(name, threads=1))

@@ -61,6 +61,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(schedules=("bogus:1",))
 
+    @pytest.mark.parametrize("spec", ["const:0.7", "const:nan", "const:-0.5"])
+    def test_rejects_biases_outside_the_open_half_interval(self, spec):
+        with pytest.raises(ValueError, match="outside"):
+            small_config(schedules=("zero", spec))
+
+    def test_checks_every_table_entry(self, tmp_path):
+        # 0.6 sits at position 3, which is not on the validate() probe grid
+        path = tmp_path / "bias.txt"
+        path.write_text("0.1\n0.2\n0.6\n0.1\n")
+        with pytest.raises(ValueError, match=r"gamma\(3\) = 0\.6"):
+            small_config(schedules=(f"table:{path}",))
+        path.write_text("0.1\n0.2\n0.3\n0.1\n")
+        assert small_config(schedules=(f"table:{path}",)).schedules
+
     def test_histogram_modes_enforce_the_dense_cap(self):
         cfg = small_config(k_list=(10, 30))
         with pytest.raises(CapabilityError):
@@ -240,7 +254,7 @@ class TestNonconv:
         assert abs(record.tail_and_hit_rate - target) <= 4 * sigma + 1e-9
         # with zero bias the union bound is exactly 1 at every position
         assert record.union_bound_mean == pytest.approx(1.0, rel=1e-12)
-        assert record.union_bound_count == cfg.union_bound_samples
+        assert record.union_bound_samples == cfg.union_bound_samples
 
     def test_saturated_bias_starves_the_tail_intersection(self):
         cfg = small_config(
@@ -262,7 +276,7 @@ class TestNonconv:
         assert record.tail_rate == 0.0
         assert record.tail_and_hit_rate == 0.0
         assert record.union_bound_mean is None
-        assert record.union_bound_count == 0
+        assert record.union_bound_samples == 0
 
 
 class TestScheduleInfo:

@@ -17,8 +17,6 @@ from pgl.schedule import (
     cesaro_average,
     classify_kakutani,
     first_persistent_below,
-    gamma,
-    gamma_slice,
     parse_schedule,
     validate,
 )
@@ -103,9 +101,6 @@ class TestValues:
                 assert block.shape == (7,)
                 for offset in range(7):
                     assert block[offset] == sched.gamma(start + offset)
-                # free-function forms agree with the methods
-                assert np.array_equal(block, gamma_slice(sched, start, 7))
-                assert gamma(sched, start) == sched.gamma(start)
 
     @settings(max_examples=60, deadline=None)
     @given(
