@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .counter import CountDistribution
-from .errors import CapabilityError
+from .errors import CapabilityError, NanGuard
 from .sampler import Word, derive_seed, sample_words
 from .schedule import BiasSchedule, first_persistent_below
 
@@ -103,7 +103,7 @@ class ChenSteinParams:
 
 
 @dataclass(frozen=True)
-class ChenSteinReport:
+class ChenSteinReport(NanGuard):
     """The three error terms and their provenance.
 
     total = A + B + C upper-bounds the total-variation distance between the

@@ -2,9 +2,11 @@
 
 For a sequence x and level k, the window at position j (1-based) is
 (x_j, ..., x_{j+k-1}), encoded as the integer whose bit t-1 is the 0/1 bit of
-x_{j+t-1}; x_j sits at the least significant bit.  The histogram scans the
-first 2^k windows in one pass with a rolling code update costing O(1) per
-position.
+x_{j+t-1}; x_j sits at the least significant bit.  Codes are read straight
+from the packed buffer: the 64-bit little-endian word loaded at byte b holds
+the windows at positions 8b+1, ..., 8b+8, one shift apart.  Since the level-k
+code of a window is the low k bits of its level-K code, one level-K build
+serves every level k <= K through its first 2^k codes.
 
 The quenched count law of x at level k is the distribution of the count
 N_x(w) when the pattern w is drawn uniformly: pmf(m) is the fraction of the
@@ -27,6 +29,9 @@ from .sampler import PackedSequence, Word
 __all__ = [
     "WindowHistogram",
     "CountDistribution",
+    "window_codes",
+    "level_codes",
+    "level_histogram",
     "window_histogram",
     "count_word",
     "quenched_distribution",
@@ -35,9 +40,14 @@ __all__ = [
     "DENSE_CAP",
 ]
 
-# Counting keeps a 2^k array of 32-bit counters (256 MiB at the cap); above
-# it the counters would exceed the memory policy.
+# Counting keeps 2^k window codes and 2^k counters, each of native integer
+# width (512 MiB apiece at the cap); above it they would exceed the memory
+# policy.
 DENSE_CAP = 26
+
+# Rows of eight windows built per block, so that a block's codes stay in
+# cache while the eight shift phases fill them.
+_CODE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,11 +56,15 @@ class WindowHistogram:
 
     k: int
     counts: np.ndarray
-    distinct: int
 
     @property
     def positions(self) -> int:
         return 1 << self.k
+
+    @property
+    def distinct(self) -> int:
+        """Number of patterns that occur at least once."""
+        return int(np.count_nonzero(self.counts))
 
     def count(self, word: Word) -> int:
         if word.k != self.k:
@@ -96,60 +110,80 @@ class CountDistribution:
         return sorted(self.pmf)
 
 
-def window_histogram(sequence: PackedSequence, k: int) -> WindowHistogram:
-    """Count every level-k pattern over window positions 1..2^k.
+def window_codes(sequence: PackedSequence, k: int) -> np.ndarray:
+    """Level-k codes of the windows at positions 1..2^k, as an intp vector.
 
-    Needs length >= 2^k + k - 1.  32-bit counters up to DENSE_CAP,
-    ResourceError beyond.
+    Needs length >= 2^k + k - 1.  No buffer that long exists beyond
+    k = 57, the longest window one 64-bit load holds at every shift.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
-    if k > DENSE_CAP:
-        raise ResourceError(
-            f"level {k} exceeds the memory policy (cap {DENSE_CAP}); "
-            "lower k or raise the policy in a fork that has the memory"
-        )
     n = 1 << k
     if sequence.length < n + k - 1:
         raise ValueError(
             f"need {n + k - 1} positions for level {k}, sequence has {sequence.length}"
         )
-    bits = sequence.bits01
-    codes = bits[0:n].astype(np.uint32)
-    for t in range(1, k):
-        codes |= bits[t : t + n].astype(np.uint32) << np.uint32(t)
-    counts = np.bincount(codes, minlength=n).astype(np.uint32)
-    return WindowHistogram(k=k, counts=counts, distinct=int(np.count_nonzero(counts)))
+    rows = (n + 7) // 8
+    # Eight zero bytes of padding keep the last rows' loads inside the buffer.
+    padded = np.zeros(rows + 8, dtype=np.uint8)
+    take = min(sequence.packed.size, padded.size)
+    padded[:take] = sequence.packed[:take]
+    loads = np.ndarray((rows,), dtype="<i8", buffer=padded, strides=(1,))
+    codes = np.empty((rows, 8), dtype=np.intp)
+    mask = n - 1
+    for lo in range(0, rows, _CODE_BLOCK):
+        block = np.ascontiguousarray(loads[lo : lo + _CODE_BLOCK])
+        for shift in range(8):
+            # an arithmetic shift only fills bits that the mask drops
+            np.bitwise_and(block >> shift, mask, out=codes[lo : lo + _CODE_BLOCK, shift])
+    return codes.reshape(-1)[:n]
+
+
+def level_codes(codes: np.ndarray, k: int) -> np.ndarray:
+    """Level-k codes of the first 2^k windows, from the codes of a level >= k.
+
+    The codes themselves when they are level k already (2^k of them).
+    """
+    n = 1 << k
+    if codes.size < n:
+        raise ValueError(f"level {k} needs {n} window codes, got {codes.size}")
+    return codes if codes.size == n else codes[:n] & (n - 1)
+
+
+def level_histogram(codes: np.ndarray, k: int) -> WindowHistogram:
+    """Count every level-k pattern over the first 2^k windows of ``codes``."""
+    _require_dense(k)
+    return WindowHistogram(k=k, counts=np.bincount(level_codes(codes, k), minlength=1 << k))
+
+
+def window_histogram(sequence: PackedSequence, k: int) -> WindowHistogram:
+    """Count every level-k pattern over window positions 1..2^k.
+
+    Needs length >= 2^k + k - 1.  Up to DENSE_CAP; ResourceError beyond.
+    """
+    _require_dense(k)
+    return level_histogram(window_codes(sequence, k), k)
 
 
 def count_word(sequence: PackedSequence, word: Word) -> int:
     """Occurrences of one pattern over window positions 1..2^k.
 
-    Same window convention as the histogram, without allocating 2^k counters.
+    Same window convention as the histogram, without allocating counters.
     """
-    k = word.k
-    n = 1 << k
-    if sequence.length < n + k - 1:
-        raise ValueError(
-            f"need {n + k - 1} positions for level {k}, sequence has {sequence.length}"
-        )
-    bits = sequence.bits01
-    match = bits[0:n] == np.uint8(word.code & 1)
-    for t in range(1, k):
-        match &= bits[t : t + n] == np.uint8((word.code >> t) & 1)
-    return int(match.sum())
+    return int(np.count_nonzero(window_codes(sequence, word.k) == word.code))
 
 
 def quenched_distribution(histogram: WindowHistogram) -> CountDistribution:
     """Count law of a uniform pattern against a fixed sequence.
 
-    The zero-count mass comes from the distinct-pattern count, never from
-    iterating the absent patterns.
+    multiplicity[m] is the number of patterns occurring exactly m times, so
+    the zero-count mass is its entry 0 and only its non-zero entries become
+    weights.
     """
     n = 1 << histogram.k
-    multiplicity = np.bincount(histogram.counts[histogram.counts > 0])
-    weights = {int(m): int(c) for m, c in enumerate(multiplicity) if m > 0 and c > 0}
-    weights[0] = n - histogram.distinct
+    multiplicity = np.bincount(histogram.counts)
+    weights = {0: int(multiplicity[0])}
+    weights.update((int(m), int(multiplicity[m])) for m in np.flatnonzero(multiplicity))
     pmf = {m: w / n for m, w in sorted(weights.items())}
     return CountDistribution(
         pmf=pmf,
@@ -157,6 +191,14 @@ def quenched_distribution(histogram: WindowHistogram) -> CountDistribution:
         weights=weights,
         denominator=n,
     )
+
+
+def _require_dense(k: int) -> None:
+    if k > DENSE_CAP:
+        raise ResourceError(
+            f"level {k} exceeds the memory policy (cap {DENSE_CAP}); "
+            "lower k or raise the policy in a fork that has the memory"
+        )
 
 
 def histogram_to_csv(histogram: WindowHistogram, path: str | Path) -> None:

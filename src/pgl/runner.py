@@ -11,8 +11,10 @@ Four experiment modes share one configuration object:
 Determinism contract: records are pure functions of the configuration.
 Trial t draws its sequence seed as derive_seed(master_seed, t) (shared
 across schedules and levels, so trial t examines nested prefixes of one
-conceptual sequence per schedule) and its pattern seed as
-derive_seed(master_seed, t, WORD_TAG).  Thread count never changes results:
+sequence per schedule) and its pattern seed as
+derive_seed(master_seed, t, WORD_TAG).  The histogram modes therefore
+sample each (schedule, trial) sequence once, at the largest level, and read
+every level off its window codes.  Thread count never changes results:
 tasks are mapped in a fixed order and reassembled positionally, and CSV
 output excludes wall-clock fields (JSON carries them for diagnostics).
 """
@@ -36,9 +38,15 @@ from .analytics import (
     symbol_sum_tail_mass,
     union_bound_hit_probability,
 )
-from .counter import DENSE_CAP, count_word, quenched_distribution, window_histogram
-from .errors import CapabilityError, ResourceError
-from .sampler import MAX_WORD_LEVEL, derive_seed, sample_sequence, sample_word
+from .counter import (
+    DENSE_CAP,
+    level_codes,
+    level_histogram,
+    quenched_distribution,
+    window_codes,
+)
+from .errors import CapabilityError, NanGuard, ResourceError
+from .sampler import MAX_WORD_LEVEL, derive_seed, sample_sequences, sample_word
 from .schedule import Table, cesaro_average, classify_kakutani, parse_schedule, validate
 from .stats import aggregate_annealed, binomial_ci, poisson_distribution, tv_distance
 
@@ -69,6 +77,9 @@ _WORD_TAG = 0x57
 _BOUNDS_TAG = 0xB0
 # Histogram-based modes keep levels within the dense-counting envelope.
 _MAX_SWEEP_LEVEL = DENSE_CAP
+# The trials of one schedule are sampled together while their packed bits
+# fit in 256 MiB: all 50 default trials up to level 25, batches of 31 at the cap.
+_BATCH_BYTES = 1 << 28
 
 _CSV_COLUMNS = {
     "quenched": (
@@ -150,7 +161,7 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class ResultRecord:
+class ResultRecord(NanGuard):
     """One quenched trial, or one annealed aggregate (mode field tells).
 
     A trial that hits a resource limit is emitted with status "error: ..."
@@ -192,7 +203,7 @@ class BoundsRecord:
 
 
 @dataclass(frozen=True)
-class NonconvRecord:
+class NonconvRecord(NanGuard):
     """Joint word/sequence trials for one (schedule, level) cell.
 
     p0_hat estimates the annealed no-match probability with a Wilson 95%
@@ -262,13 +273,42 @@ def _flag_timeout(config: ExperimentConfig, elapsed: float) -> bool:
 # Quenched / annealed
 
 
-def _trial_tasks(config: ExperimentConfig) -> list[tuple]:
-    return [
-        (schedule, k, trial)
-        for schedule in config.parsed_schedules()
-        for k in config.k_list
-        for trial in range(config.trials)
-    ]
+def _trial_passes(config: ExperimentConfig, mode: str, trial_pass) -> list:
+    """``trial_pass(schedule, trial, codes)`` for every (schedule, trial).
+
+    One pass samples the trial's sequence once, at the largest level K, and
+    builds its level-K window codes once; each level k reads the first 2^k.
+    A schedule's trials are sampled together, sharing each chunk's
+    thresholds.  When sampling or the code build runs out of memory, the
+    pass gets the MemoryError in place of the codes.  Results come back in
+    (schedule, trial) order whatever the thread count.
+    """
+    _require_sweep_levels(config, mode)
+    top = max(config.k_list)
+    length = (1 << top) + top - 1
+    batch = max(1, _BATCH_BYTES // ((length + 7) // 8))
+    results = []
+    for schedule in config.parsed_schedules():
+        for first in range(0, config.trials, batch):
+            trials = range(first, min(first + batch, config.trials))
+            seeds = [derive_seed(config.master_seed, trial) for trial in trials]
+            try:
+                sequences = sample_sequences(schedule, length, seeds)
+            except MemoryError as exc:
+                sequences = [exc] * len(seeds)
+
+            def work(unit, schedule=schedule):
+                trial, sequence = unit
+                codes = sequence
+                if not isinstance(sequence, MemoryError):
+                    try:
+                        codes = window_codes(sequence, top)
+                    except MemoryError as exc:
+                        codes = exc
+                return trial_pass(schedule, trial, codes)
+
+            results += _map_tasks(work, list(zip(trials, sequences)), config.threads)
+    return results
 
 
 def _law_record(
@@ -288,29 +328,34 @@ def _law_record(
     )
 
 
-def _quenched_one(schedule, k: int, seed: int, config: ExperimentConfig):
+def _quenched_one(schedule, k: int, seed: int, codes, config: ExperimentConfig):
     start = time.perf_counter()
     law, status = None, "ok"
     try:
-        sequence = sample_sequence(schedule, (1 << k) + k - 1, seed)
-        law = quenched_distribution(window_histogram(sequence, k))
+        if isinstance(codes, MemoryError):
+            raise codes
+        law = quenched_distribution(level_histogram(codes, k))
     except (ResourceError, MemoryError) as exc:
         status = f"error: {exc}"
     return _law_record(schedule.label, k, seed, "quenched", law, start, config, status), law
 
 
 def _quenched_trials(config: ExperimentConfig, mode: str):
-    """Sorted per-trial records, and each (task, law) pair in task order."""
-    _require_sweep_levels(config, mode)
-    tasks = _trial_tasks(config)
+    """Sorted per-trial records, and the (label, k, trial, law) of each
+    record in (schedule, trial, k_list) order; a repeated level repeats its
+    record and law."""
 
-    def work(task):
-        schedule, k, trial = task
-        return _quenched_one(schedule, k, derive_seed(config.master_seed, trial), config)
+    def trial_pass(schedule, trial, codes):
+        seed = derive_seed(config.master_seed, trial)
+        done = {}
+        for k in config.k_list:
+            if k not in done:
+                done[k] = _quenched_one(schedule, k, seed, codes, config)
+        return [(trial, k, *done[k]) for k in config.k_list]
 
-    outcomes = _map_tasks(work, tasks, config.threads)
-    records = sorted((record for record, _ in outcomes), key=lambda r: (r.schedule, r.k, r.seed))
-    return records, [(task, law) for task, (_, law) in zip(tasks, outcomes)]
+    outcomes = [item for items in _trial_passes(config, mode, trial_pass) for item in items]
+    records = sorted((record for _, _, record, _ in outcomes), key=lambda r: (r.schedule, r.k, r.seed))
+    return records, [(record.schedule, k, trial, law) for trial, k, record, law in outcomes]
 
 
 def run_quenched(config: ExperimentConfig) -> list[ResultRecord]:
@@ -326,10 +371,10 @@ def run_annealed(config: ExperimentConfig) -> list[ResultRecord]:
     error of the no-match mass across trials.  Laws are averaged in trial
     order.
     """
-    records, task_laws = _quenched_trials(config, "annealed")
+    records, trial_laws = _quenched_trials(config, "annealed")
     groups: dict[tuple[str, int], list] = {}
-    for (schedule, k, _), law in sorted(task_laws, key=lambda pair: pair[0][2]):
-        laws = groups.setdefault((schedule.label, k), [])
+    for label, k, _, law in sorted(trial_laws, key=lambda item: item[2]):
+        laws = groups.setdefault((label, k), [])
         if law is not None:
             laws.append(law)
 
@@ -393,33 +438,33 @@ def run_nonconv(config: ExperimentConfig) -> list[NonconvRecord]:
 
     Each trial draws an independent pattern and sequence, then checks
     whether the pattern lies in the negative symbol-sum tail and whether it
-    occurs in the sequence at all.  The first union_bound_samples tail
+    occurs in the sequence at all.  Like the quenched trials, trial t reads
+    every level off one sequence per schedule, and its pattern at level k is
+    the low k bits of one draw.  The first union_bound_samples tail
     patterns (in trial order) also get an exact positionwise union bound.
     """
-    _require_sweep_levels(config, "nonconv")
-    tasks = _trial_tasks(config)
+    def trial_pass(schedule, trial, codes):
+        if isinstance(codes, MemoryError):
+            raise codes
+        word_seed = derive_seed(config.master_seed, trial, _WORD_TAG)
+        outcomes = []
+        for k in config.k_list:
+            word = sample_word(k, word_seed)
+            hit = bool((level_codes(codes, k) == word.code).any())
+            symbol_sum = 2 * word.code.bit_count() - k
+            in_tail = symbol_sum < -config.eta * math.sqrt(k)
+            outcomes.append((schedule.label, k, trial, word, hit, in_tail))
+        return outcomes
 
-    def work(task):
-        schedule, k, trial = task
-        word = sample_word(k, derive_seed(config.master_seed, trial, _WORD_TAG))
-        sequence = sample_sequence(
-            schedule, (1 << k) + k - 1, derive_seed(config.master_seed, trial)
-        )
-        occurrences = count_word(sequence, word)
-        symbol_sum = 2 * word.code.bit_count() - k
-        in_tail = symbol_sum < -config.eta * math.sqrt(k)
-        return schedule.label, k, trial, word, occurrences >= 1, in_tail
-
-    outcomes = _map_tasks(work, tasks, config.threads)
     groups: dict[tuple[str, int], list] = {}
-    schedule_by_label = {task[0].label: task[0] for task in tasks}
-    for label, k, trial, word, hit, in_tail in outcomes:
-        groups.setdefault((label, k), []).append((trial, word, hit, in_tail))
+    for outcomes in _trial_passes(config, "nonconv", trial_pass):
+        for label, k, trial, word, hit, in_tail in outcomes:
+            groups.setdefault((label, k), []).append((trial, word, hit, in_tail))
+    schedule_by_label = {schedule.label: schedule for schedule in config.parsed_schedules()}
 
     records = []
     for (label, k), members in sorted(groups.items()):
         start = time.perf_counter()
-        members.sort(key=lambda item: item[0])
         trials = len(members)
         absent_count = sum(1 for _, _, hit, _ in members if not hit)
         tail_count = sum(1 for _, _, _, in_tail in members if in_tail)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from numpy.random import Philox
@@ -32,6 +33,7 @@ __all__ = [
     "PackedSequence",
     "Word",
     "sample_sequence",
+    "sample_sequences",
     "sample_word",
     "sample_words",
     "mix64",
@@ -44,7 +46,9 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MAGIC = b"PGL1"
-_CHUNK = 1 << 21
+# Positions per chunk: a chunk's thresholds and stream words (512 KiB each)
+# stay in cache while every trial of a schedule compares against them.
+_CHUNK = 1 << 16
 
 # Word codes are masked from a single 64-bit draw; 60 keeps headroom in the
 # signed arithmetic downstream consumers tend to do.
@@ -156,9 +160,21 @@ def sample_sequence(schedule: BiasSchedule, length: int, seed: int) -> PackedSeq
 
     Bit n depends only on (seed, n, gamma_n); chunking below is invisible.
     """
+    return sample_sequences(schedule, length, [seed])[0]
+
+
+def sample_sequences(
+    schedule: BiasSchedule, length: int, seeds: Sequence[int]
+) -> list[PackedSequence]:
+    """One sequence per seed, each drawn as ``sample_sequence`` describes.
+
+    Each chunk's biases and 64-bit thresholds are computed once and compared
+    against the stream words of every seed, so memory beyond the packed
+    outputs stays one chunk whatever the length.
+    """
     if length < 1:
         raise ValueError("sequence length must be >= 1")
-    bits = np.empty(length, dtype=np.uint8)
+    packed = [np.empty((length + 7) // 8, dtype=np.uint8) for _ in seeds]
     pos = 0
     while pos < length:
         count = min(_CHUNK, length - pos)
@@ -166,15 +182,16 @@ def sample_sequence(schedule: BiasSchedule, length: int, seed: int) -> PackedSeq
         if not (0.0 < p.min() and p.max() < 1.0):
             raise ValueError("schedule produced a bias outside (-1/2, 1/2)")
         thresholds = np.floor(p * 2.0**64).astype(np.uint64)
-        words = _raw_words(seed, pos, count)
-        bits[pos : pos + count] = words < thresholds
+        # _CHUNK is a multiple of 8, so every chunk starts on a byte
+        for buffer, seed in zip(packed, seeds):
+            buffer[pos >> 3 : (pos + count + 7) >> 3] = np.packbits(
+                _raw_words(seed, pos, count) < thresholds, bitorder="little"
+            )
         pos += count
-    return PackedSequence(
-        packed=np.packbits(bits, bitorder="little"),
-        length=length,
-        seed=seed,
-        schedule_label=schedule.label,
-    )
+    return [
+        PackedSequence(packed=buffer, length=length, seed=seed, schedule_label=schedule.label)
+        for buffer, seed in zip(packed, seeds)
+    ]
 
 
 def sample_word(k: int, seed: int) -> Word:

@@ -1,5 +1,6 @@
 """Exact likelihood analytics: pair probabilities, Stein terms, tail sets."""
 
+import dataclasses
 import math
 from statistics import NormalDist
 
@@ -360,6 +361,11 @@ class TestChenSteinTerms:
         assert chen_stein_terms(Constant(0.2), ChenSteinParams(k=4)).onset_index is None
         lp = chen_stein_terms(LogPower(1.0), ChenSteinParams(k=4))
         assert lp.onset_index == math.floor(math.exp(1.0 / ONSET_FACTOR_BOUND)) + 1
+
+    def test_report_rejects_nan(self):
+        report = chen_stein_terms(Zero(), ChenSteinParams(k=3))
+        with pytest.raises(ValueError, match="NaN in c_term, total"):
+            dataclasses.replace(report, c_term=math.nan, total=math.nan)
 
     def test_report_serialization_keys(self):
         report = chen_stein_terms(Zero(), ChenSteinParams(k=3))

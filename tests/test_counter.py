@@ -1,5 +1,6 @@
 """Window histograms and quenched count laws against naive scans."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,10 @@ from pgl.counter import (
     count_word,
     distribution_to_csv,
     histogram_to_csv,
+    level_codes,
+    level_histogram,
     quenched_distribution,
+    window_codes,
     window_histogram,
 )
 from pgl.errors import ResourceError
@@ -71,6 +75,32 @@ class TestHistogram:
             window_histogram(seq, 27)
 
 
+class TestWindowCodes:
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 9])
+    def test_codes_match_a_naive_scan(self, k):
+        # short and ragged buffers: fewer than eight windows, and lengths
+        # that are not a whole number of bytes
+        for extra in (0, 1, 13):
+            seq = sample_sequence(LogPower(1.0), (1 << k) + k - 1 + extra, seed=k + extra)
+            bits = seq.bits01.tolist()
+            expected = [sum(bits[j + t] << t for t in range(k)) for j in range(1 << k)]
+            codes = window_codes(seq, k)
+            assert codes.dtype == np.intp
+            assert codes.tolist() == expected
+
+    def test_every_level_reads_the_prefix_of_one_build(self):
+        top = 14
+        seq = sample_sequence(LogPower(0.5), (1 << top) + top - 1, seed=21)
+        codes = window_codes(seq, top)
+        assert level_codes(codes, top) is codes
+        for k in (1, 5, 8, 13, 14):
+            assert np.array_equal(level_codes(codes, k), window_codes(seq, k))
+            assert np.array_equal(level_histogram(codes, k).counts,
+                                  window_histogram(seq, k).counts)
+        with pytest.raises(ValueError, match="needs 32768 window codes"):
+            level_codes(codes, 15)
+
+
 class TestCountWord:
     def test_matches_histogram_for_every_pattern(self):
         k = 5
@@ -117,6 +147,20 @@ class TestQuenchedDistribution:
         assert set(law.pmf) == set(expected)
         for m, p in expected.items():
             assert law.pmf[m] == pytest.approx(p, abs=1e-15)
+
+    def test_law_matches_a_counter_over_the_counts(self):
+        # saturated bias at k = 20: one pattern occurs hundreds of thousands
+        # of times, so the multiplicities are long and sparse
+        k = 20
+        seq = sample_sequence(LogPower(0.25), (1 << k) + k - 1, seed=7)
+        hist = window_histogram(seq, k)
+        weights = Counter(hist.counts.tolist())
+        assert max(weights) > 100_000
+        law = quenched_distribution(hist)
+        assert law.weights == dict(weights)
+        assert law.pmf == {m: w / (1 << k) for m, w in sorted(weights.items())}
+        assert list(law.pmf) == sorted(weights)
+        assert law.exact_mean() == Fraction(1)
 
     @pytest.mark.parametrize("k,seed", [(4, 0), (8, 5), (10, 11)])
     def test_mean_count_is_exactly_one(self, k, seed):

@@ -30,22 +30,27 @@ from pgl.runner import (
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# mode -> (sweep, config fields); schedules default unless named.
+# case name -> (mode, sweep, config fields); schedules default unless named.
 CASES = {
-    "quenched": (run_quenched, {"k_list": (10, 14), "trials": 3}),
-    "annealed": (run_annealed, {"k_list": (10, 14), "trials": 3}),
-    "nonconv": (run_nonconv, {"k_list": (10, 12, 14), "trials": 20}),
+    "quenched": ("quenched", run_quenched, {"k_list": (10, 14), "trials": 3}),
+    # unsorted levels, a repeated level and a gap: each level of one trial
+    # reads a prefix of the same sequence, and a repeated level repeats its
+    # records
+    "quenched-levels": ("quenched", run_quenched, {"k_list": (16, 11, 16), "trials": 2}),
+    "annealed": ("annealed", run_annealed, {"k_list": (10, 14), "trials": 3}),
+    "nonconv": ("nonconv", run_nonconv, {"k_list": (10, 12, 14), "trials": 20}),
     # k = 8 full-sum C, k = 14 exact B with bound C, k = 21 bound B with
     # Monte Carlo C: every Stein path.
     "bounds": (
+        "bounds",
         run_bounds,
         {"schedules": ("logpow:0.5", "logpow:1.0", "zero"), "k_list": (8, 14, 21)},
     ),
 }
 
 
-def render(mode: str, threads: int) -> str:
-    sweep, fields = CASES[mode]
+def render(name: str, threads: int) -> str:
+    mode, sweep, fields = CASES[name]
     config = ExperimentConfig(threads=threads, **fields)
     return records_to_csv(mode, sweep(config))
 
@@ -64,7 +69,7 @@ def assert_close_cells(got: str, want: str) -> None:
 
 
 @pytest.mark.parametrize("threads", [1, 4])
-@pytest.mark.parametrize("mode", ["quenched", "annealed", "nonconv"])
+@pytest.mark.parametrize("mode", ["quenched", "quenched-levels", "annealed", "nonconv"])
 def test_sweep_csv_is_byte_identical(mode, threads):
     want = (GOLDEN_DIR / f"{mode}.csv").read_text()
     assert render(mode, threads) == want

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pgl.runner as runner
 from pgl.analytics import ChenSteinParams, chen_stein_terms, symbol_sum_tail_mass
@@ -13,6 +15,8 @@ from pgl.runner import (
     DEFAULT_K_LIST,
     DEFAULT_SCHEDULES,
     ExperimentConfig,
+    NonconvRecord,
+    ResultRecord,
     SCHEMA_LINE,
     records_to_csv,
     records_to_json,
@@ -125,6 +129,44 @@ class TestQuenched:
         tv = tv_distance(law, poisson_distribution(1.0)).distance
         assert record.tv_to_po1 == tv
 
+    def test_sampling_in_batches_leaves_the_records_unchanged(self, monkeypatch):
+        cfg = small_config(k_list=(6, 4, 6), trials=5)
+        whole = records_to_csv("quenched", run_quenched(cfg))
+        # a trial's packed bits take 9 bytes at level 6 (69 bits): batches
+        # of one trial, then of two
+        for batch_bytes in (1, 18):
+            monkeypatch.setattr(runner, "_BATCH_BYTES", batch_bytes)
+            assert records_to_csv("quenched", run_quenched(cfg)) == whole
+
+    def test_memory_error_in_a_shared_pass_marks_its_trial(self, monkeypatch):
+        cfg = small_config(k_list=(6, 4), trials=3)
+        failing_seed = derive_seed(cfg.master_seed, 1)
+        real = runner.window_codes
+
+        def short_of_memory(sequence, k):
+            if sequence.seed == failing_seed and sequence.schedule_label == "zero":
+                raise MemoryError("synthetic pressure")
+            return real(sequence, k)
+
+        monkeypatch.setattr(runner, "window_codes", short_of_memory)
+        records = run_quenched(cfg)
+        assert len(records) == 2 * 2 * 3
+        for r in records:
+            if (r.schedule, r.seed) == ("zero", failing_seed):
+                assert r.status == "error: synthetic pressure" and r.p0 is None
+            else:
+                assert r.status == "ok"
+
+    def test_memory_error_while_sampling_marks_every_trial_of_the_batch(self, monkeypatch):
+        def short_of_memory(schedule, length, seeds):
+            raise MemoryError("synthetic pressure")
+
+        monkeypatch.setattr(runner, "sample_sequences", short_of_memory)
+        records = run_annealed(small_config(schedules=("zero",), trials=2))
+        assert [r.status for r in records] == ["error: synthetic pressure"] * 4 + [
+            "error: no successful trials to aggregate"
+        ] * 2
+
     def test_fair_sequences_sit_close_to_poisson(self):
         cfg = small_config(schedules=("zero",), k_list=(18,), trials=5)
         records = run_quenched(cfg)
@@ -145,6 +187,66 @@ class TestQuenched:
         cfg = small_config(schedules=("logpow:1.0",), k_list=(18,), trials=5)
         for record in run_quenched(cfg):
             assert abs(record.p0 - E_INV) < 0.05
+
+
+@st.composite
+def level_lists(draw):
+    """Small unsorted level lists with repeats and gaps of 1 and 7."""
+    levels = [draw(st.integers(1, 6))]
+    for gap in draw(st.lists(st.sampled_from((1, 7)), max_size=2)):
+        levels.append(levels[-1] + gap)
+    repeats = draw(st.lists(st.sampled_from(levels), max_size=2))
+    return tuple(draw(st.permutations(levels + repeats)))
+
+
+class TestSharedPasses:
+    """One pass per (schedule, trial) gives what a pass per record gives."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        k_list=level_lists(),
+        trials=st.integers(1, 3),
+        threads=st.sampled_from((1, 4)),
+        master_seed=st.integers(0, 2**32),
+    )
+    def test_records_equal_the_per_record_pipeline(self, k_list, trials, threads, master_seed):
+        cfg = small_config(k_list=k_list, trials=trials, threads=threads,
+                           master_seed=master_seed)
+        expected = []
+        for spec in cfg.schedules:
+            schedule = parse_schedule(spec)
+            for k in k_list:
+                for trial in range(trials):
+                    seed = derive_seed(master_seed, trial)
+                    sequence = sample_sequence(schedule, (1 << k) + k - 1, seed)
+                    law = quenched_distribution(window_histogram(sequence, k))
+                    tv = tv_distance(law, poisson_distribution(1.0)).distance
+                    expected.append((spec, k, seed, "quenched", law.mass(0), law.mass(1),
+                                     law.mass(2), tv, "ok"))
+        expected.sort(key=lambda row: row[:3])
+        got = [(r.schedule, r.k, r.seed, r.mode, r.p0, r.p1, r.p2, r.tv_to_po1, r.status)
+               for r in run_quenched(cfg)]
+        assert got == expected
+
+
+class TestNanGuard:
+    def test_result_record_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN in tv_to_po1"):
+            ResultRecord(schedule="zero", k=4, seed=1, mode="quenched", p0=0.5,
+                         p1=0.25, p2=0.25, tv_to_po1=math.nan)
+        # None marks an error row and passes
+        assert ResultRecord(schedule="zero", k=4, seed=1, mode="quenched", p0=None,
+                            p1=None, p2=None, tv_to_po1=None).p0 is None
+
+    def test_nonconv_record_rejects_nan(self):
+        fields = dict(schedule="zero", k=4, eta=0.1, trials=2, tail_mass_exact=0.3,
+                      tail_mass_normal=0.3, p0_hat=0.5, p0_lo=0.1, p0_hi=0.9,
+                      tail_rate=0.5, tail_and_hit_rate=0.0, union_bound_mean=None,
+                      union_bound_samples=0)
+        assert NonconvRecord(**fields).p0_hat == 0.5
+        fields["union_bound_mean"] = math.nan
+        with pytest.raises(ValueError, match="NaN in union_bound_mean"):
+            NonconvRecord(**fields)
 
 
 class TestAnnealed:
@@ -183,14 +285,14 @@ class TestAnnealed:
         assert agg.p0 - E_INV > 0.1
 
     def test_trial_errors_are_isolated_per_record(self, monkeypatch):
-        real = runner.window_histogram
+        real = runner.level_histogram
 
-        def flaky(sequence, k):
+        def flaky(codes, k):
             if k == 6:
                 raise ResourceError("synthetic pressure")
-            return real(sequence, k)
+            return real(codes, k)
 
-        monkeypatch.setattr(runner, "window_histogram", flaky)
+        monkeypatch.setattr(runner, "level_histogram", flaky)
         cfg = small_config(schedules=("zero",), k_list=(4, 6), trials=2)
         records = run_annealed(cfg)
         ok = [r for r in records if r.k == 4]

@@ -18,6 +18,7 @@ from pgl.sampler import (
     mix64,
     read_bits,
     sample_sequence,
+    sample_sequences,
     sample_word,
     sample_words,
     write_bits,
@@ -61,6 +62,20 @@ class TestSequences:
             long = sample_sequence(sched, 1000, seed=5)
             short = sample_sequence(sched, 37, seed=5)
             assert np.array_equal(short.bits01, long.bits01[:37])
+
+    def test_shared_chunks_match_one_unchunked_draw_per_seed(self):
+        # several chunks and a ragged tail: every seed's bits equal one
+        # straight Philox draw compared with the thresholds of all positions
+        sched = LogPower(0.5)
+        length = 3 * 2**16 + 13
+        seeds = (0, 5, 2**63 + 7)
+        p = 0.5 + sched.gamma_slice(1, length)
+        thresholds = np.floor(p * 2.0**64).astype(np.uint64)
+        for seed, seq in zip(seeds, sample_sequences(sched, length, seeds)):
+            words = np.random.Philox(key=seed).random_raw(length)
+            assert seq.seed == seed and seq.length == length
+            assert np.array_equal(seq.bits01, (words < thresholds).astype(np.uint8))
+            assert np.array_equal(seq.packed, sample_sequence(sched, length, seed).packed)
 
     def test_accessors_agree(self):
         seq = pack_bits([1, 0, 0, 1, 1, 0, 1])
