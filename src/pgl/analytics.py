@@ -10,9 +10,9 @@ follows from the likelihood ratio of a window against the fair coin,
 which satisfies P(window j matches w) = 2^-k R_j(w) and has mean exactly 1
 over uniform w.  The module computes:
 
-* exact pattern-averaged quantities by enumerating all 2^k patterns in
-  Gray-code order (each step flips one symbol, so the log-likelihood updates
-  by one term; the enumeration is a cumulative sum in extended precision);
+* exact pattern-averaged quantities by enumerating all 2^k patterns in code
+  order (log R_j is a sum over symbols, so the table for k symbols is the
+  table for k-1 symbols twice, one copy per value of the last symbol);
 * exact joint hit probabilities for two windows, disjoint (closed form) or
   overlapping (the sum over shift-compatible patterns factorizes over
   residue classes of the overlap distance);
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -77,9 +76,9 @@ class ChenSteinParams:
     """Knobs for the Stein-method error terms at level k.
 
     exact_cap is the largest k for which 2^k-pattern enumerations run exactly
-    (memory for the cached Gray tables grows like 2^k; 26 is the hard ceiling,
-    20 the comfortable default).  mc_samples sizes the Monte Carlo fallback;
-    seed makes it reproducible.
+    (one enumeration holds 8 * 2^k bytes, 512 MiB at the hard ceiling 26, and
+    nothing is cached; 20 is the comfortable default).  mc_samples sizes the
+    Monte Carlo fallback; seed makes it reproducible.
     """
 
     k: int
@@ -182,49 +181,33 @@ class OutlierMass:
 
 
 # ---------------------------------------------------------------------------
-# Gray-code enumeration over all 2^k patterns
+# Enumeration over all 2^k patterns
 
 
-@lru_cache(maxsize=4)
-def _gray_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step flip data for the Gray-code walk over k-bit patterns.
+def _pattern_sums(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """values[w] = sum of plus[i] over the set bits i of w plus minus[i] over
+    its clear bits, for every k-bit code w (k = len(plus)).
 
-    Step t (1-based) flips bit ctz(t); the second array says whether the bit
-    flips up (0 -> 1).  Cached per k; treat the arrays as read-only.
+    Built in place by doubling: once symbols 0..i-1 are in the first n = 2^i
+    entries, symbol i copies them, plus plus[i], into the next n entries and
+    adds minus[i] to the first n.
     """
-    t = np.arange(1, 1 << k, dtype=np.uint64)
-    low = t & (~t + np.uint64(1))
-    flip_index = np.log2(low.astype(np.float64)).astype(np.int64)
-    gray = t ^ (t >> np.uint64(1))
-    flip_up = ((gray >> flip_index.astype(np.uint64)) & np.uint64(1)).astype(bool)
-    return flip_index, flip_up
-
-
-def _gray_values(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """sum over set bits of plus[i], over clear bits of minus[i], for all
-    2^k patterns, in Gray-code order.
-
-    One flipped symbol per step means one added/removed term; the whole
-    enumeration is a cumulative sum, run in extended precision so that the
-    drift over 2^k steps stays far below 1e-9.
-    """
-    k = len(plus)
-    flip_index, flip_up = _gray_tables(k)
-    delta = np.asarray(plus, dtype=np.float64) - np.asarray(minus, dtype=np.float64)
-    values = np.empty(1 << k, dtype=np.longdouble)
-    values[0] = math.fsum(float(v) for v in minus)
-    steps = np.where(flip_up, delta[flip_index], -delta[flip_index])
-    values[1:] = steps
-    np.cumsum(values, out=values)
-    return values.astype(np.float64)
+    values = np.zeros(1 << len(plus))
+    n = 1
+    for up, down in zip(plus, minus):
+        np.add(values[:n], up, out=values[n : 2 * n])
+        values[:n] += down
+        n *= 2
+    return values
 
 
 def log_likelihood_values(schedule: BiasSchedule, j: int, k: int) -> np.ndarray:
-    """log R_j(w) for every level-k pattern w (Gray-code order)."""
+    """log R_j(w) for every level-k pattern w, indexed by its code:
+    entry w is log R_j(Word(k, w))."""
     if j < 1 or k < 1:
         raise ValueError("window position and level must be >= 1")
     two_gamma = 2.0 * schedule.gamma_slice(j, k)
-    return _gray_values(np.log1p(two_gamma), np.log1p(-two_gamma))
+    return _pattern_sums(np.log1p(two_gamma), np.log1p(-two_gamma))
 
 
 def exact_likelihood_mean(schedule: BiasSchedule, j: int, k: int) -> float:
@@ -329,8 +312,8 @@ def mean_abs_likelihood_deviation(
 ) -> tuple[float, float]:
     """E |R_j - 1| over uniform patterns; returns (value, stderr).
 
-    Exact (stderr 0) for k <= exact_cap via Gray-code enumeration; Monte
-    Carlo with mc_samples patterns beyond, reproducible per (seed, k, j).
+    Exact (stderr 0) for k <= exact_cap by enumerating all 2^k patterns;
+    Monte Carlo with mc_samples patterns beyond, reproducible per (seed, k, j).
     """
     if k <= exact_cap:
         values = log_likelihood_values(schedule, j, k)
@@ -366,7 +349,7 @@ def outlier_mass(
     power = float((gam * gam).sum())
     if power == 0.0:
         return OutlierMass(outside_mass=0.0, chebyshev_bound=0.0)
-    sums = _gray_values(gam, -gam)
+    sums = _pattern_sums(gam, -gam)
     threshold = power ** (0.5 - theta)
     outside = float((np.abs(sums) > threshold).mean())
     return OutlierMass(outside_mass=outside, chebyshev_bound=power ** (2 * theta))
@@ -407,10 +390,6 @@ def _neighborhood_term(k: int) -> float:
     return math.ldexp(float(n_terms), -2 * k)
 
 
-def _mean_abs_exact(schedule: BiasSchedule, j: int, k: int) -> float:
-    return float(np.abs(np.expm1(log_likelihood_values(schedule, j, k))).mean())
-
-
 def _stratum_grid(lo: int, n: int) -> list[tuple[int, int]]:
     """Half-octave strata covering window positions lo..n: a list of
     (left endpoint, width); the final position n is its own stratum."""
@@ -442,40 +421,39 @@ def _c_term(
     k = params.k
     n = 1 << k
     exact_points = k <= params.exact_cap
+
+    def deviation(j: int) -> tuple[float, float]:
+        return mean_abs_likelihood_deviation(
+            schedule,
+            j,
+            k,
+            exact_cap=params.exact_cap,
+            mc_samples=params.mc_samples,
+            seed=params.seed,
+        )
+
     if exact_points and k <= _FULL_SUM_CAP:
         total = 0.0
         for j in range(1, n + 1):
-            total += _mean_abs_exact(schedule, j, k)
+            total += deviation(j)[0]
         return math.ldexp(total, -k), "exact", 0.0
 
     lo = min(int(math.ceil(2 ** (params.epsilon * k))), n)
     c_value = 0.0
     variance = 0.0
-    used_mc = False
     # head block j < lo: each E|R_j - 1| <= E[R_j] + 1 = 2
     head = lo - 1
     if exact_points and head <= _HEAD_BLOCK_EXACT_LIMIT:
         for j in range(1, lo):
-            c_value += math.ldexp(_mean_abs_exact(schedule, j, k), -k)
+            c_value += math.ldexp(deviation(j)[0], -k)
     else:
         c_value += 2.0 * head * math.ldexp(1.0, -k)
     # tail block j >= lo: monotone upper integration on a half-octave grid
     for left, width in _stratum_grid(lo, n):
-        if exact_points:
-            value, stderr = _mean_abs_exact(schedule, left, k), 0.0
-        else:
-            value, stderr = mean_abs_likelihood_deviation(
-                schedule,
-                left,
-                k,
-                exact_cap=params.exact_cap,
-                mc_samples=params.mc_samples,
-                seed=params.seed,
-            )
-            used_mc = True
+        value, stderr = deviation(left)
         c_value += width * math.ldexp(value, -k)
         variance += (width * math.ldexp(stderr, -k)) ** 2
-    mode = "monte-carlo" if used_mc else "bound"
+    mode = "bound" if exact_points else "monte-carlo"
     return c_value, mode, math.sqrt(variance)
 
 

@@ -299,7 +299,12 @@ def _selftest_battery():
         assert abs(rep.a_term - 34 / 64) < 1e-15, "A term, level 3"
         assert abs(rep.b_term - 26 / 64) < 1e-15, "B term, level 3"
         assert rep.c_term == 0.0, "C term vanishes for the fair coin"
-        mean = analytics.exact_likelihood_mean(schedule.LogPower(1.0), 5, 10)
+        sched = schedule.LogPower(1.0)
+        logs = analytics.log_likelihood_values(sched, 5, 6)
+        for w in range(64):
+            ratio = analytics.likelihood_ratio(sched, 5, sampler.Word(6, w))
+            assert abs(logs[w] - math.log(ratio)) < 1e-12, f"log R_5(w) at code {w}"
+        mean = analytics.exact_likelihood_mean(sched, 5, 10)
         assert abs(mean - 1.0) < 1e-12, "likelihood mean is 1"
         tail = analytics.symbol_sum_tail_mass(4, 1.0)
         assert abs(tail.exact - 1 / 16) < 1e-15, "binomial tail, level 4"

@@ -130,16 +130,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if not 0 < self.theta < 0.5:
-            raise ValueError("theta must lie in (0, 1/2)")
+        # ChenSteinParams checks epsilon, theta, mc_samples and exact_cap.
+        self.stein_params(max(self.k_list))
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
-        if self.mc_samples < 2:
-            raise ValueError("mc_samples must be >= 2")
-        if not 1 <= self.exact_cap <= 26:
-            raise ValueError("exact_cap must lie in 1..26")
         if self.union_bound_samples < 0:
             raise ValueError("union_bound_samples must be >= 0")
         if self.time_limit is not None and self.time_limit <= 0:
@@ -152,6 +146,17 @@ class ExperimentConfig:
             if violations:
                 more = f" ({len(violations) - 1} more)" if len(violations) > 1 else ""
                 raise ValueError(f"schedule {schedule.label}: {violations[0]}{more}")
+
+    def stein_params(self, k: int) -> ChenSteinParams:
+        """The Stein-term parameters of this sweep at level k."""
+        return ChenSteinParams(
+            k=k,
+            epsilon=self.epsilon,
+            theta=self.theta,
+            mc_samples=self.mc_samples,
+            exact_cap=self.exact_cap,
+            seed=derive_seed(self.master_seed, _BOUNDS_TAG),
+        )
 
     def parsed_schedules(self):
         return [parse_schedule(spec) for spec in self.schedules]
@@ -408,15 +413,7 @@ def run_bounds(config: ExperimentConfig) -> list[BoundsRecord]:
     def work(task):
         schedule, k = task
         start = time.perf_counter()
-        params = ChenSteinParams(
-            k=k,
-            epsilon=config.epsilon,
-            theta=config.theta,
-            mc_samples=config.mc_samples,
-            exact_cap=config.exact_cap,
-            seed=derive_seed(config.master_seed, _BOUNDS_TAG),
-        )
-        report = chen_stein_terms(schedule, params)
+        report = chen_stein_terms(schedule, config.stein_params(k))
         elapsed = time.perf_counter() - start
         return BoundsRecord(
             schedule=schedule.label,

@@ -47,12 +47,27 @@ class TestLikelihoodEnumeration:
     def test_values_match_direct_products(self, schedule, j, k):
         values = log_likelihood_values(schedule, j, k)
         assert values.shape == (1 << k,)
-        # entry t of the enumeration walks the reflected binary sequence
+        # entry t of the enumeration is the pattern with code t
         for t in range(1 << k):
-            code = t ^ (t >> 1)
+            code = t
             bits = [(code >> i) & 1 for i in range(k)]
             expected = math.log(brute_likelihood_ratio(schedule, j, bits))
             assert values[t] == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(-0.45, 0.45, allow_nan=False), min_size=6, max_size=6
+        ),
+        j=st.integers(1, 50),
+        k=st.integers(1, 10),
+        data=st.data(),
+    )
+    def test_entry_w_is_the_log_ratio_of_word_w(self, values, j, k, data):
+        sched = Table(tuple(values))
+        w = data.draw(st.integers(0, (1 << k) - 1), label="w")
+        expected = math.log(likelihood_ratio(sched, j, Word(k, w)))
+        assert log_likelihood_values(sched, j, k)[w] == pytest.approx(expected, abs=1e-12)
 
     def test_unbiased_values_are_zero(self):
         assert np.all(log_likelihood_values(Zero(), 5, 10) == 0.0)
@@ -258,6 +273,20 @@ class TestOutlierMass:
         assert result.chebyshev_bound == pytest.approx(power ** (2 * theta), rel=1e-14)
         assert result.outside_mass <= result.chebyshev_bound
 
+    def test_table_case_matches_enumeration(self):
+        k, theta = 6, 0.25
+        gammas = [TABLE6.gamma(i) for i in range(1, k + 1)]
+        threshold = math.fsum(g * g for g in gammas) ** (0.5 - theta)
+        sums = [
+            math.fsum((2 * ((code >> i) & 1) - 1) * g for i, g in enumerate(gammas))
+            for code in range(1 << k)
+        ]
+        # no weighted sum sits on the boundary, so rounding cannot move a pattern
+        assert min(abs(abs(v) - threshold) for v in sums) > 1e-9
+        outside = sum(abs(v) > threshold for v in sums) / (1 << k)
+        assert 0.0 < outside < 1.0
+        assert outlier_mass(TABLE6, 1, k, theta).outside_mass == outside
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             outlier_mass(Zero(), 1, 4, theta=0.0)
@@ -325,6 +354,20 @@ class TestChenSteinTerms:
         assert report.total == pytest.approx(
             report.a_term + report.b_term, rel=1e-14
         )
+
+    @pytest.mark.parametrize("schedule", [TABLE6, LogPower(1.0)])
+    def test_deviation_term_matches_brute_force(self, schedule):
+        k = 6
+        deviations = [
+            abs(brute_likelihood_ratio(schedule, j, [(code >> i) & 1 for i in range(k)]) - 1.0)
+            for j in range(1, (1 << k) + 1)
+            for code in range(1 << k)
+        ]
+        expected = math.fsum(deviations) / 4.0**k
+        report = chen_stein_terms(schedule, ChenSteinParams(k=k))
+        assert report.c_mode == "exact"
+        assert report.c_term == pytest.approx(expected, rel=1e-12)
+        assert report.c_term > 0.0
 
     def test_total_adds_the_three_terms(self):
         report = chen_stein_terms(LogPower(1.0), ChenSteinParams(k=8))

@@ -57,13 +57,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(threads=0)
         with pytest.raises(ValueError):
-            small_config(epsilon=0.0)
-        with pytest.raises(ValueError):
-            small_config(theta=0.7)
-        with pytest.raises(ValueError):
             small_config(eta=-1.0)
         with pytest.raises(ValueError):
             small_config(schedules=("bogus:1",))
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("epsilon", 0.0, r"epsilon must lie in \(0, 1\)"),
+            ("theta", 0.7, r"theta must lie in \(0, 1/2\)"),
+            ("mc_samples", 1, "mc_samples must be >= 2"),
+            ("exact_cap", 27, r"exact_cap must lie in 1\.\.26"),
+        ],
+    )
+    def test_rejects_each_bad_stein_parameter(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            small_config(**{field: value})
 
     @pytest.mark.parametrize("spec", ["const:0.7", "const:nan", "const:-0.5"])
     def test_rejects_biases_outside_the_open_half_interval(self, spec):
