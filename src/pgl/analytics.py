@@ -12,10 +12,13 @@ over uniform w.  The module computes:
 
 * exact pattern-averaged quantities by enumerating all 2^k patterns in code
   order (log R_j is a sum over symbols, so the table for k symbols is the
-  table for k-1 symbols twice, one copy per value of the last symbol);
+  table for k-1 symbols twice, one copy per value of the last symbol), for
+  a block of consecutive window positions at once, one table per row;
 * exact joint hit probabilities for two windows, disjoint (closed form) or
   overlapping (the sum over shift-compatible patterns factorizes over
-  residue classes of the overlap distance);
+  residue classes of the overlap distance, and each class is a chain
+  product built once for every start, so a run of positions costs a few
+  array products per class length and a windowed product over the classes);
 * the three Stein-method error terms A, B, C bounding the total-variation
   distance between the law of the total match count and Poisson(1);
 * the ingredients of the non-convergence mechanism at slowly decaying bias:
@@ -29,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .counter import CountDistribution
 from .errors import CapabilityError, NanGuard
@@ -59,8 +63,9 @@ __all__ = [
     "UNION_BOUND_CAP",
 ]
 
-# Exact full-position sums cost 2^k enumerations of 2^k patterns; 2k <= 26
-# keeps that under ~10^8 elementary updates.
+# The exact C sum fills a 2^k-pattern table for each of the 2^k positions,
+# 4^k entries in blocks of _BLOCK_ENTRIES; k <= 13 keeps that to 2^26
+# entries (about 0.5 s).  Above it, C takes the stratified bound.
 _FULL_SUM_CAP = 13
 # All-prefix enumeration for the exact annealed law costs 2^(2^k + k - 1).
 EXACT_ANNEALED_CAP = 4
@@ -185,18 +190,21 @@ class OutlierMass:
 
 
 def _pattern_sums(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """values[w] = sum of plus[i] over the set bits i of w plus minus[i] over
-    its clear bits, for every k-bit code w (k = len(plus)).
+    """values[..., w] = sum of plus[i] over the set bits i of w plus minus[i]
+    over its clear bits, for every k-bit code w (k = len(plus)).
 
-    Built in place by doubling: once symbols 0..i-1 are in the first n = 2^i
-    entries, symbol i copies them, plus plus[i], into the next n entries and
-    adds minus[i] to the first n.
+    plus and minus hold one symbol per row: shape (k,) gives one table of
+    2^k entries, shape (k, rows) gives rows tables side by side, shape
+    (rows, 2^k), with each symbol's values broadcast down a column.  Built in
+    place by doubling: once symbols 0..i-1 are in the first n = 2^i entries,
+    symbol i copies them, plus plus[i], into the next n entries and adds
+    minus[i] to the first n.
     """
-    values = np.zeros(1 << len(plus))
+    values = np.zeros(np.shape(plus)[1:] + (1 << len(plus),))
     n = 1
     for up, down in zip(plus, minus):
-        np.add(values[:n], up, out=values[n : 2 * n])
-        values[:n] += down
+        np.add(values[..., :n], up[..., None], out=values[..., n : 2 * n])
+        values[..., :n] += down[..., None]
         n *= 2
     return values
 
@@ -276,29 +284,95 @@ def overlap_pair_probabilities(
     with g_t = gamma_{i+t-1}: patterns compatible with a self-overlap at
     distance d are periodic with period d, so the sum over them factorizes
     into independent residue classes, one per period slot.
+
+    With k + d = q d + s (0 <= s < d), class r holds q + 1 positions when
+    r <= s and q otherwise.  So each bracket is F_L(m) = P+_L(m) + P-_L(m),
+    where P±_L(m) = prod_{u<L} (1 ± 2 gamma_{m+ud}) is a chain product built
+    once for every start m, and the product over the classes is a window
+    product: F_{q+1} over the s starts i..i+s-1 times F_q over the d - s
+    starts i+s..i+d-1.  Only products, no logs: O((q + log d) (count + d)).
     """
     d = distance
     if not 0 < d < k:
         raise ValueError("overlap distance must satisfy 0 < d < k")
     if i_start < 1 or count < 1:
         raise ValueError("need i_start >= 1 and count >= 1")
-    gam = schedule.gamma_slice(i_start, count + k + d - 1)
-    acc = np.ones(count)
-    for r in range(1, d + 1):
-        grow = np.ones(count)
-        shrink = np.ones(count)
-        t = r
-        while t <= k + d:
-            two_g = 2.0 * gam[t - 1 : t - 1 + count]
-            grow = grow * (1.0 + two_g)
-            shrink = shrink * (1.0 - two_g)
-            t += d
-        acc *= grow + shrink
+    q, s = divmod(k + d, d)
+    starts = count + d - 1
+    two_g = 2.0 * schedule.gamma_slice(i_start, count + k + d - 1)
+    grow = 1.0 + two_g
+    shrink = 1.0 - two_g
+    # chain products of length q at every start, then q + 1 for the first
+    # count + s - 1 starts (the only ones a class of q + 1 positions uses)
+    up = grow[:starts].copy()
+    down = shrink[:starts].copy()
+    for u in range(1, q):
+        up *= grow[u * d : u * d + starts]
+        down *= shrink[u * d : u * d + starts]
+    long_starts = count + s - 1
+    acc = _window_products(up[s:] + down[s:], d - s, count)
+    if s:
+        tail = slice(q * d, q * d + long_starts)
+        longer = up[:long_starts] * grow[tail] + down[:long_starts] * shrink[tail]
+        acc *= _window_products(longer, s, count)
     return acc * math.ldexp(1.0, -(2 * k + d))
+
+
+def _window_products(values: np.ndarray, width: int, count: int) -> np.ndarray:
+    """out[m] = prod(values[m : m + width]) for m = 0..count-1 (width >= 1).
+
+    Binary doubling: products over 2^b consecutive entries come from two
+    products over 2^(b-1), and the set bits of width pick the spans that
+    tile each window.
+    """
+    spans = values[: count + width - 1]
+    out = None
+    size, offset = 1, 0
+    while True:
+        if width & size:
+            part = spans[offset : offset + count]
+            out = part.copy() if out is None else out * part
+            offset += size
+        if 2 * size > width:
+            return out
+        spans = spans[:-size] * spans[size:]
+        size *= 2
 
 
 # ---------------------------------------------------------------------------
 # Pattern-averaged deviation of the likelihood ratio
+
+
+# Table entries per block of the exact deviation sum (2^17 doubles, 1 MiB):
+# of the sizes 2^14..2^20, 2^17 ran the full sum at k = 12 fastest.
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _deviation_sum(schedule: BiasSchedule, j: int, count: int, k: int) -> float:
+    """sum of E|R_i - 1| over i = j..j+count-1, exact over all 2^k patterns.
+
+    Positions go in blocks of rows, each row a window's log-likelihood table
+    (_pattern_sums with the window's symbol logs as columns); the rows'
+    means are added in position order.
+    """
+    if j < 1 or k < 1:
+        raise ValueError("window position and level must be >= 1")
+    two_gamma = 2.0 * schedule.gamma_slice(j, count + k - 1)
+    plus = np.log1p(two_gamma)
+    minus = np.log1p(-two_gamma)
+    rows = max(1, _BLOCK_ENTRIES >> k)
+    total = 0.0
+    for start in range(0, count, rows):
+        m = min(rows, count - start)
+        block = slice(start, start + m + k - 1)
+        values = _pattern_sums(
+            sliding_window_view(plus[block], m), sliding_window_view(minus[block], m)
+        )
+        np.expm1(values, out=values)
+        np.abs(values, out=values)
+        for mean in values.mean(axis=1).tolist():
+            total += mean
+    return total
 
 
 def mean_abs_likelihood_deviation(
@@ -316,8 +390,7 @@ def mean_abs_likelihood_deviation(
     Monte Carlo with mc_samples patterns beyond, reproducible per (seed, k, j).
     """
     if k <= exact_cap:
-        values = log_likelihood_values(schedule, j, k)
-        return float(np.abs(np.expm1(values)).mean()), 0.0
+        return _deviation_sum(schedule, j, 1, k), 0.0
     two_gamma = 2.0 * schedule.gamma_slice(j, k)
     plus = np.log1p(two_gamma)
     minus = np.log1p(-two_gamma)
@@ -368,17 +441,26 @@ def critical_onset_index(schedule: BiasSchedule) -> int | None:
     return first_persistent_below(schedule, _ONSET_FACTOR_BOUND)
 
 
+# Window positions per overlap_pair_probabilities call in the exact B sum:
+# 2^14 doubles (128 KiB) per temporary keeps every one of them in cache.
+_PAIR_CHUNK = 1 << 14
+
+
 def _pair_sum_exact(schedule: BiasSchedule, k: int) -> float:
     """Sum of joint hit probabilities over all ordered overlapping pairs
-    (j, i) with i, j in 1..2^k and 0 < |i-j| < k."""
+    (j, i) with i, j in 1..2^k and 0 < |i-j| < k.
+
+    For each distance d, the 2^k - d pairs (i, i+d) go through
+    overlap_pair_probabilities (chain products per residue class) in chunks
+    of _PAIR_CHUNK positions; the chunk sums are added exactly (math.fsum).
+    """
     n = 1 << k
-    total = 0.0
+    chunk_sums = []
     for d in range(1, k):
-        count = n - d
-        if count < 1:
-            continue
-        total += 2.0 * float(overlap_pair_probabilities(schedule, k, d, 1, count).sum())
-    return total
+        for i in range(1, n - d + 1, _PAIR_CHUNK):
+            count = min(_PAIR_CHUNK, n - d + 1 - i)
+            chunk_sums.append(float(overlap_pair_probabilities(schedule, k, d, i, count).sum()))
+    return 2.0 * math.fsum(chunk_sums)
 
 
 def _neighborhood_term(k: int) -> float:
@@ -421,22 +503,8 @@ def _c_term(
     k = params.k
     n = 1 << k
     exact_points = k <= params.exact_cap
-
-    def deviation(j: int) -> tuple[float, float]:
-        return mean_abs_likelihood_deviation(
-            schedule,
-            j,
-            k,
-            exact_cap=params.exact_cap,
-            mc_samples=params.mc_samples,
-            seed=params.seed,
-        )
-
     if exact_points and k <= _FULL_SUM_CAP:
-        total = 0.0
-        for j in range(1, n + 1):
-            total += deviation(j)[0]
-        return math.ldexp(total, -k), "exact", 0.0
+        return math.ldexp(_deviation_sum(schedule, 1, n, k), -k), "exact", 0.0
 
     lo = min(int(math.ceil(2 ** (params.epsilon * k))), n)
     c_value = 0.0
@@ -444,13 +512,19 @@ def _c_term(
     # head block j < lo: each E|R_j - 1| <= E[R_j] + 1 = 2
     head = lo - 1
     if exact_points and head <= _HEAD_BLOCK_EXACT_LIMIT:
-        for j in range(1, lo):
-            c_value += math.ldexp(deviation(j)[0], -k)
+        c_value += math.ldexp(_deviation_sum(schedule, 1, head, k), -k)
     else:
         c_value += 2.0 * head * math.ldexp(1.0, -k)
     # tail block j >= lo: monotone upper integration on a half-octave grid
     for left, width in _stratum_grid(lo, n):
-        value, stderr = deviation(left)
+        value, stderr = mean_abs_likelihood_deviation(
+            schedule,
+            left,
+            k,
+            exact_cap=params.exact_cap,
+            mc_samples=params.mc_samples,
+            seed=params.seed,
+        )
         c_value += width * math.ldexp(value, -k)
         variance += (width * math.ldexp(stderr, -k)) ** 2
     mode = "bound" if exact_points else "monte-carlo"

@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -101,6 +102,16 @@ _CSV_COLUMNS = {
 }
 
 
+_INTEGER_FIELDS = (
+    "trials", "master_seed", "threads", "mc_samples", "exact_cap", "union_bound_samples"
+)
+
+
+def _require_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One immutable description of a sweep; every record derives from it."""
@@ -119,12 +130,17 @@ class ExperimentConfig:
     union_bound_samples: int = 4
 
     def __post_init__(self) -> None:
+        # Config files may carry floats or bools where counts and seeds
+        # belong; reject them before any comparison or seed mixing.
+        for name in _INTEGER_FIELDS:
+            _require_integer(name, getattr(self, name))
         if not self.schedules:
             raise ValueError("need at least one schedule spec")
         if not self.k_list:
             raise ValueError("need at least one level k")
         for k in self.k_list:
-            if not 1 <= int(k) <= MAX_WORD_LEVEL:
+            _require_integer("k_list entry", k)
+            if not 1 <= k <= MAX_WORD_LEVEL:
                 raise ValueError(f"level {k} outside 1..{MAX_WORD_LEVEL}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")

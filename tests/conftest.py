@@ -49,22 +49,21 @@ def prefix_probability(schedule, bits) -> float:
 
 
 def brute_pair_hit_probability(schedule, i: int, j: int, k: int) -> float:
-    """P(windows at i and j both equal the pattern), by full double sum.
+    """P(windows at i and j both equal the pattern), by full enumeration.
 
-    Sums over every level-k pattern (uniform weight 2^-k) and every prefix
-    long enough to cover both windows.  Exponential; keep k and max(i, j)
-    small.
+    Sums over every bit string on the positions min(i, j)..max(i, j)+k-1
+    that the two windows cover (the positions before them are free and sum
+    out to 1).  A string puts the same pattern at both windows exactly when
+    its two windows agree, and then that one pattern, of the 2^k, matches
+    twice.  Exponential in |i-j| + k; keep both small.
     """
-    length = max(i, j) + k - 1
-    total = 0.0
-    for code in range(1 << k):
-        wbits = [(code >> t) & 1 for t in range(k)]
-        for x in range(1 << length):
-            xbits = [(x >> t) & 1 for t in range(length)]
-            if (xbits[i - 1:i - 1 + k] == wbits
-                    and xbits[j - 1:j - 1 + k] == wbits):
-                total += prefix_probability(schedule, xbits)
-    return total / (1 << k)
+    lo = min(i, j)
+    length = abs(i - j) + k
+    bits = (np.arange(1 << length)[:, None] >> np.arange(length)) & 1
+    gam = np.array([schedule.gamma(n) for n in range(lo, lo + length)])
+    prob = np.where(bits == 1, 0.5 + gam, 0.5 - gam).prod(axis=1)
+    agree = np.all(bits[:, i - lo:i - lo + k] == bits[:, j - lo:j - lo + k], axis=1)
+    return float(prob[agree].sum()) / (1 << k)
 
 
 def brute_annealed_pmf(schedule, k: int) -> dict[int, float]:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import unittest.mock
 from statistics import NormalDist
 
 import numpy as np
@@ -183,6 +184,35 @@ class TestPairProbabilities:
                     pair_hit_probability(sched, i, i + d, k), rel=1e-12
                 )
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 9])
+    @pytest.mark.parametrize("count", [1, 2, 7, 33])
+    def test_window_products_match_direct_products(self, d, count):
+        values = np.random.default_rng(d * 100 + count).uniform(0.5, 1.5, count + d)
+        for width in range(1, d + 1):
+            expected = [np.prod(values[m:m + width]) for m in range(count)]
+            got = analytics._window_products(values, width, count)
+            assert got.shape == (count,)
+            np.testing.assert_allclose(got, expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("schedule", [TABLE6, LogPower(1.0)])
+    @pytest.mark.parametrize("chunk", [5, 1 << 14])
+    def test_pair_sum_matches_brute_force_over_every_pair(self, schedule, chunk,
+                                                          monkeypatch):
+        # k = 6 takes every distance d = 1..5, so k + d = q d + s meets both
+        # s = 0 (d = 1, 2, 3) and s > 0 (d = 4, 5); chunks of 5 positions
+        # split every distance's run of pairs
+        k = 6
+        n = 1 << k
+        expected = math.fsum(
+            brute_pair_hit_probability(schedule, i, j, k)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            if 0 < abs(i - j) < k
+        )
+        monkeypatch.setattr(analytics, "_PAIR_CHUNK", chunk)
+        got = analytics._pair_sum_exact(schedule, k)
+        assert got == pytest.approx(expected, rel=1e-12)
+
     @pytest.mark.parametrize("k", [8, 12, 16])
     def test_far_overlapping_pairs_obey_the_uniform_bound(self, k):
         # once the per-position factor 1 + 2 gamma drops below 2^(1/4),
@@ -246,6 +276,30 @@ class TestMeanAbsDeviation:
             LogPower(1.0), 7, 8, exact_cap=4, mc_samples=20000, seed=3
         )
         assert mc == again
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(-0.45, 0.45, allow_nan=False), min_size=6, max_size=6
+        ),
+        k=st.integers(1, 9),
+        j=st.integers(1, 40),
+        count=st.integers(1, 40),
+        block_entries=st.integers(1, 1 << 11),
+    )
+    def test_blocked_sum_equals_the_per_position_sum(
+        self, values, k, j, count, block_entries
+    ):
+        # block_entries >> k rows per block (at least one) puts the block
+        # boundaries anywhere in the run of positions
+        sched = Table(tuple(values))
+        one_at_a_time = 0.0
+        for i in range(j, j + count):
+            one_at_a_time += mean_abs_likelihood_deviation(sched, i, k)[0]
+        with unittest.mock.patch.object(analytics, "_BLOCK_ENTRIES", block_entries):
+            blocked = analytics._deviation_sum(sched, j, count, k)
+        # same tables, same row means, added in the same order
+        assert blocked == one_at_a_time
 
     def test_deviation_shrinks_deeper_into_the_sequence(self):
         late, _ = mean_abs_likelihood_deviation(LogPower(1.0), 2**10, 20)

@@ -143,6 +143,18 @@ class TestConfigFiles:
         assert proc.returncode == 1
         assert "wibble" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "field,value", [("master_seed", 1.5), ("trials", 2.5)]
+    )
+    def test_non_integer_config_value_exits_one(self, tmp_path, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        proc = run_cli("bounds", "--k", "4", "--schedule", "zero",
+                       "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {field} must be an integer, got {value}\n"
+        assert proc.stdout == ""
+
     def test_missing_config_file_exits_one(self, tmp_path):
         proc = run_cli("quenched", "--config", str(tmp_path / "nope.json"),
                        "--k", "4")

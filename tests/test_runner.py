@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +61,24 @@ class TestConfig:
             small_config(eta=-1.0)
         with pytest.raises(ValueError):
             small_config(schedules=("bogus:1",))
+
+    @pytest.mark.parametrize(
+        "field", ["trials", "master_seed", "threads", "mc_samples", "exact_cap",
+                  "union_bound_samples"],
+    )
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_rejects_non_integer_counts_and_seeds(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("value", [4.5, 4.0, False])
+    def test_rejects_non_integer_levels(self, value):
+        with pytest.raises(ValueError, match="k_list entry must be an integer"):
+            small_config(k_list=(3, value))
+
+    def test_accepts_numpy_integers(self):
+        config = small_config(trials=np.int64(2), k_list=(np.int32(3),))
+        assert config.trials == 2 and config.k_list == (3,)
 
     @pytest.mark.parametrize(
         "field,value,message",
