@@ -13,23 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import CapabilityError, ResourceError
-from .runner import (
-    DEFAULT_K_LIST,
-    DEFAULT_SCHEDULES,
-    ExperimentConfig,
-    records_to_csv,
-    records_to_json,
-    run_annealed,
-    run_bounds,
-    run_nonconv,
-    run_quenched,
-    schedule_info,
-)
+from .runner import MODES, ExperimentConfig, records_to_csv, records_to_json, schedule_info
 
 __all__ = ["main", "build_parser"]
+
+_DEFAULTS = {field.name: field.default for field in fields(ExperimentConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,36 +32,63 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_sweep_options(sub: argparse.ArgumentParser, *, with_eta: bool) -> None:
+def _specs(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _levels(text: str) -> list[int]:
+    try:
+        return [int(part) for part in _specs(text)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
+
+
+def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
+    """Flags named by their ExperimentConfig field (``dest``); an unset flag
+    is absent from the namespace, so the config file or the field default
+    applies."""
+    d = _DEFAULTS
     sub.add_argument(
         "--schedule",
-        action="append",
+        dest="schedules",
+        action="extend",
+        type=_specs,
         metavar="SPEC[,SPEC...]",
         help=(
             "bias schedule spec (repeatable or comma-separated); one of "
             "zero | const:<c0> | logpow:<c>[:cap=<v>][:n0=<n>] | "
-            f"table:<path>[:tail=zero|repeat]; default {','.join(DEFAULT_SCHEDULES)}"
+            f"table:<path>[:tail=zero|repeat]; default {','.join(d['schedules'])}"
         ),
     )
     sub.add_argument(
         "--k",
-        action="append",
+        dest="k_list",
+        action="extend",
+        type=_levels,
         metavar="K[,K...]",
-        help=f"window levels (repeatable or comma-separated); default "
-        f"{','.join(str(k) for k in DEFAULT_K_LIST)}",
+        help="window levels (repeatable or comma-separated); default "
+        f"{','.join(map(str, d['k_list']))}",
     )
-    sub.add_argument("--trials", type=int, help="trials per (schedule, k); default 50")
-    sub.add_argument("--seed", type=int, help="master seed; default 1")
-    sub.add_argument("--epsilon", type=float, help="head-block exponent in (0,1); default 0.1")
-    sub.add_argument("--theta", type=float, help="concentration exponent in (0,1/2); default 0.25")
-    if with_eta:
-        sub.add_argument("--eta", type=float, help="tail-set depth >= 0; default 0.1")
-    sub.add_argument("--mc-samples", type=int, help="Monte Carlo pattern samples; default 4096")
-    sub.add_argument("--exact-cap", type=int, help="largest k for exact 2^k enumerations; default 20")
-    sub.add_argument("--threads", type=int, help="worker threads; default 1")
+    sub.add_argument("--trials", type=int, help=f"trials per (schedule, k); default {d['trials']}")
+    sub.add_argument("--seed", dest="master_seed", type=int, metavar="SEED",
+                     help=f"master seed; default {d['master_seed']}")
+    sub.add_argument("--epsilon", type=float,
+                     help=f"bounds: head-block exponent in (0,1); default {d['epsilon']}")
+    sub.add_argument("--theta", type=float,
+                     help=f"bounds: concentration exponent in (0,1/2); default {d['theta']}")
+    sub.add_argument("--eta", type=float, help=f"nonconv: tail-set depth >= 0; default {d['eta']}")
+    sub.add_argument("--mc-samples", type=int,
+                     help=f"bounds: Monte Carlo pattern samples; default {d['mc_samples']}")
+    sub.add_argument("--exact-cap", type=int,
+                     help=f"bounds: largest k for exact 2^k enumerations; default {d['exact_cap']}")
+    sub.add_argument("--union-bound-samples", type=int,
+                     help="nonconv: tail patterns given an exact union bound per cell; "
+                     f"default {d['union_bound_samples']}")
+    sub.add_argument("--threads", type=int, help=f"worker threads; default {d['threads']}")
     sub.add_argument("--time-limit", type=float, help="per-record soft wall-time flag, seconds")
-    sub.add_argument("--config", metavar="PATH", help="JSON file with config fields; flags override")
-    sub.add_argument("--out", metavar="PATH", help="output file; default stdout")
+    sub.add_argument("--config", default=None, metavar="PATH",
+                     help="JSON file with config fields; flags override")
+    sub.add_argument("--out", default=None, metavar="PATH", help="output file; default stdout")
     sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
 
@@ -83,34 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    quenched = commands.add_parser(
-        "quenched", help="per-trial match-count laws for sampled sequences"
-    )
-    _add_sweep_options(quenched, with_eta=False)
-    quenched.set_defaults(handler=_cmd_quenched)
-
-    annealed = commands.add_parser(
-        "annealed", help="quenched trials plus their per-cell average law"
-    )
-    _add_sweep_options(annealed, with_eta=False)
-    annealed.set_defaults(handler=_cmd_annealed)
-
-    bounds = commands.add_parser(
-        "bounds", help="Stein-method Poisson approximation error terms A, B, C"
-    )
-    _add_sweep_options(bounds, with_eta=False)
-    bounds.set_defaults(handler=_cmd_bounds)
-
-    nonconv = commands.add_parser(
-        "nonconv", help="joint pattern/sequence probe of the non-convergence mechanism"
-    )
-    _add_sweep_options(nonconv, with_eta=True)
-    nonconv.add_argument(
-        "--union-bound-samples",
-        type=int,
-        help="tail patterns given an exact union bound per cell; default 4",
-    )
-    nonconv.set_defaults(handler=_cmd_nonconv)
+    for mode, (run, _) in MODES.items():
+        sweep = commands.add_parser(
+            mode, help=run.__doc__.splitlines()[0], argument_default=argparse.SUPPRESS
+        )
+        _add_sweep_options(sweep)
+        sweep.set_defaults(handler=_cmd_sweep)
 
     info = commands.add_parser(
         "schedule-info", help="parse, validate, and summarize a schedule spec"
@@ -131,62 +128,20 @@ def build_parser() -> argparse.ArgumentParser:
 # Config assembly
 
 
-def _split_multi(values) -> list[str]:
-    items: list[str] = []
-    for value in values:
-        items.extend(part.strip() for part in value.split(",") if part.strip())
-    return items
-
-
-_FLAG_TO_FIELD = {
-    "trials": "trials",
-    "seed": "master_seed",
-    "epsilon": "epsilon",
-    "theta": "theta",
-    "eta": "eta",
-    "mc_samples": "mc_samples",
-    "exact_cap": "exact_cap",
-    "threads": "threads",
-    "time_limit": "time_limit",
-    "union_bound_samples": "union_bound_samples",
-}
-
-
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's fields, overridden by the flags that were given."""
     data: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
+    if args.config:
         try:
-            loaded = json.loads(Path(config_path).read_text())
+            data = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
-            raise ValueError(f"config file {config_path!r} is not valid JSON: {exc}")
-        if not isinstance(loaded, dict):
-            raise ValueError(f"config file {config_path!r} must hold a JSON object")
-        field_names = set(ExperimentConfig.__dataclass_fields__)
-        unknown = sorted(set(loaded) - field_names)
+            raise ValueError(f"config file {args.config!r} is not valid JSON: {exc}")
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {args.config!r} must hold a JSON object")
+        unknown = sorted(set(data) - set(_DEFAULTS))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        data.update(loaded)
-
-    if getattr(args, "schedule", None):
-        data["schedules"] = _split_multi(args.schedule)
-    if getattr(args, "k", None):
-        k_items = _split_multi(args.k)
-        try:
-            data["k_list"] = [int(item) for item in k_items]
-        except ValueError:
-            raise ValueError(f"--k expects integers, got {k_items!r}")
-    for flag, column in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            data[column] = value
-
-    if "schedules" in data:
-        data["schedules"] = tuple(str(s) for s in data["schedules"])
-    if "k_list" in data:
-        if not isinstance(data["k_list"], (list, tuple)):
-            raise ValueError(f"k_list must be a list of integers, got {data['k_list']!r}")
-        data["k_list"] = tuple(data["k_list"])
+    data.update((name, value) for name, value in vars(args).items() if name in _DEFAULTS)
     return ExperimentConfig(**data)
 
 
@@ -197,39 +152,19 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_records(args: argparse.Namespace, mode: str, records, config) -> None:
-    if args.format == "json":
-        text = records_to_json(mode, records, config)
-    else:
-        text = records_to_csv(mode, records)
-    _emit(text, args.out)
-
-
 # ---------------------------------------------------------------------------
 # Handlers
 
 
-def _cmd_quenched(args) -> int:
+def _cmd_sweep(args) -> int:
     config = _build_config(args)
-    _write_records(args, "quenched", run_quenched(config), config)
-    return 0
-
-
-def _cmd_annealed(args) -> int:
-    config = _build_config(args)
-    _write_records(args, "annealed", run_annealed(config), config)
-    return 0
-
-
-def _cmd_bounds(args) -> int:
-    config = _build_config(args)
-    _write_records(args, "bounds", run_bounds(config), config)
-    return 0
-
-
-def _cmd_nonconv(args) -> int:
-    config = _build_config(args)
-    _write_records(args, "nonconv", run_nonconv(config), config)
+    run, _ = MODES[args.command]
+    records = run(config)
+    if args.format == "json":
+        text = records_to_json(args.command, records, config)
+    else:
+        text = records_to_csv(args.command, records)
+    _emit(text, args.out)
     return 0
 
 

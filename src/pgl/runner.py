@@ -1,6 +1,7 @@
 """Experiment orchestration: deterministic sweeps, aggregation, CSV/JSON.
 
-Four experiment modes share one configuration object:
+Four experiment modes share one configuration object; ``MODES`` maps each
+to its sweep and its CSV columns:
 
 * quenched  - per-trial law of the match count given one sampled sequence;
 * annealed  - the quenched trials plus their pattern-and-sequence average;
@@ -29,6 +30,7 @@ import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 from .analytics import (
     UNION_BOUND_CAP,
@@ -55,6 +57,7 @@ __all__ = [
     "DEFAULT_SCHEDULES",
     "DEFAULT_K_LIST",
     "SCHEMA_LINE",
+    "MODES",
     "ExperimentConfig",
     "ResultRecord",
     "BoundsRecord",
@@ -81,35 +84,18 @@ _MAX_SWEEP_LEVEL = DENSE_CAP
 # The trials of one schedule are sampled together while their packed bits
 # fit in 256 MiB: all 50 default trials up to level 25, batches of 31 at the cap.
 _BATCH_BYTES = 1 << 28
-
-_CSV_COLUMNS = {
-    "quenched": (
-        "schedule", "k", "seed", "mode", "p0", "p1", "p2", "tv_to_po1", "status",
-    ),
-    "annealed": (
-        "schedule", "k", "seed", "mode", "p0", "p1", "p2", "p0_stderr",
-        "tv_to_po1", "status",
-    ),
-    "bounds": (
-        "schedule", "k", "lambda", "A", "B", "B_mode", "C", "C_mode",
-        "C_stderr", "total", "j0", "epsilon", "theta",
-    ),
-    "nonconv": (
-        "schedule", "k", "eta", "trials", "tail_mass_exact", "tail_mass_normal",
-        "p0_hat", "p0_lo", "p0_hi", "tail_rate", "tail_and_hit_rate",
-        "union_bound_mean", "union_bound_samples", "status",
-    ),
-}
-
+# The benchmark law of every summary.
+_POISSON_ONE = poisson_distribution(1.0)
 
 _INTEGER_FIELDS = (
     "trials", "master_seed", "threads", "mc_samples", "exact_cap", "union_bound_samples"
 )
+_REAL_FIELDS = ("epsilon", "theta", "eta")
 
 
-def _require_integer(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _require(name: str, value, kind, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -130,16 +116,26 @@ class ExperimentConfig:
     union_bound_samples: int = 4
 
     def __post_init__(self) -> None:
-        # Config files may carry floats or bools where counts and seeds
-        # belong; reject them before any comparison or seed mixing.
+        # Config files may carry strings, nulls, floats or bools where other
+        # types belong; reject them before any comparison or seed mixing.
+        _require("schedules", self.schedules, (list, tuple), "a list of strings")
+        _require("k_list", self.k_list, (list, tuple), "a list of integers")
+        object.__setattr__(self, "schedules", tuple(self.schedules))
+        object.__setattr__(self, "k_list", tuple(self.k_list))
+        for spec in self.schedules:
+            _require("schedules entry", spec, str, "a string")
         for name in _INTEGER_FIELDS:
-            _require_integer(name, getattr(self, name))
+            _require(name, getattr(self, name), numbers.Integral, "an integer")
+        for name in _REAL_FIELDS:
+            _require(name, getattr(self, name), numbers.Real, "a real number")
+        if self.time_limit is not None:
+            _require("time_limit", self.time_limit, numbers.Real, "a real number or null")
         if not self.schedules:
             raise ValueError("need at least one schedule spec")
         if not self.k_list:
             raise ValueError("need at least one level k")
         for k in self.k_list:
-            _require_integer("k_list entry", k)
+            _require("k_list entry", k, numbers.Integral, "an integer")
             if not 1 <= k <= MAX_WORD_LEVEL:
                 raise ValueError(f"level {k} outside 1..{MAX_WORD_LEVEL}")
         if self.trials < 1:
@@ -148,15 +144,15 @@ class ExperimentConfig:
             raise ValueError("threads must be >= 1")
         # ChenSteinParams checks epsilon, theta, mc_samples and exact_cap.
         self.stein_params(max(self.k_list))
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise ValueError("eta must be >= 0")
         if self.union_bound_samples < 0:
             raise ValueError("union_bound_samples must be >= 0")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive when set")
         # Malformed specs, and biases outside (-1/2, 1/2) anywhere on the
         # probe grid or in a table, invalidate the config before any work.
-        for schedule in self.parsed_schedules():
+        for schedule in self.parsed_schedules:
             entries = range(1, len(schedule.values) + 1) if isinstance(schedule, Table) else ()
             violations = validate(schedule, entries)
             if violations:
@@ -174,8 +170,11 @@ class ExperimentConfig:
             seed=derive_seed(self.master_seed, _BOUNDS_TAG),
         )
 
-    def parsed_schedules(self):
-        return [parse_schedule(spec) for spec in self.schedules]
+    @cached_property
+    def parsed_schedules(self) -> tuple:
+        """The schedules, parsed once (table files read once) and validated
+        by ``__post_init__``; every sweep runs on these objects."""
+        return tuple(parse_schedule(spec) for spec in self.schedules)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -268,16 +267,6 @@ def _map_tasks(fn, tasks, threads: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-_POISSON_ONE = None
-
-
-def _poisson_one():
-    global _POISSON_ONE
-    if _POISSON_ONE is None:
-        _POISSON_ONE = poisson_distribution(1.0)
-    return _POISSON_ONE
-
-
 def _require_sweep_levels(config: ExperimentConfig, mode: str) -> None:
     bad = [k for k in config.k_list if k > _MAX_SWEEP_LEVEL]
     if bad:
@@ -309,7 +298,7 @@ def _trial_passes(config: ExperimentConfig, mode: str, trial_pass) -> list:
     length = (1 << top) + top - 1
     batch = max(1, _BATCH_BYTES // ((length + 7) // 8))
     results = []
-    for schedule in config.parsed_schedules():
+    for schedule in config.parsed_schedules:
         for first in range(0, config.trials, batch):
             trials = range(first, min(first + batch, config.trials))
             seeds = [derive_seed(config.master_seed, trial) for trial in trials]
@@ -340,7 +329,7 @@ def _law_record(
     p0 = p1 = p2 = tv = None
     if law is not None:
         p0, p1, p2 = law.mass(0), law.mass(1), law.mass(2)
-        tv = tv_distance(law, _poisson_one()).distance
+        tv = tv_distance(law, _POISSON_ONE).distance
     elapsed = time.perf_counter() - start
     return ResultRecord(
         schedule=label, k=k, seed=seed, mode=mode, p0=p0, p1=p1, p2=p2, tv_to_po1=tv,
@@ -380,7 +369,7 @@ def _quenched_trials(config: ExperimentConfig, mode: str):
 
 
 def run_quenched(config: ExperimentConfig) -> list[ResultRecord]:
-    """Per-trial quenched laws for every (schedule, level, trial)."""
+    """Per-trial match-count laws for every (schedule, level, trial)."""
     records, _ = _quenched_trials(config, "quenched")
     return records
 
@@ -422,9 +411,8 @@ def run_annealed(config: ExperimentConfig) -> list[ResultRecord]:
 
 
 def run_bounds(config: ExperimentConfig) -> list[BoundsRecord]:
-    """Stein-method error terms for every (schedule, level)."""
-    schedules = config.parsed_schedules()
-    tasks = [(schedule, k) for schedule in schedules for k in config.k_list]
+    """Stein-method error terms A, B, C for every (schedule, level)."""
+    tasks = [(schedule, k) for schedule in config.parsed_schedules for k in config.k_list]
 
     def work(task):
         schedule, k = task
@@ -447,14 +435,15 @@ def run_bounds(config: ExperimentConfig) -> list[BoundsRecord]:
 
 
 def run_nonconv(config: ExperimentConfig) -> list[NonconvRecord]:
-    """Joint word/sequence trials per (schedule, level).
+    """Joint pattern/sequence probe of the non-convergence mechanism.
 
-    Each trial draws an independent pattern and sequence, then checks
-    whether the pattern lies in the negative symbol-sum tail and whether it
-    occurs in the sequence at all.  Like the quenched trials, trial t reads
-    every level off one sequence per schedule, and its pattern at level k is
-    the low k bits of one draw.  The first union_bound_samples tail
-    patterns (in trial order) also get an exact positionwise union bound.
+    Per (schedule, level), each trial draws an independent pattern and
+    sequence, then checks whether the pattern lies in the negative
+    symbol-sum tail and whether it occurs in the sequence at all.  Like the
+    quenched trials, trial t reads every level off one sequence per
+    schedule, and its pattern at level k is the low k bits of one draw.  The
+    first union_bound_samples tail patterns (in trial order) also get an
+    exact positionwise union bound.
     """
     def trial_pass(schedule, trial, codes):
         if isinstance(codes, MemoryError):
@@ -473,7 +462,7 @@ def run_nonconv(config: ExperimentConfig) -> list[NonconvRecord]:
     for outcomes in _trial_passes(config, "nonconv", trial_pass):
         for label, k, trial, word, hit, in_tail in outcomes:
             groups.setdefault((label, k), []).append((trial, word, hit, in_tail))
-    schedule_by_label = {schedule.label: schedule for schedule in config.parsed_schedules()}
+    schedule_by_label = {schedule.label: schedule for schedule in config.parsed_schedules}
 
     records = []
     for (label, k), members in sorted(groups.items()):
@@ -556,6 +545,32 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+# Each mode's sweep and its CSV columns.  The columns are not the record
+# fields: quenched rows leave out p0_stderr, and the bounds columns name the
+# report's terms (lambda, A, j0, ...).
+MODES = {
+    "quenched": (
+        run_quenched,
+        ("schedule", "k", "seed", "mode", "p0", "p1", "p2", "tv_to_po1", "status"),
+    ),
+    "annealed": (
+        run_annealed,
+        ("schedule", "k", "seed", "mode", "p0", "p1", "p2", "p0_stderr", "tv_to_po1", "status"),
+    ),
+    "bounds": (
+        run_bounds,
+        ("schedule", "k", "lambda", "A", "B", "B_mode", "C", "C_mode", "C_stderr", "total",
+         "j0", "epsilon", "theta"),
+    ),
+    "nonconv": (
+        run_nonconv,
+        ("schedule", "k", "eta", "trials", "tail_mass_exact", "tail_mass_normal", "p0_hat",
+         "p0_lo", "p0_hi", "tail_rate", "tail_and_hit_rate", "union_bound_mean",
+         "union_bound_samples", "status"),
+    ),
+}
+
+
 def records_to_csv(mode: str, records) -> str:
     """Render records for one mode as deterministic CSV.
 
@@ -563,9 +578,9 @@ def records_to_csv(mode: str, records) -> str:
     record.  Floats use shortest round-trip formatting; wall-clock fields
     are deliberately absent so repeated runs are byte-identical.
     """
-    if mode not in _CSV_COLUMNS:
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    columns = _CSV_COLUMNS[mode]
+    _, columns = MODES[mode]
     buffer = io.StringIO()
     buffer.write(SCHEMA_LINE + "\n")
     writer = csv.writer(buffer, lineterminator="\n")

@@ -1,12 +1,25 @@
 """Command-line interface: subcommands, exit codes, flags, config files."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from pgl.cli import _build_config, build_parser
+from pgl.runner import ExperimentConfig
+
 SCHEMA_LINE = "# pgl-schema v1"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# Children import pgl from this checkout's src, installed or not.
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(*args, timeout=240):
@@ -15,6 +28,7 @@ def run_cli(*args, timeout=240):
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=CHILD_ENV,
     )
 
 
@@ -23,6 +37,16 @@ class TestBasics:
         proc = run_cli("--help")
         assert proc.returncode == 0
         assert "usage" in proc.stdout.lower()
+
+    def test_help_lists_the_four_sweeps_and_two_tools(self):
+        proc = run_cli("--help")
+        # subcommands sit at an indent of four; wrapped help lines deeper
+        commands = [
+            line.split()[0] for line in proc.stdout.splitlines()
+            if line.startswith("    ") and not line.startswith("     ")
+        ]
+        assert commands == ["quenched", "annealed", "bounds", "nonconv",
+                            "schedule-info", "selftest"], proc.stdout
 
     def test_no_arguments_is_a_usage_error(self):
         proc = run_cli()
@@ -43,7 +67,7 @@ class TestBasics:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, pgl; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True, timeout=240,
+            capture_output=True, text=True, timeout=240, env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -155,10 +179,77 @@ class TestConfigFiles:
         assert proc.stderr == f"error: {field} must be an integer, got {value}\n"
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ({"epsilon": "0.1"}, "epsilon must be a real number, got '0.1'"),
+            ({"epsilon": None}, "epsilon must be a real number, got None"),
+            ({"time_limit": "5"}, "time_limit must be a real number or null, got '5'"),
+            ({"schedules": "zero"}, "schedules must be a list of strings, got 'zero'"),
+        ],
+    )
+    def test_mistyped_config_value_exits_one(self, tmp_path, content, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        proc = run_cli("bounds", "--k", "4", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+        assert proc.stdout == ""
+
     def test_missing_config_file_exits_one(self, tmp_path):
         proc = run_cli("quenched", "--config", str(tmp_path / "nope.json"),
                        "--k", "4")
         assert proc.returncode == 1
+
+
+class TestFlags:
+    SWEEP_FLAGS = [
+        "--schedule", "zero", "--schedule", "const:0.1,logpow:1.0", "--k", "4,5",
+        "--k", "6", "--trials", "2", "--seed", "9", "--epsilon", "0.2",
+        "--theta", "0.3", "--eta", "0.4", "--mc-samples", "10", "--exact-cap", "12",
+        "--threads", "2", "--time-limit", "5", "--union-bound-samples", "1",
+    ]
+
+    @pytest.mark.parametrize("mode", ["quenched", "annealed", "bounds", "nonconv"])
+    def test_every_sweep_flag_sets_its_config_field(self, mode):
+        args = build_parser().parse_args([mode, *self.SWEEP_FLAGS])
+        assert _build_config(args).as_dict() == {
+            "schedules": ("zero", "const:0.1", "logpow:1.0"),
+            "k_list": (4, 5, 6),
+            "trials": 2,
+            "master_seed": 9,
+            "epsilon": 0.2,
+            "theta": 0.3,
+            "eta": 0.4,
+            "mc_samples": 10,
+            "exact_cap": 12,
+            "threads": 2,
+            "time_limit": 5.0,
+            "union_bound_samples": 1,
+        }
+
+    def test_unset_flags_leave_the_defaults(self):
+        args = build_parser().parse_args(["bounds"])
+        assert _build_config(args) == ExperimentConfig()
+
+    def test_non_integer_level_is_a_usage_error(self):
+        proc = run_cli("quenched", "--k", "x")
+        assert proc.returncode == 1
+        assert "argument --k: expected integers, got 'x'" in proc.stderr
+
+
+class TestGoldenOutput:
+    """The whole path flag -> field -> mode -> sweep -> CSV, against the
+    files that tests/test_golden.py checks in-process."""
+
+    @pytest.mark.parametrize(
+        "mode,levels,trials",
+        [("quenched", "10,14", "3"), ("annealed", "10,14", "3"), ("nonconv", "10,12,14", "20")],
+    )
+    def test_stdout_matches_the_golden_csv(self, mode, levels, trials):
+        proc = run_cli(mode, "--k", levels, "--trials", trials)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN_DIR / f"{mode}.csv").read_text()
 
 
 class TestOtherCommands:

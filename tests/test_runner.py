@@ -76,6 +76,52 @@ class TestConfig:
         with pytest.raises(ValueError, match="k_list entry must be an integer"):
             small_config(k_list=(3, value))
 
+    @pytest.mark.parametrize("field", ["epsilon", "theta", "eta", "time_limit"])
+    @pytest.mark.parametrize("value", ["0.1", True, None])
+    def test_rejects_non_real_parameters(self, field, value):
+        if field == "time_limit" and value is None:
+            assert small_config(time_limit=None).time_limit is None
+            return
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("field", ["eta", "time_limit"])
+    def test_rejects_nan_parameters(self, field):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: float("nan")})
+
+    @pytest.mark.parametrize("value", ["zero", None])
+    def test_rejects_schedules_that_are_not_a_list(self, value):
+        with pytest.raises(ValueError, match="schedules must be a list of strings"):
+            small_config(schedules=value)
+
+    def test_rejects_a_schedule_that_is_not_a_string(self):
+        with pytest.raises(ValueError, match="schedules entry must be a string, got 1"):
+            small_config(schedules=("zero", 1))
+
+    def test_rejects_a_level_list_that_is_not_a_list(self):
+        with pytest.raises(ValueError, match="k_list must be a list of integers"):
+            small_config(k_list=4)
+
+    def test_rebuilds_from_its_json_dict(self):
+        config = small_config(schedules=["zero"], k_list=[4, 5], time_limit=None)
+        assert config.schedules == ("zero",) and config.k_list == (4, 5)
+        loaded = json.loads(json.dumps(config.as_dict()))
+        rebuilt = ExperimentConfig(
+            **{k: tuple(v) if isinstance(v, list) else v for k, v in loaded.items()}
+        )
+        assert rebuilt == config
+
+    def test_runs_use_the_table_validated_when_the_config_was_built(self, tmp_path):
+        path = tmp_path / "bias.txt"
+        path.write_text("0.1\n0.2\n0.1\n")
+        cfg = small_config(schedules=(f"table:{path}",))
+        sweeps = {"quenched": run_quenched, "bounds": run_bounds, "nonconv": run_nonconv}
+        before = {mode: records_to_csv(mode, run(cfg)) for mode, run in sweeps.items()}
+        path.write_text("0.1\n0.6\n0.1\n")
+        after = {mode: records_to_csv(mode, run(cfg)) for mode, run in sweeps.items()}
+        assert after == before
+
     def test_accepts_numpy_integers(self):
         config = small_config(trials=np.int64(2), k_list=(np.int32(3),))
         assert config.trials == 2 and config.k_list == (3,)
