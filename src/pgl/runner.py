@@ -15,9 +15,12 @@ across schedules and levels, so trial t examines nested prefixes of one
 sequence per schedule) and its pattern seed as
 derive_seed(master_seed, t, WORD_TAG).  The histogram modes therefore
 sample each (schedule, trial) sequence once, at the largest level, and read
-every level off its window codes.  Thread count never changes results:
-tasks are mapped in a fixed order and reassembled positionally, and CSV
-output excludes wall-clock fields (JSON carries them for diagnostics).
+every level off its window codes into one table of trial outcomes per
+distinct (schedule label, level); each mode folds it, so a repeated spec or
+level repeats quenched rows but never adds trials to an aggregate.  Thread
+count never changes results: tasks are mapped in a fixed order and
+reassembled positionally, and CSV output excludes wall-clock fields (JSON
+carries them for diagnostics).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .analytics import (
-    UNION_BOUND_CAP,
     ChenSteinParams,
     ChenSteinReport,
     chen_stein_terms,
@@ -50,7 +52,7 @@ from .counter import (
 )
 from .errors import CapabilityError, NanGuard, ResourceError
 from .sampler import MAX_WORD_LEVEL, derive_seed, sample_sequences, sample_word
-from .schedule import Table, cesaro_average, classify_kakutani, parse_schedule, validate
+from .schedule import cesaro_average, classify_kakutani, parse_schedule, validate
 from .stats import aggregate_annealed, binomial_ci, poisson_distribution, tv_distance
 
 __all__ = [
@@ -79,8 +81,6 @@ SCHEMA_LINE = "# pgl-schema v1"
 _WORD_TAG = 0x57
 # Monte Carlo seed namespace for the bounds mode.
 _BOUNDS_TAG = 0xB0
-# Histogram-based modes keep levels within the dense-counting envelope.
-_MAX_SWEEP_LEVEL = DENSE_CAP
 # The trials of one schedule are sampled together while their packed bits
 # fit in 256 MiB: all 50 default trials up to level 25, batches of 31 at the cap.
 _BATCH_BYTES = 1 << 28
@@ -150,14 +150,8 @@ class ExperimentConfig:
             raise ValueError("union_bound_samples must be >= 0")
         if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive when set")
-        # Malformed specs, and biases outside (-1/2, 1/2) anywhere on the
-        # probe grid or in a table, invalidate the config before any work.
-        for schedule in self.parsed_schedules:
-            entries = range(1, len(schedule.values) + 1) if isinstance(schedule, Table) else ()
-            violations = validate(schedule, entries)
-            if violations:
-                more = f" ({len(violations) - 1} more)" if len(violations) > 1 else ""
-                raise ValueError(f"schedule {schedule.label}: {violations[0]}{more}")
+        # Parsing rejects malformed specs and out-of-range biases.
+        self.parsed_schedules
 
     def stein_params(self, k: int) -> ChenSteinParams:
         """The Stein-term parameters of this sweep at level k."""
@@ -172,8 +166,8 @@ class ExperimentConfig:
 
     @cached_property
     def parsed_schedules(self) -> tuple:
-        """The schedules, parsed once (table files read once) and validated
-        by ``__post_init__``; every sweep runs on these objects."""
+        """The schedules, parsed once (table files read once) by
+        ``__post_init__``; every sweep runs on these objects."""
         return tuple(parse_schedule(spec) for spec in self.schedules)
 
     def as_dict(self) -> dict:
@@ -231,8 +225,8 @@ class NonconvRecord(NanGuard):
     symbol-sum tail, tail_and_hit_rate the share that were in the tail AND
     occurred at least once (the quantity that must vanish for slowly
     decaying bias); union_bound_mean averages the positionwise union bound
-    over the first few tail patterns (None when none were seen or the level
-    exceeds the union-bound envelope).
+    over the first few tail patterns (None when none were seen).  Error
+    rows ("error: ...") leave every sampled field None.
     """
 
     schedule: str
@@ -241,13 +235,13 @@ class NonconvRecord(NanGuard):
     trials: int
     tail_mass_exact: float
     tail_mass_normal: float
-    p0_hat: float
-    p0_lo: float
-    p0_hi: float
-    tail_rate: float
-    tail_and_hit_rate: float
-    union_bound_mean: float | None
-    union_bound_samples: int
+    p0_hat: float | None = None
+    p0_lo: float | None = None
+    p0_hi: float | None = None
+    tail_rate: float | None = None
+    tail_and_hit_rate: float | None = None
+    union_bound_mean: float | None = None
+    union_bound_samples: int = 0
     status: str = "ok"
     wall_time_s: float = 0.0
     timeout: bool = False
@@ -267,38 +261,36 @@ def _map_tasks(fn, tasks, threads: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _require_sweep_levels(config: ExperimentConfig, mode: str) -> None:
-    bad = [k for k in config.k_list if k > _MAX_SWEEP_LEVEL]
-    if bad:
-        raise CapabilityError(
-            f"{mode} mode counts all 2^k windows; levels {bad} exceed {_MAX_SWEEP_LEVEL}"
-        )
-
-
 def _flag_timeout(config: ExperimentConfig, elapsed: float) -> bool:
     return config.time_limit is not None and elapsed > config.time_limit
 
 
 # ---------------------------------------------------------------------------
-# Quenched / annealed
+# Histogram sweeps: one outcome table, folded by each mode
 
 
-def _trial_passes(config: ExperimentConfig, mode: str, trial_pass) -> list:
-    """``trial_pass(schedule, trial, codes)`` for every (schedule, trial).
+def _level_outcomes(config: ExperimentConfig, mode: str, outcome) -> dict:
+    """``{(label, k): [outcome(schedule, trial, k, codes) of trial 0, 1, ...]}``
+    over the distinct schedule labels and levels.
 
-    One pass samples the trial's sequence once, at the largest level K, and
-    builds its level-K window codes once; each level k reads the first 2^k.
-    A schedule's trials are sampled together, sharing each chunk's
-    thresholds.  When sampling or the code build runs out of memory, the
-    pass gets the MemoryError in place of the codes.  Results come back in
-    (schedule, trial) order whatever the thread count.
+    One pass per (schedule, trial) samples the sequence once, at the largest
+    level K, and builds its level-K window codes once; each level k reads the
+    first 2^k.  A schedule's trials are sampled together, sharing each
+    chunk's thresholds.  A MemoryError while sampling or building the codes
+    is the outcome of every level of the trial; a MemoryError or
+    ResourceError at one level is the outcome of that level alone.
     """
-    _require_sweep_levels(config, mode)
-    top = max(config.k_list)
+    bad = [k for k in config.k_list if k > DENSE_CAP]
+    if bad:
+        raise CapabilityError(
+            f"{mode} mode counts all 2^k windows; levels {bad} exceed {DENSE_CAP}"
+        )
+    levels = sorted(set(config.k_list))
+    top = levels[-1]
     length = (1 << top) + top - 1
     batch = max(1, _BATCH_BYTES // ((length + 7) // 8))
-    results = []
-    for schedule in config.parsed_schedules:
+    table = {}
+    for schedule in {parsed.label: parsed for parsed in config.parsed_schedules}.values():
         for first in range(0, config.trials, batch):
             trials = range(first, min(first + batch, config.trials))
             seeds = [derive_seed(config.master_seed, trial) for trial in trials]
@@ -309,25 +301,42 @@ def _trial_passes(config: ExperimentConfig, mode: str, trial_pass) -> list:
 
             def work(unit, schedule=schedule):
                 trial, sequence = unit
-                codes = sequence
-                if not isinstance(sequence, MemoryError):
+                try:
+                    if isinstance(sequence, MemoryError):
+                        raise sequence
+                    codes = window_codes(sequence, top)
+                except MemoryError as exc:
+                    return [exc] * len(levels)
+                outcomes = []
+                for k in levels:
                     try:
-                        codes = window_codes(sequence, top)
-                    except MemoryError as exc:
-                        codes = exc
-                return trial_pass(schedule, trial, codes)
+                        outcomes.append(outcome(schedule, trial, k, codes))
+                    except (MemoryError, ResourceError) as exc:
+                        outcomes.append(exc)
+                return outcomes
 
-            results += _map_tasks(work, list(zip(trials, sequences)), config.threads)
-    return results
+            for outcomes in _map_tasks(work, list(zip(trials, sequences)), config.threads):
+                for k, result in zip(levels, outcomes):
+                    table.setdefault((schedule.label, k), []).append(result)
+    return table
+
+
+def _count_law(schedule, trial: int, k: int, codes):
+    return quenched_distribution(level_histogram(codes, k))
 
 
 def _law_record(
-    label: str, k: int, seed: int, mode: str, law, start: float,
-    config: ExperimentConfig, status: str = "ok", p0_stderr: float | None = None,
+    label: str, k: int, seed: int, mode: str, law, config: ExperimentConfig,
+    p0_stderr: float | None = None,
 ) -> ResultRecord:
-    """Summarize a count law (None after an error) against Poisson(1)."""
+    """Summarize a count law against Poisson(1); an exception in place of
+    the law makes an error row."""
+    start = time.perf_counter()
     p0 = p1 = p2 = tv = None
-    if law is not None:
+    status = "ok"
+    if isinstance(law, BaseException):
+        status = f"error: {law}"
+    else:
         p0, p1, p2 = law.mass(0), law.mass(1), law.mass(2)
         tv = tv_distance(law, _POISSON_ONE).distance
     elapsed = time.perf_counter() - start
@@ -338,72 +347,46 @@ def _law_record(
     )
 
 
-def _quenched_one(schedule, k: int, seed: int, codes, config: ExperimentConfig):
-    start = time.perf_counter()
-    law, status = None, "ok"
-    try:
-        if isinstance(codes, MemoryError):
-            raise codes
-        law = quenched_distribution(level_histogram(codes, k))
-    except (ResourceError, MemoryError) as exc:
-        status = f"error: {exc}"
-    return _law_record(schedule.label, k, seed, "quenched", law, start, config, status), law
-
-
-def _quenched_trials(config: ExperimentConfig, mode: str):
-    """Sorted per-trial records, and the (label, k, trial, law) of each
-    record in (schedule, trial, k_list) order; a repeated level repeats its
-    record and law."""
-
-    def trial_pass(schedule, trial, codes):
-        seed = derive_seed(config.master_seed, trial)
-        done = {}
-        for k in config.k_list:
-            if k not in done:
-                done[k] = _quenched_one(schedule, k, seed, codes, config)
-        return [(trial, k, *done[k]) for k in config.k_list]
-
-    outcomes = [item for items in _trial_passes(config, mode, trial_pass) for item in items]
-    records = sorted((record for _, _, record, _ in outcomes), key=lambda r: (r.schedule, r.k, r.seed))
-    return records, [(record.schedule, k, trial, law) for trial, k, record, law in outcomes]
+def _trial_records(config: ExperimentConfig, table: dict) -> list[ResultRecord]:
+    """One sorted row per (spec entry, level entry, trial); a repeated spec
+    or level repeats its rows."""
+    cells = [(schedule.label, k) for schedule in config.parsed_schedules for k in config.k_list]
+    records = [
+        _law_record(label, k, derive_seed(config.master_seed, trial), "quenched", law, config)
+        for label, k in cells for trial, law in enumerate(table[label, k])
+    ]
+    return sorted(records, key=lambda r: (r.schedule, r.k, r.seed))
 
 
 def run_quenched(config: ExperimentConfig) -> list[ResultRecord]:
     """Per-trial match-count laws for every (schedule, level, trial)."""
-    records, _ = _quenched_trials(config, "quenched")
-    return records
+    return _trial_records(config, _level_outcomes(config, "quenched", _count_law))
 
 
 def run_annealed(config: ExperimentConfig) -> list[ResultRecord]:
     """Quenched trials plus, per (schedule, level), their trial average.
 
     Aggregate rows carry mode="annealed", the master seed, and the standard
-    error of the no-match mass across trials.  Laws are averaged in trial
-    order.
+    error of the no-match mass across trials.  Each distinct (schedule,
+    level) cell averages the laws of its successful trials once each, in
+    trial order.
     """
-    records, trial_laws = _quenched_trials(config, "annealed")
-    groups: dict[tuple[str, int], list] = {}
-    for label, k, _, law in sorted(trial_laws, key=lambda item: item[2]):
-        laws = groups.setdefault((label, k), [])
-        if law is not None:
-            laws.append(law)
-
+    table = _level_outcomes(config, "annealed", _count_law)
     aggregates = []
-    for (label, k), laws in sorted(groups.items()):
-        start = time.perf_counter()
+    for (label, k), outcomes in sorted(table.items()):
+        laws = [law for law in outcomes if not isinstance(law, BaseException)]
         if laws:
             mean_law, stderr = aggregate_annealed(laws)
-            record = _law_record(
-                label, k, config.master_seed, "annealed", mean_law, start, config,
+            aggregates.append(_law_record(
+                label, k, config.master_seed, "annealed", mean_law, config,
                 p0_stderr=stderr.get(0, 0.0),
-            )
+            ))
         else:
-            record = _law_record(
-                label, k, config.master_seed, "annealed", None, start, config,
-                status="error: no successful trials to aggregate",
-            )
-        aggregates.append(record)
-    return records + aggregates
+            aggregates.append(_law_record(
+                label, k, config.master_seed, "annealed",
+                RuntimeError("no successful trials to aggregate"), config,
+            ))
+    return _trial_records(config, table) + aggregates
 
 
 # ---------------------------------------------------------------------------
@@ -441,73 +424,49 @@ def run_nonconv(config: ExperimentConfig) -> list[NonconvRecord]:
     sequence, then checks whether the pattern lies in the negative
     symbol-sum tail and whether it occurs in the sequence at all.  Like the
     quenched trials, trial t reads every level off one sequence per
-    schedule, and its pattern at level k is the low k bits of one draw.  The
-    first union_bound_samples tail patterns (in trial order) also get an
-    exact positionwise union bound.
+    schedule, and its pattern at level k is the low k bits of one draw.
     """
-    def trial_pass(schedule, trial, codes):
-        if isinstance(codes, MemoryError):
-            raise codes
-        word_seed = derive_seed(config.master_seed, trial, _WORD_TAG)
-        outcomes = []
-        for k in config.k_list:
-            word = sample_word(k, word_seed)
-            hit = bool((level_codes(codes, k) == word.code).any())
-            symbol_sum = 2 * word.code.bit_count() - k
-            in_tail = symbol_sum < -config.eta * math.sqrt(k)
-            outcomes.append((schedule.label, k, trial, word, hit, in_tail))
-        return outcomes
-
-    groups: dict[tuple[str, int], list] = {}
-    for outcomes in _trial_passes(config, "nonconv", trial_pass):
-        for label, k, trial, word, hit, in_tail in outcomes:
-            groups.setdefault((label, k), []).append((trial, word, hit, in_tail))
-    schedule_by_label = {schedule.label: schedule for schedule in config.parsed_schedules}
+    def probe(schedule, trial, k, codes):
+        word = sample_word(k, derive_seed(config.master_seed, trial, _WORD_TAG))
+        hit = bool((level_codes(codes, k) == word.code).any())
+        return word, hit, 2 * word.code.bit_count() - k < -config.eta * math.sqrt(k)
 
     records = []
-    for (label, k), members in sorted(groups.items()):
+    for (label, k), outcomes in sorted(_level_outcomes(config, "nonconv", probe).items()):
         start = time.perf_counter()
-        trials = len(members)
-        absent_count = sum(1 for _, _, hit, _ in members if not hit)
-        tail_count = sum(1 for _, _, _, in_tail in members if in_tail)
-        tail_hit = sum(1 for _, _, hit, in_tail in members if hit and in_tail)
-        lo, hi = binomial_ci(absent_count, trials, 0.95)
         tail = symbol_sum_tail_mass(k, config.eta)
-
-        union_values = []
-        if k <= UNION_BOUND_CAP:
-            schedule = schedule_by_label[label]
-            for _, word, _, in_tail in members:
-                if len(union_values) >= config.union_bound_samples:
-                    break
-                if in_tail:
-                    union_values.append(
-                        union_bound_hit_probability(schedule, k, word)
-                    )
-        union_mean = (
-            sum(union_values) / len(union_values) if union_values else None
-        )
+        sampled = _sampled_statistics(config, label, k, outcomes)
         elapsed = time.perf_counter() - start
-        records.append(
-            NonconvRecord(
-                schedule=label,
-                k=k,
-                eta=config.eta,
-                trials=trials,
-                tail_mass_exact=tail.exact,
-                tail_mass_normal=tail.normal_approx,
-                p0_hat=absent_count / trials,
-                p0_lo=lo,
-                p0_hi=hi,
-                tail_rate=tail_count / trials,
-                tail_and_hit_rate=tail_hit / trials,
-                union_bound_mean=union_mean,
-                union_bound_samples=len(union_values),
-                wall_time_s=elapsed,
-                timeout=_flag_timeout(config, elapsed),
-            )
-        )
+        records.append(NonconvRecord(
+            schedule=label, k=k, eta=config.eta, trials=len(outcomes),
+            tail_mass_exact=tail.exact, tail_mass_normal=tail.normal_approx,
+            wall_time_s=elapsed, timeout=_flag_timeout(config, elapsed), **sampled,
+        ))
     return records
+
+
+def _sampled_statistics(config: ExperimentConfig, label: str, k: int, outcomes) -> dict:
+    """The sampled fields of one nonconv cell, or its error status if a trial
+    failed; the first union_bound_samples tail patterns get a union bound."""
+    failed = [outcome for outcome in outcomes if isinstance(outcome, BaseException)]
+    if failed:
+        return {"status": f"error: {failed[0]}"}
+    trials = len(outcomes)
+    absent = sum(1 for _, hit, _ in outcomes if not hit)
+    tail_hit = sum(1 for _, hit, in_tail in outcomes if hit and in_tail)
+    tail_words = [word for word, _, in_tail in outcomes if in_tail]
+    lo, hi = binomial_ci(absent, trials, 0.95)
+    schedule = next(s for s in config.parsed_schedules if s.label == label)
+    union_values = [
+        union_bound_hit_probability(schedule, k, word)
+        for word in tail_words[: config.union_bound_samples]
+    ]
+    return {
+        "p0_hat": absent / trials, "p0_lo": lo, "p0_hi": hi,
+        "tail_rate": len(tail_words) / trials, "tail_and_hit_rate": tail_hit / trials,
+        "union_bound_mean": sum(union_values) / len(union_values) if union_values else None,
+        "union_bound_samples": len(union_values),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -101,6 +100,9 @@ class Constant(BiasSchedule):
 
     value: float
 
+    def __post_init__(self) -> None:
+        _check_bias("const", self.value)
+
     def gamma(self, n: int) -> float:
         _check_index(n)
         return self.value
@@ -174,6 +176,8 @@ class Table(BiasSchedule):
             raise ValueError("Table schedule needs at least one value")
         if self.tail not in ("repeat", "zero"):
             raise ValueError("Table tail rule must be 'repeat' or 'zero'")
+        for n, value in enumerate(self.values, start=1):
+            _check_bias(f"gamma({n})", value)
 
     def gamma(self, n: int) -> float:
         _check_index(n)
@@ -204,28 +208,27 @@ def _check_index(n: int) -> None:
         raise ValueError(f"positions are 1-based, got {n}")
 
 
-def validate(schedule: BiasSchedule, extra_indices: Sequence[int] = ()) -> list[str]:
-    """Check the schedule on the geometric probe grid plus caller indices.
+def _check_bias(name: str, value: float) -> None:
+    """Reject a bias outside the open interval (-1/2, 1/2), NaN included."""
+    if not -0.5 < value < 0.5:
+        raise ValueError(f"{name} = {value!r} outside (-1/2, 1/2)")
+
+
+def validate(schedule: BiasSchedule) -> list[str]:
+    """Check the schedule on the geometric probe grid.
 
     Returns violation messages (empty list means clean); out-of-range values
-    are data to report, not exceptions.
+    are data to report, not exceptions (``Constant`` and ``Table`` raise them
+    when built).
     """
     violations: list[str] = []
-    probes = sorted(set(PROBE_GRID) | {int(n) for n in extra_indices})
-    for n in probes:
-        if n < 1:
-            violations.append(f"index {n}: positions are 1-based")
-            continue
+    for n in PROBE_GRID:
         g = schedule.gamma(n)
         if not -0.5 < g < 0.5:
             violations.append(f"gamma({n}) = {g!r} outside (-1/2, 1/2)")
-        if not math.isfinite(g):
-            violations.append(f"gamma({n}) = {g!r} is not finite")
     if isinstance(schedule, LogPower):
         # Decay kinds must be non-increasing from position 2 on.
-        for n in probes:
-            if n < 2:
-                continue
+        for n in PROBE_GRID[1:]:
             if schedule.gamma(n + 1) > schedule.gamma(n) + 1e-15:
                 violations.append(
                     f"gamma({n + 1}) > gamma({n}): decay schedule not non-increasing"

@@ -282,3 +282,9 @@ class TestOtherCommands:
     def test_schedule_info_bad_spec_exits_one(self):
         proc = run_cli("schedule-info", "bogus:1")
         assert proc.returncode == 1
+
+    def test_schedule_info_out_of_range_bias_exits_one(self):
+        proc = run_cli("schedule-info", "const:0.7")
+        assert proc.returncode == 1
+        assert proc.stderr == "error: const = 0.7 outside (-1/2, 1/2)\n"
+        assert proc.stdout == ""

@@ -35,7 +35,7 @@ CASES = {
     "quenched": ("quenched", run_quenched, {"k_list": (10, 14), "trials": 3}),
     # unsorted levels, a repeated level and a gap: each level of one trial
     # reads a prefix of the same sequence, and a repeated level repeats its
-    # records
+    # rows (but never adds trials to an aggregate; see the tests below)
     "quenched-levels": ("quenched", run_quenched, {"k_list": (16, 11, 16), "trials": 2}),
     "annealed": ("annealed", run_annealed, {"k_list": (10, 14), "trials": 3}),
     "nonconv": ("nonconv", run_nonconv, {"k_list": (10, 12, 14), "trials": 20}),
@@ -79,6 +79,20 @@ def test_sweep_csv_is_byte_identical(mode, threads):
 def test_bounds_csv_matches_within_rounding(threads):
     want = (GOLDEN_DIR / "bounds.csv").read_text()
     assert_close_cells(render("bounds", threads), want)
+
+
+def test_a_repeated_level_adds_no_trials_to_the_annealed_aggregates():
+    config = ExperimentConfig(k_list=(10, 14, 10), trials=3)
+    text = records_to_csv("annealed", run_annealed(config))
+    want = (GOLDEN_DIR / "annealed.csv").read_text()
+    aggregates = [line for line in text.splitlines() if ",annealed," in line]
+    assert aggregates == [line for line in want.splitlines() if ",annealed," in line]
+
+
+def test_a_repeated_level_adds_no_trials_to_the_nonconv_rows():
+    config = ExperimentConfig(k_list=(10, 12, 14, 12), trials=20)
+    want = (GOLDEN_DIR / "nonconv.csv").read_text()
+    assert records_to_csv("nonconv", run_nonconv(config)) == want
 
 
 if __name__ == "__main__":

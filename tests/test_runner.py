@@ -29,7 +29,7 @@ from pgl.runner import (
 )
 from pgl.sampler import derive_seed, sample_sequence
 from pgl.schedule import parse_schedule
-from pgl.stats import poisson_distribution, tv_distance
+from pgl.stats import aggregate_annealed, poisson_distribution, tv_distance
 
 E_INV = math.exp(-1.0)
 
@@ -241,6 +241,40 @@ class TestQuenched:
             "error: no successful trials to aggregate"
         ] * 2
 
+    def test_memory_error_while_sampling_gives_nonconv_error_rows(self, monkeypatch):
+        def short_of_memory(schedule, length, seeds):
+            raise MemoryError("synthetic pressure")
+
+        monkeypatch.setattr(runner, "sample_sequences", short_of_memory)
+        records = run_nonconv(small_config(schedules=("zero",), trials=2))
+        assert [(r.k, r.status) for r in records] == [
+            (4, "error: synthetic pressure"), (6, "error: synthetic pressure")
+        ]
+        for r in records:
+            tail = symbol_sum_tail_mass(r.k, r.eta)
+            assert (r.trials, r.tail_mass_exact, r.tail_mass_normal) == (
+                2, tail.exact, tail.normal_approx
+            )
+            assert (r.p0_hat, r.p0_lo, r.p0_hi, r.tail_rate, r.tail_and_hit_rate,
+                    r.union_bound_mean, r.union_bound_samples) == (None,) * 6 + (0,)
+        # the sampled statistics are empty cells
+        row = records_to_csv("nonconv", records).splitlines()[2]
+        assert row.endswith(",,,,,,,0,error: synthetic pressure")
+
+    def test_resource_error_at_one_level_gives_one_nonconv_error_row(self, monkeypatch):
+        real = runner.level_codes
+
+        def flaky(codes, k):
+            if k == 6:
+                raise ResourceError("synthetic pressure")
+            return real(codes, k)
+
+        monkeypatch.setattr(runner, "level_codes", flaky)
+        records = run_nonconv(small_config(schedules=("zero",), trials=2))
+        assert [(r.k, r.status) for r in records] == [
+            (4, "ok"), (6, "error: synthetic pressure")
+        ]
+
     def test_fair_sequences_sit_close_to_poisson(self):
         cfg = small_config(schedules=("zero",), k_list=(18,), trials=5)
         records = run_quenched(cfg)
@@ -302,6 +336,40 @@ class TestSharedPasses:
                for r in run_quenched(cfg)]
         assert got == expected
 
+    @settings(max_examples=10, deadline=None)
+    @given(
+        schedules=st.lists(st.sampled_from(("zero", "logpow:1", "logpow:1.0")),
+                           min_size=1, max_size=3),
+        k_list=level_lists(),
+        trials=st.integers(1, 3),
+        threads=st.sampled_from((1, 4)),
+        master_seed=st.integers(0, 2**32),
+    )
+    def test_aggregates_count_each_trial_once(self, schedules, k_list, trials, threads,
+                                              master_seed):
+        cfg = small_config(schedules=tuple(schedules), k_list=k_list, trials=trials,
+                           threads=threads, master_seed=master_seed, union_bound_samples=0)
+        cells = sorted({(parse_schedule(spec).label, k) for spec in schedules for k in k_list})
+        expected = []
+        for label, k in cells:
+            schedule = parse_schedule(label)
+            laws = [
+                quenched_distribution(window_histogram(
+                    sample_sequence(schedule, (1 << k) + k - 1, derive_seed(master_seed, t)), k
+                ))
+                for t in range(trials)
+            ]
+            law, stderr = aggregate_annealed(laws)
+            tv = tv_distance(law, poisson_distribution(1.0)).distance
+            expected.append((label, k, law.mass(0), law.mass(1), law.mass(2),
+                             stderr.get(0, 0.0), tv))
+        got = [(r.schedule, r.k, r.p0, r.p1, r.p2, r.p0_stderr, r.tv_to_po1)
+               for r in run_annealed(cfg) if r.mode == "annealed"]
+        assert got == expected
+        assert [(r.schedule, r.k, r.trials) for r in run_nonconv(cfg)] == [
+            (label, k, trials) for label, k in cells
+        ]
+
 
 class TestNanGuard:
     def test_result_record_rejects_nan(self):
@@ -357,6 +425,20 @@ class TestAnnealed:
         cfg = small_config(schedules=("logpow:0.25",), k_list=(14,), trials=100)
         agg = next(r for r in run_annealed(cfg) if r.mode == "annealed")
         assert agg.p0 - E_INV > 0.1
+
+    def test_a_repeated_schedule_label_adds_no_trials(self):
+        # both specs parse to logpow:1.0: one aggregate over three laws
+        cfg = small_config(schedules=("logpow:1", "logpow:1.0"), k_list=(6,), trials=3)
+        records = run_annealed(cfg)
+        trials = [r for r in records if r.mode == "quenched"]
+        aggregates = [r for r in records if r.mode == "annealed"]
+        assert len(trials) == 6 and len(aggregates) == 1
+        once = run_annealed(small_config(schedules=("logpow:1.0",), k_list=(6,), trials=3))
+        assert records_to_csv("annealed", aggregates) == records_to_csv(
+            "annealed", [r for r in once if r.mode == "annealed"]
+        )
+        nonconv = run_nonconv(cfg)
+        assert [(r.schedule, r.trials) for r in nonconv] == [("logpow:1.0", 3)]
 
     def test_trial_errors_are_isolated_per_record(self, monkeypatch):
         real = runner.level_histogram

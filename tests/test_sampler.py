@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,22 @@ from pgl.sampler import (
     sample_words,
     write_bits,
 )
-from pgl.schedule import Constant, LogPower, Zero
+from pgl.schedule import BiasSchedule, Constant, LogPower, Zero
+
+
+@dataclass(frozen=True)
+class Unchecked(BiasSchedule):
+    """A constant bias that its constructor does not check, so that the
+    sampler's own range guard is what fires."""
+
+    value: float
+
+    def _gamma_array(self, ns):
+        return np.full_like(ns, self.value)
+
+    @property
+    def label(self) -> str:
+        return "unchecked"
 
 
 class TestSeeds:
@@ -112,9 +128,9 @@ class TestSequences:
             sample_sequence(Zero(), 0, seed=1)
         # a bias of +/- 1/2 leaves no randomness; the guard fires on use
         with pytest.raises(ValueError, match="outside"):
-            sample_sequence(Constant(0.5), 8, seed=1)
+            sample_sequence(Unchecked(0.5), 8, seed=1)
         with pytest.raises(ValueError):
-            sample_sequence(Constant(-0.7), 8, seed=1)
+            sample_sequence(Unchecked(-0.7), 8, seed=1)
 
 
 class TestWords:

@@ -124,15 +124,32 @@ class TestValidation:
             assert validate(sched) == []
 
     def test_out_of_range_bias_is_reported(self):
-        messages = validate(Constant(0.7))
-        assert messages and any("outside" in m for m in messages)
-        assert validate(Constant(0.5))          # boundary is excluded
-        assert validate(Table((0.1, 0.6)))
+        # the constructor reports it; no such schedule reaches validate()
+        with pytest.raises(ValueError, match=r"const = 0\.7 outside \(-1/2, 1/2\)"):
+            Constant(0.7)
+        with pytest.raises(ValueError, match="outside"):
+            Constant(0.5)                       # boundary is excluded
+        with pytest.raises(ValueError, match=r"const = nan outside"):
+            Constant(math.nan)
+        with pytest.raises(ValueError, match=r"gamma\(2\) = 0\.6 outside"):
+            Table((0.1, 0.6))
 
     def test_extra_indices_are_probed(self):
-        # clean on the default grid, flagged once a bad index is probed
-        bad_at_5 = Table((0.1, 0.1, 0.1, 0.1, 0.9), tail="zero")
-        assert any("gamma(5)" in m for m in validate(bad_at_5, extra_indices=(5,)))
+        # position 5 is off the validate() probe grid; the constructor
+        # checks every table entry
+        with pytest.raises(ValueError, match=r"gamma\(5\) = 0\.9 outside"):
+            Table((0.1, 0.1, 0.1, 0.1, 0.9), tail="zero")
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.floats())
+    def test_any_float_makes_a_valid_constant_or_fails(self, value):
+        try:
+            sched = Constant(value)
+        except ValueError:
+            assert not -0.5 < value < 0.5
+        else:
+            assert -0.5 < value < 0.5
+            assert validate(sched) == []
 
 
 class TestClassification:
