@@ -241,9 +241,7 @@ def hit_probability(schedule: BiasSchedule, j: int, word: Word) -> float:
     return math.ldexp(likelihood_ratio(schedule, j, word), -word.k)
 
 
-def pair_hit_probability(
-    schedule: BiasSchedule, i: int, j: int, k: int, exact_cap: int = 26
-) -> float:
+def pair_hit_probability(schedule: BiasSchedule, i: int, j: int, k: int) -> float:
     """P(windows at i and j both match one shared uniform pattern), exact.
 
     Disjoint windows (|i-j| >= k): the pattern average factorizes per symbol
@@ -265,10 +263,6 @@ def pair_hit_probability(
         gi = schedule.gamma_slice(lo, k)
         gj = schedule.gamma_slice(hi, k)
         return math.ldexp(float(np.prod(1.0 + 4.0 * gi * gj)), -2 * k)
-    if k > exact_cap:
-        raise CapabilityError(
-            f"overlap pair expectation at level {k} exceeds exact_cap {exact_cap}"
-        )
     return float(overlap_pair_probabilities(schedule, k, d, lo, 1)[0])
 
 

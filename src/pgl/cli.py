@@ -75,7 +75,8 @@ def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--epsilon", type=float,
                      help=f"bounds: head-block exponent in (0,1); default {d['epsilon']}")
     sub.add_argument("--theta", type=float,
-                     help=f"bounds: concentration exponent in (0,1/2); default {d['theta']}")
+                     help="bounds: concentration exponent in (0,1/2), recorded in the theta "
+                     f"column; enters none of A, B, C; default {d['theta']}")
     sub.add_argument("--eta", type=float, help=f"nonconv: tail-set depth >= 0; default {d['eta']}")
     sub.add_argument("--mc-samples", type=int,
                      help=f"bounds: Monte Carlo pattern samples; default {d['mc_samples']}")
@@ -85,7 +86,6 @@ def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
                      help="nonconv: tail patterns given an exact union bound per cell; "
                      f"default {d['union_bound_samples']}")
     sub.add_argument("--threads", type=int, help=f"worker threads; default {d['threads']}")
-    sub.add_argument("--time-limit", type=float, help="per-record soft wall-time flag, seconds")
     sub.add_argument("--config", default=None, metavar="PATH",
                      help="JSON file with config fields; flags override")
     sub.add_argument("--out", default=None, metavar="PATH", help="output file; default stdout")

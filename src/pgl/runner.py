@@ -50,7 +50,7 @@ from .counter import (
     quenched_distribution,
     window_codes,
 )
-from .errors import CapabilityError, NanGuard, ResourceError
+from .errors import CapabilityError, NanGuard
 from .sampler import MAX_WORD_LEVEL, derive_seed, sample_sequences, sample_word
 from .schedule import cesaro_average, classify_kakutani, parse_schedule, validate
 from .stats import aggregate_annealed, binomial_ci, poisson_distribution, tv_distance
@@ -112,7 +112,6 @@ class ExperimentConfig:
     mc_samples: int = 4096
     exact_cap: int = 20
     threads: int = 1
-    time_limit: float | None = None
     union_bound_samples: int = 4
 
     def __post_init__(self) -> None:
@@ -128,8 +127,6 @@ class ExperimentConfig:
             _require(name, getattr(self, name), numbers.Integral, "an integer")
         for name in _REAL_FIELDS:
             _require(name, getattr(self, name), numbers.Real, "a real number")
-        if self.time_limit is not None:
-            _require("time_limit", self.time_limit, numbers.Real, "a real number or null")
         if not self.schedules:
             raise ValueError("need at least one schedule spec")
         if not self.k_list:
@@ -148,8 +145,6 @@ class ExperimentConfig:
             raise ValueError("eta must be >= 0")
         if self.union_bound_samples < 0:
             raise ValueError("union_bound_samples must be >= 0")
-        if self.time_limit is not None and not self.time_limit > 0:
-            raise ValueError("time_limit must be positive when set")
         # Parsing rejects malformed specs and out-of-range biases.
         self.parsed_schedules
 
@@ -178,8 +173,10 @@ class ExperimentConfig:
 class ResultRecord(NanGuard):
     """One quenched trial, or one annealed aggregate (mode field tells).
 
-    A trial that hits a resource limit is emitted with status "error: ..."
-    and None summaries; the sweep continues.
+    A trial or level that runs out of memory is emitted with status
+    "error: ..." and None summaries; the sweep continues.  wall_time_s times
+    only this row's summary (masses and TV distance): the shared (schedule,
+    trial) pass that samples and counts belongs to no single row.
     """
 
     schedule: str
@@ -193,7 +190,6 @@ class ResultRecord(NanGuard):
     p0_stderr: float | None = None
     status: str = "ok"
     wall_time_s: float = 0.0
-    timeout: bool = False
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -201,19 +197,15 @@ class ResultRecord(NanGuard):
 
 @dataclass(frozen=True)
 class BoundsRecord:
-    """Stein-method error terms for one (schedule, level) cell."""
+    """Stein-method error terms for one (schedule, level) cell;
+    wall_time_s times the whole cell."""
 
     schedule: str
     report: ChenSteinReport
     wall_time_s: float = 0.0
-    timeout: bool = False
 
     def as_dict(self) -> dict:
-        merged = {"schedule": self.schedule}
-        merged.update(self.report.as_dict())
-        merged["wall_time_s"] = self.wall_time_s
-        merged["timeout"] = self.timeout
-        return merged
+        return {"schedule": self.schedule, **self.report.as_dict(), "wall_time_s": self.wall_time_s}
 
 
 @dataclass(frozen=True)
@@ -226,7 +218,9 @@ class NonconvRecord(NanGuard):
     occurred at least once (the quantity that must vanish for slowly
     decaying bias); union_bound_mean averages the positionwise union bound
     over the first few tail patterns (None when none were seen).  Error
-    rows ("error: ...") leave every sampled field None.
+    rows ("error: ...") leave every sampled field None.  wall_time_s times
+    the tail masses, the interval and the union bounds, not the shared
+    sampling pass.
     """
 
     schedule: str
@@ -244,7 +238,6 @@ class NonconvRecord(NanGuard):
     union_bound_samples: int = 0
     status: str = "ok"
     wall_time_s: float = 0.0
-    timeout: bool = False
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -261,8 +254,11 @@ def _map_tasks(fn, tasks, threads: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _flag_timeout(config: ExperimentConfig, elapsed: float) -> bool:
-    return config.time_limit is not None and elapsed > config.time_limit
+def _cells(config: ExperimentConfig) -> list[tuple[str, int]]:
+    """The sorted (schedule label, level) cell of every (spec entry, level
+    entry) pair; a repeated spec or level repeats its cell."""
+    labels = [schedule.label for schedule in config.parsed_schedules]
+    return sorted((label, k) for label in labels for k in config.k_list)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +273,8 @@ def _level_outcomes(config: ExperimentConfig, mode: str, outcome) -> dict:
     level K, and builds its level-K window codes once; each level k reads the
     first 2^k.  A schedule's trials are sampled together, sharing each
     chunk's thresholds.  A MemoryError while sampling or building the codes
-    is the outcome of every level of the trial; a MemoryError or
-    ResourceError at one level is the outcome of that level alone.
+    is the outcome of every level of the trial; a MemoryError at one level
+    is the outcome of that level alone.
     """
     bad = [k for k in config.k_list if k > DENSE_CAP]
     if bad:
@@ -311,7 +307,7 @@ def _level_outcomes(config: ExperimentConfig, mode: str, outcome) -> dict:
                 for k in levels:
                     try:
                         outcomes.append(outcome(schedule, trial, k, codes))
-                    except (MemoryError, ResourceError) as exc:
+                    except MemoryError as exc:
                         outcomes.append(exc)
                 return outcomes
 
@@ -326,8 +322,7 @@ def _count_law(schedule, trial: int, k: int, codes):
 
 
 def _law_record(
-    label: str, k: int, seed: int, mode: str, law, config: ExperimentConfig,
-    p0_stderr: float | None = None,
+    label: str, k: int, seed: int, mode: str, law, p0_stderr: float | None = None
 ) -> ResultRecord:
     """Summarize a count law against Poisson(1); an exception in place of
     the law makes an error row."""
@@ -339,21 +334,18 @@ def _law_record(
     else:
         p0, p1, p2 = law.mass(0), law.mass(1), law.mass(2)
         tv = tv_distance(law, _POISSON_ONE).distance
-    elapsed = time.perf_counter() - start
     return ResultRecord(
         schedule=label, k=k, seed=seed, mode=mode, p0=p0, p1=p1, p2=p2, tv_to_po1=tv,
-        p0_stderr=p0_stderr, status=status, wall_time_s=elapsed,
-        timeout=_flag_timeout(config, elapsed),
+        p0_stderr=p0_stderr, status=status, wall_time_s=time.perf_counter() - start,
     )
 
 
 def _trial_records(config: ExperimentConfig, table: dict) -> list[ResultRecord]:
     """One sorted row per (spec entry, level entry, trial); a repeated spec
     or level repeats its rows."""
-    cells = [(schedule.label, k) for schedule in config.parsed_schedules for k in config.k_list]
     records = [
-        _law_record(label, k, derive_seed(config.master_seed, trial), "quenched", law, config)
-        for label, k in cells for trial, law in enumerate(table[label, k])
+        _law_record(label, k, derive_seed(config.master_seed, trial), "quenched", law)
+        for label, k in _cells(config) for trial, law in enumerate(table[label, k])
     ]
     return sorted(records, key=lambda r: (r.schedule, r.k, r.seed))
 
@@ -375,17 +367,11 @@ def run_annealed(config: ExperimentConfig) -> list[ResultRecord]:
     aggregates = []
     for (label, k), outcomes in sorted(table.items()):
         laws = [law for law in outcomes if not isinstance(law, BaseException)]
+        law, p0_stderr = RuntimeError("no successful trials to aggregate"), None
         if laws:
-            mean_law, stderr = aggregate_annealed(laws)
-            aggregates.append(_law_record(
-                label, k, config.master_seed, "annealed", mean_law, config,
-                p0_stderr=stderr.get(0, 0.0),
-            ))
-        else:
-            aggregates.append(_law_record(
-                label, k, config.master_seed, "annealed",
-                RuntimeError("no successful trials to aggregate"), config,
-            ))
+            law, stderr = aggregate_annealed(laws)
+            p0_stderr = stderr.get(0, 0.0)
+        aggregates.append(_law_record(label, k, config.master_seed, "annealed", law, p0_stderr))
     return _trial_records(config, table) + aggregates
 
 
@@ -394,23 +380,23 @@ def run_annealed(config: ExperimentConfig) -> list[ResultRecord]:
 
 
 def run_bounds(config: ExperimentConfig) -> list[BoundsRecord]:
-    """Stein-method error terms A, B, C for every (schedule, level)."""
-    tasks = [(schedule, k) for schedule in config.parsed_schedules for k in config.k_list]
+    """Stein-method error terms A, B, C for every (schedule, level).
 
-    def work(task):
-        schedule, k = task
+    Each distinct (schedule label, level) cell is computed once; a repeated
+    spec or level repeats its row.
+    """
+    schedules = {schedule.label: schedule for schedule in config.parsed_schedules}
+    cells = _cells(config)
+    distinct = sorted(set(cells))
+
+    def work(cell):
+        label, k = cell
         start = time.perf_counter()
-        report = chen_stein_terms(schedule, config.stein_params(k))
-        elapsed = time.perf_counter() - start
-        return BoundsRecord(
-            schedule=schedule.label,
-            report=report,
-            wall_time_s=elapsed,
-            timeout=_flag_timeout(config, elapsed),
-        )
+        report = chen_stein_terms(schedules[label], config.stein_params(k))
+        return BoundsRecord(schedule=label, report=report, wall_time_s=time.perf_counter() - start)
 
-    records = _map_tasks(work, tasks, config.threads)
-    return sorted(records, key=lambda r: (r.schedule, r.report.k))
+    records = dict(zip(distinct, _map_tasks(work, distinct, config.threads)))
+    return [records[cell] for cell in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +422,10 @@ def run_nonconv(config: ExperimentConfig) -> list[NonconvRecord]:
         start = time.perf_counter()
         tail = symbol_sum_tail_mass(k, config.eta)
         sampled = _sampled_statistics(config, label, k, outcomes)
-        elapsed = time.perf_counter() - start
         records.append(NonconvRecord(
             schedule=label, k=k, eta=config.eta, trials=len(outcomes),
             tail_mass_exact=tail.exact, tail_mass_normal=tail.normal_approx,
-            wall_time_s=elapsed, timeout=_flag_timeout(config, elapsed), **sampled,
+            wall_time_s=time.perf_counter() - start, **sampled,
         ))
     return records
 

@@ -167,11 +167,11 @@ class TestPairProbabilities:
         got = pair_hit_probability(schedule, i, j, k)
         assert got == pytest.approx(expected, rel=1e-11, abs=1e-15)
 
-    def test_overlap_beyond_cap_is_a_capability_error(self):
-        with pytest.raises(CapabilityError):
-            pair_hit_probability(Zero(), 1, 2, 28)
-        # disjoint windows keep a closed form at any level
-        assert pair_hit_probability(Zero(), 1, 30, 28) > 0.0
+    def test_pairs_beyond_level_26_are_exact(self):
+        # under the fair coin any two distinct windows match a uniform
+        # pattern together with probability 2^-2k, overlapping or not
+        assert pair_hit_probability(Zero(), 1, 2, 28) == 2.0 ** -56
+        assert pair_hit_probability(Zero(), 1, 30, 28) == 2.0 ** -56
 
     def test_vectorized_overlaps_match_scalar_calls(self):
         sched = LogPower(1.0)

@@ -4,9 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pgl.cli import _build_config, build_parser
 from pgl.runner import ExperimentConfig
@@ -139,7 +143,63 @@ class TestQuenchedCommand:
         assert outs[0] == outs[1]
 
 
+# A valid value for every config field; FLAGS names the flags not spelled
+# like their field.
+FIELD_VALUES = {
+    "schedules": st.lists(st.sampled_from(("zero", "const:0.1", "logpow:1.0", "logpow:0.25")),
+                          min_size=1, max_size=3),
+    "k_list": st.lists(st.integers(1, 60), min_size=1, max_size=3),
+    "trials": st.integers(1, 10**6),
+    "master_seed": st.integers(0, 2**64 - 1),
+    "epsilon": st.floats(0, 1, exclude_min=True, exclude_max=True),
+    "theta": st.floats(0, 0.5, exclude_min=True, exclude_max=True),
+    "eta": st.floats(0, 100),
+    "mc_samples": st.integers(2, 10**6),
+    "exact_cap": st.integers(1, 26),
+    "threads": st.integers(1, 64),
+    "union_bound_samples": st.integers(0, 100),
+}
+FLAGS = {"schedules": "--schedule", "k_list": "--k", "master_seed": "--seed"}
+FIELD_NAMES = {field.name for field in fields(ExperimentConfig)}
+
+
+def sweep_argv(values: dict) -> list[str]:
+    argv = []
+    for name, value in values.items():
+        text = ",".join(map(str, value)) if isinstance(value, list) else repr(value)
+        argv += [FLAGS.get(name, "--" + name.replace("_", "-")), text]
+    return argv
+
+
 class TestConfigFiles:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        file=st.fixed_dictionaries({}, optional=FIELD_VALUES),
+        flags=st.fixed_dictionaries({}, optional=FIELD_VALUES),
+        unknown=st.dictionaries(
+            st.sampled_from(["time_limit", "timeout", "seed", "k"])
+            | st.text(max_size=8).filter(lambda key: key not in FIELD_NAMES),
+            st.integers(),
+            max_size=2,
+        ),
+    )
+    @example(file={}, flags={}, unknown={"time_limit": 5.0})
+    def test_flags_beat_the_file_which_beats_the_defaults(self, file, flags, unknown):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps({**file, **unknown}))
+            args = build_parser().parse_args(["bounds", "--config", str(path), *sweep_argv(flags)])
+            if unknown:
+                with pytest.raises(ValueError) as excinfo:
+                    _build_config(args)
+                assert str(excinfo.value) == f"unknown config keys: {', '.join(sorted(unknown))}"
+                return
+            merged = {**ExperimentConfig().as_dict(), **file, **flags}
+            assert _build_config(args).as_dict() == {
+                name: tuple(value) if isinstance(value, list) else value
+                for name, value in merged.items()
+            }
+
     def test_flags_override_config_values(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
@@ -184,7 +244,7 @@ class TestConfigFiles:
         [
             ({"epsilon": "0.1"}, "epsilon must be a real number, got '0.1'"),
             ({"epsilon": None}, "epsilon must be a real number, got None"),
-            ({"time_limit": "5"}, "time_limit must be a real number or null, got '5'"),
+            ({"time_limit": 5.0}, "unknown config keys: time_limit"),
             ({"schedules": "zero"}, "schedules must be a list of strings, got 'zero'"),
         ],
     )
@@ -207,7 +267,7 @@ class TestFlags:
         "--schedule", "zero", "--schedule", "const:0.1,logpow:1.0", "--k", "4,5",
         "--k", "6", "--trials", "2", "--seed", "9", "--epsilon", "0.2",
         "--theta", "0.3", "--eta", "0.4", "--mc-samples", "10", "--exact-cap", "12",
-        "--threads", "2", "--time-limit", "5", "--union-bound-samples", "1",
+        "--threads", "2", "--union-bound-samples", "1",
     ]
 
     @pytest.mark.parametrize("mode", ["quenched", "annealed", "bounds", "nonconv"])
@@ -224,13 +284,17 @@ class TestFlags:
             "mc_samples": 10,
             "exact_cap": 12,
             "threads": 2,
-            "time_limit": 5.0,
             "union_bound_samples": 1,
         }
 
     def test_unset_flags_leave_the_defaults(self):
         args = build_parser().parse_args(["bounds"])
         assert _build_config(args) == ExperimentConfig()
+
+    def test_time_limit_is_not_a_flag(self):
+        proc = run_cli("quenched", "--k", "4", "--trials", "1", "--time-limit", "5")
+        assert proc.returncode == 1
+        assert "unrecognized arguments: --time-limit 5" in proc.stderr
 
     def test_non_integer_level_is_a_usage_error(self):
         proc = run_cli("quenched", "--k", "x")

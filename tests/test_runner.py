@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import pgl.runner as runner
 from pgl.analytics import ChenSteinParams, chen_stein_terms, symbol_sum_tail_mass
 from pgl.counter import quenched_distribution, window_histogram
-from pgl.errors import CapabilityError, ResourceError
+from pgl.errors import CapabilityError
 from pgl.runner import (
     DEFAULT_K_LIST,
     DEFAULT_SCHEDULES,
@@ -76,16 +76,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="k_list entry must be an integer"):
             small_config(k_list=(3, value))
 
-    @pytest.mark.parametrize("field", ["epsilon", "theta", "eta", "time_limit"])
+    @pytest.mark.parametrize("field", ["epsilon", "theta", "eta"])
     @pytest.mark.parametrize("value", ["0.1", True, None])
     def test_rejects_non_real_parameters(self, field, value):
-        if field == "time_limit" and value is None:
-            assert small_config(time_limit=None).time_limit is None
-            return
         with pytest.raises(ValueError, match=f"{field} must be a real number"):
             small_config(**{field: value})
 
-    @pytest.mark.parametrize("field", ["eta", "time_limit"])
+    @pytest.mark.parametrize("field", ["eta"])
     def test_rejects_nan_parameters(self, field):
         with pytest.raises(ValueError, match=field):
             small_config(**{field: float("nan")})
@@ -104,7 +101,7 @@ class TestConfig:
             small_config(k_list=4)
 
     def test_rebuilds_from_its_json_dict(self):
-        config = small_config(schedules=["zero"], k_list=[4, 5], time_limit=None)
+        config = small_config(schedules=["zero"], k_list=[4, 5])
         assert config.schedules == ("zero",) and config.k_list == (4, 5)
         loaded = json.loads(json.dumps(config.as_dict()))
         rebuilt = ExperimentConfig(
@@ -261,12 +258,12 @@ class TestQuenched:
         row = records_to_csv("nonconv", records).splitlines()[2]
         assert row.endswith(",,,,,,,0,error: synthetic pressure")
 
-    def test_resource_error_at_one_level_gives_one_nonconv_error_row(self, monkeypatch):
+    def test_memory_error_at_one_level_gives_one_nonconv_error_row(self, monkeypatch):
         real = runner.level_codes
 
         def flaky(codes, k):
             if k == 6:
-                raise ResourceError("synthetic pressure")
+                raise MemoryError("synthetic pressure")
             return real(codes, k)
 
         monkeypatch.setattr(runner, "level_codes", flaky)
@@ -445,7 +442,7 @@ class TestAnnealed:
 
         def flaky(codes, k):
             if k == 6:
-                raise ResourceError("synthetic pressure")
+                raise MemoryError("synthetic pressure")
             return real(codes, k)
 
         monkeypatch.setattr(runner, "level_histogram", flaky)
@@ -487,6 +484,25 @@ class TestBounds:
             assert report.total == pytest.approx(
                 report.a_term + report.b_term, rel=1e-14
             )
+
+    def test_a_repeated_cell_is_computed_once(self, monkeypatch):
+        real = runner.chen_stein_terms
+        calls = []
+
+        def counted(schedule, params):
+            calls.append((schedule.label, params.k))
+            return real(schedule, params)
+
+        monkeypatch.setattr(runner, "chen_stein_terms", counted)
+        # both logpow specs have the label logpow:1.0: 9 rows, 4 cells
+        cfg = small_config(schedules=("logpow:1", "logpow:1.0", "zero"), k_list=(8, 12, 8))
+        rows = records_to_csv("bounds", run_bounds(cfg)).splitlines()
+        assert sorted(calls) == [("logpow:1.0", 8), ("logpow:1.0", 12), ("zero", 8), ("zero", 12)]
+        monkeypatch.undo()
+        once = small_config(schedules=("logpow:1.0", "zero"), k_list=(8, 12))
+        expected = records_to_csv("bounds", run_bounds(once)).splitlines()
+        header, (a8, a12, z8, z12) = expected[:2], expected[2:]
+        assert rows == header + [a8] * 4 + [a12] * 2 + [z8] * 2 + [z12]
 
     def test_levels_beyond_the_histogram_cap_still_run(self):
         cfg = small_config(schedules=("zero",), k_list=(30,))
@@ -599,7 +615,8 @@ class TestSerialization:
         assert payload["mode"] == "quenched"
         assert len(payload["records"]) == len(records)
         first = payload["records"][0]
-        assert "wall_time_s" in first and "timeout" in first
+        assert "wall_time_s" in first and "timeout" not in first
+        assert "time_limit" not in payload["config"]
         assert payload["config"]["master_seed"] == cfg.master_seed
         assert payload["config"]["schedules"] == list(cfg.schedules)
 

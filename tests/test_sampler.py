@@ -209,6 +209,43 @@ class TestBitDumps:
         with pytest.raises(ValueError):
             read_bits(truncated)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        blob=st.one_of(
+            st.binary(max_size=40),
+            st.builds(
+                lambda level, length, payload: b"PGL1" + level.to_bytes(4, "little")
+                + length.to_bytes(8, "little") + payload,
+                st.integers(0, 2**32 - 1), st.integers(0, 80), st.binary(max_size=10),
+            ),
+        ),
+        bits=st.lists(st.integers(0, 1), min_size=1, max_size=100),
+        cut=st.integers(0, 2**16),
+        length=st.integers(0, 2**64 - 1),
+    )
+    def test_any_bytes_load_or_raise_value_error(self, blob, bits, cut, length):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bits.pgl1"
+            path.write_bytes(blob)
+            try:
+                loaded, level = read_bits(path)
+            except ValueError:
+                pass
+            else:
+                assert level == int.from_bytes(blob[4:8], "little")
+                assert loaded.length == int.from_bytes(blob[8:16], "little")
+            write_bits(path, pack_bits(bits))
+            valid = path.read_bytes()
+            # a dump cut short
+            path.write_bytes(valid[: cut % len(valid)])
+            with pytest.raises(ValueError):
+                read_bits(path)
+            # a length field that asks for another payload size
+            if (length + 7) // 8 != (len(bits) + 7) // 8:
+                path.write_bytes(valid[:8] + length.to_bytes(8, "little") + valid[16:])
+                with pytest.raises(ValueError):
+                    read_bits(path)
+
     @settings(max_examples=30, deadline=None)
     @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=300))
     def test_round_trip_preserves_any_bit_pattern(self, bits):

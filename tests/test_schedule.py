@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pgl.schedule import (
     PROBE_GRID,
+    BiasSchedule,
     Constant,
     KakutaniClass,
     LogPower,
@@ -20,6 +21,14 @@ from pgl.schedule import (
     parse_schedule,
     validate,
 )
+
+# The spec grammar's characters (no '/', so a table path stays relative),
+# and fragments that assemble into well-formed specs more often.
+SPEC_ALPHABET = "zerocnstlgpwabifZL0123456789:=.-+_ #"
+SPEC_TOKENS = [
+    "zero", "const", "logpow", "table", ":", "cap=", "n0=", "tail=zero", "tail=repeat",
+    "0", "0.1", "0.25", "0.49", "0.5", "1.0", "-0.3", "2", "16", "1e-3", "inf", "nan",
+]
 
 # First index at which (ln n)^(-1) drops below b, derived by hand:
 # 1/ln(n) < b  iff  n > e^(1/b), so the first integer is floor(e^(1/b)) + 1.
@@ -271,6 +280,22 @@ class TestParsing:
     def test_rejects_malformed_specs(self, spec):
         with pytest.raises(ValueError):
             parse_schedule(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.one_of(
+            st.text(alphabet=SPEC_ALPHABET, max_size=30),
+            st.lists(st.sampled_from(SPEC_TOKENS), max_size=8).map("".join),
+        )
+    )
+    def test_any_spec_text_parses_or_raises_value_error(self, text):
+        try:
+            schedule = parse_schedule(text)
+        except ValueError:
+            return
+        assert isinstance(schedule, BiasSchedule)
+        if not isinstance(schedule, Table):
+            assert parse_schedule(schedule.label) == schedule
 
     def test_unknown_kind_message_names_the_kind(self):
         with pytest.raises(ValueError, match="unknown kind 'bogus'"):
