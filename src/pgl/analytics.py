@@ -20,7 +20,9 @@ over uniform w.  The module computes:
   product built once for every start, so a run of positions costs a few
   array products per class length and a windowed product over the classes);
 * the three Stein-method error terms A, B, C bounding the total-variation
-  distance between the law of the total match count and Poisson(1);
+  distance between the law of the total match count and Poisson(1), whose
+  bounds read the biases through the non-increasing |gamma| envelope, so
+  they hold for biases of either sign and in any order;
 * the ingredients of the non-convergence mechanism at slowly decaying bias:
   balanced products, the mass of patterns with atypically negative symbol
   sum, and the union bound for the hit probability of a fixed pattern.
@@ -37,22 +39,19 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .counter import CountDistribution
 from .errors import CapabilityError, NanGuard
 from .sampler import Word, derive_seed, sample_words
-from .schedule import BiasSchedule, first_persistent_below
+from .schedule import BiasSchedule, Table, first_persistent_below
 
 __all__ = [
     "ChenSteinParams",
     "ChenSteinReport",
     "BalancedSpec",
     "TailMass",
-    "OutlierMass",
     "likelihood_ratio",
-    "hit_probability",
     "log_likelihood_values",
     "exact_likelihood_mean",
     "pair_hit_probability",
     "overlap_pair_probabilities",
     "mean_abs_likelihood_deviation",
-    "outlier_mass",
     "chen_stein_terms",
     "exact_annealed_pmf",
     "balanced_product",
@@ -177,14 +176,6 @@ class TailMass:
     normal_approx: float
 
 
-@dataclass(frozen=True)
-class OutlierMass:
-    """Measured mass outside a concentration set, and its Chebyshev bound."""
-
-    outside_mass: float
-    chebyshev_bound: float
-
-
 # ---------------------------------------------------------------------------
 # Enumeration over all 2^k patterns
 
@@ -234,11 +225,6 @@ def likelihood_ratio(schedule: BiasSchedule, j: int, word: Word) -> float:
     two_gamma = 2.0 * schedule.gamma_slice(j, word.k)
     signs = np.fromiter(word.symbols(), dtype=np.float64, count=word.k)
     return float(np.prod(1.0 + signs * two_gamma))
-
-
-def hit_probability(schedule: BiasSchedule, j: int, word: Word) -> float:
-    """P(window at j equals w) = 2^-k R_j(w)."""
-    return math.ldexp(likelihood_ratio(schedule, j, word), -word.k)
 
 
 def pair_hit_probability(schedule: BiasSchedule, i: int, j: int, k: int) -> float:
@@ -399,38 +385,16 @@ def mean_abs_likelihood_deviation(
     return value, stderr
 
 
-def outlier_mass(
-    schedule: BiasSchedule, j: int, k: int, theta: float, exact_cap: int = 20
-) -> OutlierMass:
-    """Mass of patterns whose weighted symbol sum leaves the concentration set.
-
-    The set keeps |sum_i omega_i gamma_{i+j-1}| <= (sum_i gamma^2)^(1/2-theta),
-    boundary included; Chebyshev bounds the outside mass by
-    (sum_i gamma^2)^(2 theta).  Exact enumeration only (k <= exact_cap).
-    """
-    if not 0 < theta < 0.5:
-        raise ValueError("theta must lie in (0, 1/2)")
-    if k > exact_cap:
-        raise CapabilityError(f"outlier_mass at level {k} exceeds exact_cap {exact_cap}")
-    gam = schedule.gamma_slice(j, k)
-    power = float((gam * gam).sum())
-    if power == 0.0:
-        return OutlierMass(outside_mass=0.0, chebyshev_bound=0.0)
-    sums = _pattern_sums(gam, -gam)
-    threshold = power ** (0.5 - theta)
-    outside = float((np.abs(sums) > threshold).mean())
-    return OutlierMass(outside_mass=outside, chebyshev_bound=power ** (2 * theta))
-
-
 # ---------------------------------------------------------------------------
 # Stein-method error terms
 
 
 def critical_onset_index(schedule: BiasSchedule) -> int | None:
-    """Smallest position from which 1 + 2 gamma_n stays below 2^(1/4).
+    """Smallest position from which 1 + 2 |gamma_n| stays below 2^(1/4).
 
     From this position on, every overlap-pair joint probability at level k is
-    below 2^(-3k/2).  None when the schedule never decays that far.
+    below 2^(-3k/2): each residue-class bracket is at most
+    2 prod (1 + 2 |gamma_t|).  None when the schedule never decays that far.
     """
     return first_persistent_below(schedule, _ONSET_FACTOR_BOUND)
 
@@ -489,11 +453,46 @@ def _stratum_grid(lo: int, n: int) -> list[tuple[int, int]]:
 _HEAD_BLOCK_EXACT_LIMIT = 4096
 
 
+def _envelope(schedule: BiasSchedule) -> BiasSchedule:
+    """A schedule with non-increasing |gamma*_n| >= |gamma_m| for all m >= n:
+    zero, constant and log-power decay are their own; a table gets
+    gamma*_n = sup_{m >= n} |gamma_m| by one backward pass, which covers the
+    tail too (|last value| when repeated, 0 when zero)."""
+    if not isinstance(schedule, Table):
+        return schedule
+    values = np.maximum.accumulate(np.abs(schedule.values)[::-1])[::-1]
+    return Table(values=tuple(values.tolist()), tail=schedule.tail)
+
+
+def _pair_bound(envelope: BiasSchedule, k: int) -> float:
+    """Upper bound on _pair_sum_exact for any schedule with this envelope.
+
+    A residue-class bracket of a pair probability is 2 sum over even subsets
+    S of prod_{t in S} 2 gamma_t, so it grows with each |gamma_t|: the pairs
+    whose lower window starts in a half-octave stratum are bounded by the
+    constant-bias pair probability at the stratum's left-end gamma*, with
+    k + d = q d + s giving s classes of q + 1 positions and d - s of q.
+    """
+    d = np.arange(1, k)
+    q, s = np.divmod(k + d, d)
+    scale = np.ldexp(1.0, -(2 * k + d))
+    total = 0.0
+    for left, width in _stratum_grid(1, 1 << k):
+        g = 2.0 * abs(envelope.gamma(left))
+        short = (1.0 + g) ** q + (1.0 - g) ** q
+        long = (1.0 + g) ** (q + 1) + (1.0 - g) ** (q + 1)
+        total += width * float((long**s * short ** (d - s) * scale).sum())
+    return 2.0 * total
+
+
 def _c_term(
-    schedule: BiasSchedule, params: ChenSteinParams
+    schedule: BiasSchedule, envelope: BiasSchedule, params: ChenSteinParams
 ) -> tuple[float, str, float]:
     """2^-k sum_j E|R_j - 1| over j in 1..2^k: exact, stratified-monotone
-    bound, or Monte Carlo, in that order of preference."""
+    bound, or Monte Carlo, in that order of preference.  E|R_j - 1| is
+    symmetric and convex in each gamma_i, so it grows with each |gamma_i|,
+    and a stratum's left-end value under the envelope bounds the stratum.
+    """
     k = params.k
     n = 1 << k
     exact_points = k <= params.exact_cap
@@ -512,7 +511,7 @@ def _c_term(
     # tail block j >= lo: monotone upper integration on a half-octave grid
     for left, width in _stratum_grid(lo, n):
         value, stderr = mean_abs_likelihood_deviation(
-            schedule,
+            envelope,
             left,
             k,
             exact_cap=params.exact_cap,
@@ -530,15 +529,19 @@ def chen_stein_terms(schedule: BiasSchedule, params: ChenSteinParams) -> ChenSte
 
     A: exact closed form over the window-neighborhood structure.
     B: sum of joint hit probabilities over overlapping pairs; exact through
-       exact_cap, else the onset-index bound j0 k 2^-k + k 2^-k/2.
+       exact_cap, else the onset-index bound j0 k 2^-k + k 2^-k/2, or the
+       stratified envelope bound where larger (the onset bound holds only up
+       to constants: near-saturated windows overlap more often).
     C: pattern-averaged likelihood deviation summed over positions; exact for
        small k, stratified monotone bound with exact or Monte Carlo grid
-       values beyond (mode and stderr reported).
+       values beyond (mode and stderr reported).  Both bounds hold for
+       biases of either sign and in any order.
     """
     k = params.k
     n = 1 << k
     a_value = _neighborhood_term(k)
     onset = critical_onset_index(schedule)
+    envelope = _envelope(schedule)
     if k <= params.exact_cap:
         b_value, b_mode = _pair_sum_exact(schedule, k), "exact"
     else:
@@ -546,8 +549,8 @@ def chen_stein_terms(schedule: BiasSchedule, params: ChenSteinParams) -> ChenSte
         b_value = head_count * k * math.ldexp(1.0, -k)
         if onset is not None and onset <= n:
             b_value += k * 2.0 ** (-k / 2)
-        b_mode = "bound"
-    c_value, c_mode, c_stderr = _c_term(schedule, params)
+        b_value, b_mode = max(b_value, _pair_bound(envelope, k)), "bound"
+    c_value, c_mode, c_stderr = _c_term(schedule, envelope, params)
     return ChenSteinReport(
         k=k,
         lam=1.0,

@@ -266,7 +266,7 @@ def _selftest_battery():
 
     def check_stats():
         po1 = stats.poisson_distribution(1.0)
-        assert stats.tv_distance(po1, po1).distance == 0.0, "TV self-distance"
+        assert stats.tv_distance(po1, po1) == 0.0, "TV self-distance"
         lo, hi = stats.binomial_ci(50, 100, 0.95)
         assert lo < 0.5 < hi, "Wilson interval covers the point estimate"
 

@@ -6,7 +6,8 @@ x_{j+t-1}; x_j sits at the least significant bit.  Codes are read straight
 from the packed buffer: the 64-bit little-endian word loaded at byte b holds
 the windows at positions 8b+1, ..., 8b+8, one shift apart.  Since the level-k
 code of a window is the low k bits of its level-K code, one level-K build
-serves every level k <= K through its first 2^k codes.
+serves every level k <= K through its first 2^k codes.  A level-k histogram
+is the plain array of 2^k pattern counts, entry w for the pattern with code w.
 
 The quenched count law of x at level k is the distribution of the count
 N_x(w) when the pattern w is drawn uniformly: pmf(m) is the fraction of the
@@ -16,27 +17,21 @@ N_x(w) when the pattern w is drawn uniformly: pmf(m) is the fraction of the
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ResourceError
-from .sampler import PackedSequence, Word
+from .sampler import PackedSequence
 
 __all__ = [
-    "WindowHistogram",
     "CountDistribution",
     "window_codes",
     "level_codes",
     "level_histogram",
     "window_histogram",
-    "count_word",
     "quenched_distribution",
-    "histogram_to_csv",
-    "distribution_to_csv",
     "DENSE_CAP",
 ]
 
@@ -48,28 +43,6 @@ DENSE_CAP = 26
 # Rows of eight windows built per block, so that a block's codes stay in
 # cache while the eight shift phases fill them.
 _CODE_BLOCK = 1 << 14
-
-
-@dataclass(frozen=True, eq=False)
-class WindowHistogram:
-    """Occurrence counts of every level-k pattern over the first 2^k windows."""
-
-    k: int
-    counts: np.ndarray
-
-    @property
-    def positions(self) -> int:
-        return 1 << self.k
-
-    @property
-    def distinct(self) -> int:
-        """Number of patterns that occur at least once."""
-        return int(np.count_nonzero(self.counts))
-
-    def count(self, word: Word) -> int:
-        if word.k != self.k:
-            raise ValueError(f"word has level {word.k}, histogram has level {self.k}")
-        return int(self.counts[word.code])
 
 
 @dataclass(frozen=True)
@@ -105,9 +78,6 @@ class CountDistribution:
         if self.weights is None or self.denominator is None:
             return None
         return Fraction(sum(m * w for m, w in self.weights.items()), self.denominator)
-
-    def support(self) -> list[int]:
-        return sorted(self.pmf)
 
 
 def window_codes(sequence: PackedSequence, k: int) -> np.ndarray:
@@ -150,70 +120,42 @@ def level_codes(codes: np.ndarray, k: int) -> np.ndarray:
     return codes if codes.size == n else codes[:n] & (n - 1)
 
 
-def level_histogram(codes: np.ndarray, k: int) -> WindowHistogram:
-    """Count every level-k pattern over the first 2^k windows of ``codes``."""
-    _require_dense(k)
-    return WindowHistogram(k=k, counts=np.bincount(level_codes(codes, k), minlength=1 << k))
+def level_histogram(codes: np.ndarray, k: int) -> np.ndarray:
+    """Occurrences of every level-k pattern over the first 2^k windows of
+    ``codes``: entry w counts the pattern with code w."""
+    return np.bincount(level_codes(codes, k), minlength=1 << k)
 
 
-def window_histogram(sequence: PackedSequence, k: int) -> WindowHistogram:
-    """Count every level-k pattern over window positions 1..2^k.
+def window_histogram(sequence: PackedSequence, k: int) -> np.ndarray:
+    """Occurrences of every level-k pattern over window positions 1..2^k.
 
-    Needs length >= 2^k + k - 1.  Up to DENSE_CAP; ResourceError beyond.
+    Needs length >= 2^k + k - 1.  Up to DENSE_CAP; ResourceError beyond,
+    before any window is read.
     """
-    _require_dense(k)
-    return level_histogram(window_codes(sequence, k), k)
-
-
-def count_word(sequence: PackedSequence, word: Word) -> int:
-    """Occurrences of one pattern over window positions 1..2^k.
-
-    Same window convention as the histogram, without allocating counters.
-    """
-    return int(np.count_nonzero(window_codes(sequence, word.k) == word.code))
-
-
-def quenched_distribution(histogram: WindowHistogram) -> CountDistribution:
-    """Count law of a uniform pattern against a fixed sequence.
-
-    multiplicity[m] is the number of patterns occurring exactly m times, so
-    the zero-count mass is its entry 0 and only its non-zero entries become
-    weights.
-    """
-    n = 1 << histogram.k
-    multiplicity = np.bincount(histogram.counts)
-    weights = {0: int(multiplicity[0])}
-    weights.update((int(m), int(multiplicity[m])) for m in np.flatnonzero(multiplicity))
-    pmf = {m: w / n for m, w in sorted(weights.items())}
-    return CountDistribution(
-        pmf=pmf,
-        label=f"quenched:k={histogram.k}",
-        weights=weights,
-        denominator=n,
-    )
-
-
-def _require_dense(k: int) -> None:
     if k > DENSE_CAP:
         raise ResourceError(
             f"level {k} exceeds the memory policy (cap {DENSE_CAP}); "
             "lower k or raise the policy in a fork that has the memory"
         )
+    return level_histogram(window_codes(sequence, k), k)
 
 
-def histogram_to_csv(histogram: WindowHistogram, path: str | Path) -> None:
-    """Write `word_code,count` rows for occurring patterns, code ascending."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["word_code", "count"])
-        for code in np.nonzero(histogram.counts)[0]:
-            writer.writerow([int(code), int(histogram.counts[code])])
+def quenched_distribution(counts: np.ndarray) -> CountDistribution:
+    """Count law of a uniform pattern against a fixed sequence, from its
+    level-k pattern counts (2^k of them).
 
-
-def distribution_to_csv(distribution: CountDistribution, path: str | Path) -> None:
-    """Write `m,probability` rows, m ascending."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "probability"])
-        for m in distribution.support():
-            writer.writerow([m, repr(distribution.pmf[m])])
+    multiplicity[m] is the number of patterns occurring exactly m times, so
+    the zero-count mass is its entry 0 and only its non-zero entries become
+    weights.
+    """
+    n = counts.size
+    multiplicity = np.bincount(counts)
+    weights = {0: int(multiplicity[0])}
+    weights.update((int(m), int(multiplicity[m])) for m in np.flatnonzero(multiplicity))
+    pmf = {m: w / n for m, w in sorted(weights.items())}
+    return CountDistribution(
+        pmf=pmf,
+        label=f"quenched:k={n.bit_length() - 1}",
+        weights=weights,
+        denominator=n,
+    )

@@ -333,7 +333,7 @@ def _law_record(
         status = f"error: {law}"
     else:
         p0, p1, p2 = law.mass(0), law.mass(1), law.mass(2)
-        tv = tv_distance(law, _POISSON_ONE).distance
+        tv = tv_distance(law, _POISSON_ONE)
     return ResultRecord(
         schedule=label, k=k, seed=seed, mode=mode, p0=p0, p1=p1, p2=p2, tv_to_po1=tv,
         p0_stderr=p0_stderr, status=status, wall_time_s=time.perf_counter() - start,

@@ -112,21 +112,6 @@ class PackedSequence:
         """The sequence as a 0/1 uint8 vector of length L (bit 1 <-> +1)."""
         return np.unpackbits(self.packed, count=self.length, bitorder="little")
 
-    def bit(self, n: int) -> int:
-        """Bit at 1-based position n."""
-        if not 1 <= n <= self.length:
-            raise ValueError(f"position {n} outside 1..{self.length}")
-        i = n - 1
-        return (int(self.packed[i >> 3]) >> (i & 7)) & 1
-
-    def symbol(self, n: int) -> int:
-        """Symbol at 1-based position n, +1 or -1."""
-        return 2 * self.bit(n) - 1
-
-    def symbols(self) -> np.ndarray:
-        """The full sequence as an int8 vector of +-1 values."""
-        return (2 * self.bits01.astype(np.int8) - 1).astype(np.int8)
-
 
 @dataclass(frozen=True)
 class Word(object):
@@ -196,10 +181,7 @@ def sample_sequences(
 
 def sample_word(k: int, seed: int) -> Word:
     """Uniform k-symbol word: k bits masked from one generator draw."""
-    if not 1 <= k <= MAX_WORD_LEVEL:
-        raise ValueError(f"word length must lie in 1..{MAX_WORD_LEVEL}")
-    code = int(_raw_words(seed, 0, 1)[0]) & ((1 << k) - 1)
-    return Word(k=k, code=code)
+    return Word(k=k, code=int(sample_words(k, seed, 1)[0]))
 
 
 def sample_words(k: int, seed: int, count: int, start: int = 0) -> np.ndarray:

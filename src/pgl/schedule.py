@@ -270,23 +270,23 @@ def cesaro_average(schedule: BiasSchedule, n_terms: int) -> float:
 
 
 def first_persistent_below(schedule: BiasSchedule, bound: float) -> int | None:
-    """Smallest n with gamma(m) < bound for every m >= n, or None.
+    """Smallest n with |gamma(m)| < bound for every m >= n, or None.
 
     Uses kind structure: constants are all-or-nothing, log-power decay is
-    monotone (binary search), tables reduce to the tail rule plus a finite
-    scan.  The search ceiling is 2^63.
+    positive and monotone (binary search), tables reduce to the tail rule
+    plus a finite scan.  The search ceiling is 2^63.
     """
     if isinstance(schedule, Zero):
         return 1 if 0.0 < bound else None
     if isinstance(schedule, Constant):
-        return 1 if schedule.value < bound else None
+        return 1 if abs(schedule.value) < bound else None
     if isinstance(schedule, Table):
         tail_value = schedule.values[-1] if schedule.tail == "repeat" else 0.0
-        if not tail_value < bound:
+        if not abs(tail_value) < bound:
             return None
         last_bad = 0
         for idx, v in enumerate(schedule.values, start=1):
-            if not v < bound:
+            if not abs(v) < bound:
                 last_bad = idx
         return last_bad + 1
     if isinstance(schedule, LogPower):

@@ -4,7 +4,6 @@ and binomial confidence intervals."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -12,7 +11,6 @@ import numpy as np
 from .counter import CountDistribution
 
 __all__ = [
-    "TvResult",
     "poisson_pmf",
     "poisson_distribution",
     "tv_distance",
@@ -50,29 +48,19 @@ def poisson_distribution(lam: float, tail_tol: float = _TAIL_TOL) -> CountDistri
     return CountDistribution(pmf=pmf, label=f"poisson:{lam!r}")
 
 
-@dataclass(frozen=True)
-class TvResult:
-    """Total-variation distance plus the mass neglected by truncation."""
-
-    distance: float
-    truncation_mass: float
-
-
-def tv_distance(p: CountDistribution, q: CountDistribution) -> TvResult:
+def tv_distance(p: CountDistribution, q: CountDistribution) -> float:
     """(1/2) sum_m |p(m) - q(m)| over the union support.
 
     Both inputs must be normalized within 1e-9 (truncated reference laws
-    qualify); the mass outside the represented support is reported separately
-    and stays below 1e-12 for laws built by this package.
+    qualify); the mass outside the represented support is not counted, and
+    stays below 1e-12 for laws built by this package.
     """
     for dist in (p, q):
         total = sum(dist.pmf.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"{dist.label}: masses sum to {total!r}, not 1")
     support = set(p.pmf) | set(q.pmf)
-    distance = 0.5 * sum(abs(p.mass(m) - q.mass(m)) for m in sorted(support))
-    residual = max(0.0, 1.0 - sum(p.pmf.values())) + max(0.0, 1.0 - sum(q.pmf.values()))
-    return TvResult(distance=distance, truncation_mass=residual)
+    return 0.5 * sum(abs(p.mass(m) - q.mass(m)) for m in sorted(support))
 
 
 def aggregate_annealed(

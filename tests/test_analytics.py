@@ -24,11 +24,9 @@ from pgl.analytics import (
     critical_onset_index,
     exact_annealed_pmf,
     exact_likelihood_mean,
-    hit_probability,
     likelihood_ratio,
     log_likelihood_values,
     mean_abs_likelihood_deviation,
-    outlier_mass,
     overlap_pair_probabilities,
     pair_hit_probability,
     symbol_sum_tail_mass,
@@ -102,16 +100,12 @@ class TestLikelihoodRatio:
     def test_unbiased_ratio_is_one(self):
         for code in (0, 5, 7):
             assert likelihood_ratio(Zero(), 4, Word(3, code)) == 1.0
-            assert hit_probability(Zero(), 4, Word(3, code)) == 2.0**-3
 
     def test_hand_computed_table_case(self):
         sched = Table((0.1, 0.2, 0.05))
         word = Word(3, 0b101)                  # symbols +, -, +
         expected = (1 + 2 * 0.2) * (1 - 2 * 0.05) * (1 + 2 * 0.05)
         assert likelihood_ratio(sched, 2, word) == pytest.approx(expected, rel=1e-15)
-        assert hit_probability(sched, 2, word) == pytest.approx(
-            expected / 8, rel=1e-15
-        )
 
     def test_strong_constant_bias(self):
         sched = Constant(0.49)
@@ -307,49 +301,6 @@ class TestMeanAbsDeviation:
         assert late < early
 
 
-class TestOutlierMass:
-    def test_unbiased_mass_is_zero(self):
-        result = outlier_mass(Zero(), 1, 10, theta=0.25)
-        assert result.outside_mass == 0.0
-        assert result.chebyshev_bound == 0.0
-
-    def test_constant_bias_case_matches_enumeration(self):
-        k, g, theta = 8, 0.1, 0.25
-        power = k * g * g
-        threshold = power ** (0.5 - theta)
-        outside = sum(
-            math.comb(k, m)
-            for m in range(k + 1)
-            if abs(g * (2 * m - k)) > threshold
-        ) / 2.0**k
-        result = outlier_mass(Constant(g), 1, k, theta=theta)
-        assert result.outside_mass == pytest.approx(outside, abs=1e-15)
-        assert result.chebyshev_bound == pytest.approx(power ** (2 * theta), rel=1e-14)
-        assert result.outside_mass <= result.chebyshev_bound
-
-    def test_table_case_matches_enumeration(self):
-        k, theta = 6, 0.25
-        gammas = [TABLE6.gamma(i) for i in range(1, k + 1)]
-        threshold = math.fsum(g * g for g in gammas) ** (0.5 - theta)
-        sums = [
-            math.fsum((2 * ((code >> i) & 1) - 1) * g for i, g in enumerate(gammas))
-            for code in range(1 << k)
-        ]
-        # no weighted sum sits on the boundary, so rounding cannot move a pattern
-        assert min(abs(abs(v) - threshold) for v in sums) > 1e-9
-        outside = sum(abs(v) > threshold for v in sums) / (1 << k)
-        assert 0.0 < outside < 1.0
-        assert outlier_mass(TABLE6, 1, k, theta).outside_mass == outside
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            outlier_mass(Zero(), 1, 4, theta=0.0)
-        with pytest.raises(ValueError):
-            outlier_mass(Zero(), 1, 4, theta=0.5)
-        with pytest.raises(CapabilityError):
-            outlier_mass(Zero(), 1, 24, theta=0.25)
-
-
 class TestChenSteinTerms:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -477,6 +428,64 @@ class TestChenSteinTerms:
         assert payload["j0"] == 1
 
 
+class TestBoundsForEverySchedule:
+    """A term labelled bound is at least its exact value, whatever the sign
+    and order of the biases."""
+
+    def test_envelope_is_the_suffix_maximum_of_the_absolute_bias(self):
+        table = Table((0.1, -0.3, 0.2, -0.05, 0.0), tail="zero")
+        assert analytics._envelope(table).values == (0.3, 0.3, 0.2, 0.05, 0.0)
+        assert analytics._envelope(Table((0.1, -0.2))).values == (0.2, 0.2)
+        sched = LogPower(1.0)
+        assert analytics._envelope(sched) is sched
+
+    def test_negative_constant_has_no_onset_for_the_b_bound(self):
+        sched = Constant(-0.3)
+        report = chen_stein_terms(sched, ChenSteinParams(k=16, exact_cap=15))
+        exact = analytics._pair_sum_exact(sched, 16)
+        assert exact == pytest.approx(0.23890, abs=1e-5)
+        assert report.b_mode == "bound" and report.onset_index is None
+        assert report.b_term == 16.0
+
+    def test_saturated_bias_b_bound_dominates_the_exact_sum(self):
+        # logpow:0.25 sits at its cap 0.49 far beyond 2^16, so pairs of
+        # windows at every distance hit together about as often as one does
+        sched = LogPower(0.25)
+        report = chen_stein_terms(sched, ChenSteinParams(k=16, exact_cap=15))
+        exact = analytics._pair_sum_exact(sched, 16)
+        assert exact > 16.0
+        assert report.b_mode == "bound" and report.b_term >= exact
+
+    @pytest.mark.parametrize("table,exact", [
+        (Table((0.0,) * 6200 + (0.45,) * 1800, tail="zero"), 0.213598),
+        (Table((0.0,) * 1000 + (0.3,)), 1.466419),
+    ])
+    def test_rising_table_c_bound_dominates_the_exact_sum(self, table, exact):
+        k = 14
+        full = math.ldexp(analytics._deviation_sum(table, 1, 1 << k, k), -k)
+        assert full == pytest.approx(exact, abs=1e-6)
+        report = chen_stein_terms(table, ChenSteinParams(k=k))
+        assert report.c_mode == "bound"
+        assert report.c_term >= full
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        values=st.lists(st.floats(-0.49, 0.49), min_size=1, max_size=64),
+        tail=st.sampled_from(["repeat", "zero"]),
+        k=st.integers(2, 12),
+    )
+    def test_bounds_dominate_the_exact_sums_for_any_table(self, values, tail, k):
+        table = Table(tuple(values), tail=tail)
+        bounded = chen_stein_terms(table, ChenSteinParams(k=k, exact_cap=k - 1))
+        assert bounded.b_mode == "bound"
+        assert bounded.b_term >= analytics._pair_sum_exact(table, k) - 1e-12
+        with unittest.mock.patch.object(analytics, "_FULL_SUM_CAP", 1):
+            stratified = chen_stein_terms(table, ChenSteinParams(k=k))
+        assert stratified.c_mode == "bound"
+        full = math.ldexp(analytics._deviation_sum(table, 1, 1 << k, k), -k)
+        assert stratified.c_term >= full - 1e-12
+
+
 class TestOnsetIndex:
     def test_known_schedules(self):
         assert critical_onset_index(Zero()) == 1
@@ -484,6 +493,11 @@ class TestOnsetIndex:
         assert critical_onset_index(Constant(0.2)) is None
         assert critical_onset_index(Table((0.3, 0.2, 0.05))) == 3
         assert critical_onset_index(Table((0.05, 0.2))) is None
+        # the onset reads |gamma|, as the pair probabilities do
+        assert critical_onset_index(Constant(-0.05)) == 1
+        assert critical_onset_index(Constant(-0.3)) is None
+        assert critical_onset_index(Table((-0.3, 0.2, -0.05))) == 3
+        assert critical_onset_index(Table((0.05, -0.2))) is None
 
     def test_log_decay_crossing(self):
         expected = math.floor(math.exp(1.0 / ONSET_FACTOR_BOUND)) + 1

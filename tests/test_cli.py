@@ -336,6 +336,13 @@ class TestOtherCommands:
         assert lines[0] == SCHEMA_LINE
         assert "tail_and_hit_rate" in lines[1]
 
+    def test_negative_constant_b_bound_has_no_onset(self):
+        proc = run_cli("bounds", "--schedule", "const:-0.3", "--k", "21")
+        assert proc.returncode == 0, proc.stderr
+        header, row = proc.stdout.strip().splitlines()[1:]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (cells["B"], cells["B_mode"], cells["j0"]) == ("21.0", "bound", "")
+
     def test_schedule_info_reports_json(self):
         proc = run_cli("schedule-info", "logpow:1.0")
         assert proc.returncode == 0, proc.stderr

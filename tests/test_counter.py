@@ -8,9 +8,6 @@ import pytest
 
 from conftest import naive_window_counts, pack_bits
 from pgl.counter import (
-    count_word,
-    distribution_to_csv,
-    histogram_to_csv,
     level_codes,
     level_histogram,
     quenched_distribution,
@@ -18,42 +15,29 @@ from pgl.counter import (
     window_histogram,
 )
 from pgl.errors import ResourceError
-from pgl.sampler import Word, sample_sequence
+from pgl.sampler import sample_sequence
 from pgl.schedule import Constant, LogPower, Zero
 
 
-def histogram_as_dict(hist) -> dict[int, int]:
-    codes = np.nonzero(hist.counts)[0]
-    return {int(c): int(hist.counts[c]) for c in codes}
+def histogram_as_dict(counts) -> dict[int, int]:
+    return {int(c): int(counts[c]) for c in np.flatnonzero(counts)}
 
 
 class TestHistogram:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_naive_scan(self, k):
         seq = sample_sequence(LogPower(1.0), (1 << k) + k - 1, seed=40 + k)
-        hist = window_histogram(seq, k)
-        expected = naive_window_counts(list(seq.bits01), k)
-        assert histogram_as_dict(hist) == expected
-        assert hist.distinct == len(expected)
-        assert hist.positions == 1 << k
+        counts = window_histogram(seq, k)
+        assert counts.shape == (1 << k,)
+        assert histogram_as_dict(counts) == naive_window_counts(list(seq.bits01), k)
 
     def test_every_window_is_counted(self):
         for k, seed in ((1, 0), (5, 1), (10, 2)):
             seq = sample_sequence(Constant(0.2), (1 << k) + k - 1, seed=seed)
-            hist = window_histogram(seq, k)
-            assert sum(histogram_as_dict(hist).values()) == 1 << k
+            assert int(window_histogram(seq, k).sum()) == 1 << k
 
     def test_constant_plus_sequence(self):
-        hist = window_histogram(pack_bits([1] * 5), 2)
-        assert histogram_as_dict(hist) == {0b11: 4}
-        assert hist.distinct == 1
-        assert hist.count(Word(2, 0b11)) == 4
-        assert hist.count(Word(2, 0b10)) == 0
-
-    def test_count_lookup_rejects_level_mismatch(self):
-        hist = window_histogram(pack_bits([1] * 5), 2)
-        with pytest.raises(ValueError):
-            hist.count(Word(3, 0))
+        assert window_histogram(pack_bits([1] * 5), 2).tolist() == [0, 0, 0, 4]
 
     def test_longer_sequences_are_allowed_extra_tail_ignored(self):
         base = sample_sequence(Zero(), (1 << 4) + 3, seed=8)
@@ -95,29 +79,9 @@ class TestWindowCodes:
         assert level_codes(codes, top) is codes
         for k in (1, 5, 8, 13, 14):
             assert np.array_equal(level_codes(codes, k), window_codes(seq, k))
-            assert np.array_equal(level_histogram(codes, k).counts,
-                                  window_histogram(seq, k).counts)
+            assert np.array_equal(level_histogram(codes, k), window_histogram(seq, k))
         with pytest.raises(ValueError, match="needs 32768 window codes"):
             level_codes(codes, 15)
-
-
-class TestCountWord:
-    def test_matches_histogram_for_every_pattern(self):
-        k = 5
-        seq = sample_sequence(LogPower(0.5), (1 << k) + k - 1, seed=3)
-        hist = window_histogram(seq, k)
-        for code in range(1 << k):
-            word = Word(k, code)
-            assert count_word(seq, word) == hist.count(word)
-
-    def test_small_hand_cases(self):
-        seq = pack_bits([1, 1, 1, 1, 1])
-        assert count_word(seq, Word(2, 0b11)) == 4
-        assert count_word(seq, Word(2, 0b10)) == 0
-
-    def test_rejects_short_sequences(self):
-        with pytest.raises(ValueError):
-            count_word(pack_bits([1, 0]), Word(2, 0))
 
 
 class TestQuenchedDistribution:
@@ -153,10 +117,10 @@ class TestQuenchedDistribution:
         # of times, so the multiplicities are long and sparse
         k = 20
         seq = sample_sequence(LogPower(0.25), (1 << k) + k - 1, seed=7)
-        hist = window_histogram(seq, k)
-        weights = Counter(hist.counts.tolist())
+        counts = window_histogram(seq, k)
+        weights = Counter(counts.tolist())
         assert max(weights) > 100_000
-        law = quenched_distribution(hist)
+        law = quenched_distribution(counts)
         assert law.weights == dict(weights)
         assert law.pmf == {m: w / (1 << k) for m, w in sorted(weights.items())}
         assert list(law.pmf) == sorted(weights)
@@ -168,26 +132,3 @@ class TestQuenchedDistribution:
         law = quenched_distribution(window_histogram(seq, k))
         assert law.exact_mean() == Fraction(1)
         assert sum(law.pmf.values()) == pytest.approx(1.0, abs=1e-12)
-        assert law.support() == sorted(law.pmf)
-
-
-class TestCsvExports:
-    def test_histogram_csv(self, tmp_path):
-        hist = window_histogram(pack_bits([1, 0, 1, 1, 0]), 2)
-        path = tmp_path / "hist.csv"
-        histogram_to_csv(hist, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "word_code,count"
-        rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
-        assert rows == sorted(rows)
-        assert dict(rows) == histogram_as_dict(hist)
-
-    def test_distribution_csv(self, tmp_path):
-        law = quenched_distribution(window_histogram(pack_bits([1] * 5), 2))
-        path = tmp_path / "law.csv"
-        distribution_to_csv(law, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "m,probability"
-        parsed = {int(m): float(p) for m, p in
-                  (line.split(",") for line in lines[1:])}
-        assert parsed == law.pmf

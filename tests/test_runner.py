@@ -197,7 +197,7 @@ class TestQuenched:
         assert record.p0 == law.mass(0)
         assert record.p1 == law.mass(1)
         assert record.p2 == law.mass(2)
-        tv = tv_distance(law, poisson_distribution(1.0)).distance
+        tv = tv_distance(law, poisson_distribution(1.0))
         assert record.tv_to_po1 == tv
 
     def test_sampling_in_batches_leaves_the_records_unchanged(self, monkeypatch):
@@ -325,7 +325,7 @@ class TestSharedPasses:
                     seed = derive_seed(master_seed, trial)
                     sequence = sample_sequence(schedule, (1 << k) + k - 1, seed)
                     law = quenched_distribution(window_histogram(sequence, k))
-                    tv = tv_distance(law, poisson_distribution(1.0)).distance
+                    tv = tv_distance(law, poisson_distribution(1.0))
                     expected.append((spec, k, seed, "quenched", law.mass(0), law.mass(1),
                                      law.mass(2), tv, "ok"))
         expected.sort(key=lambda row: row[:3])
@@ -357,7 +357,7 @@ class TestSharedPasses:
                 for t in range(trials)
             ]
             law, stderr = aggregate_annealed(laws)
-            tv = tv_distance(law, poisson_distribution(1.0)).distance
+            tv = tv_distance(law, poisson_distribution(1.0))
             expected.append((label, k, law.mass(0), law.mass(1), law.mass(2),
                              stderr.get(0, 0.0), tv))
         got = [(r.schedule, r.k, r.p0, r.p1, r.p2, r.p0_stderr, r.tv_to_po1)
@@ -573,6 +573,10 @@ class TestScheduleInfo:
         assert info["onset_index"] == math.floor(
             math.exp(2.0 / (2.0**0.25 - 1.0))
         ) + 1
+
+    def test_negative_bias_onset_reads_the_absolute_bias(self):
+        assert schedule_info("const:-0.3")["onset_index"] is None
+        assert schedule_info("const:-0.05")["onset_index"] == 1
 
     def test_bad_spec_is_rejected(self):
         with pytest.raises(ValueError):

@@ -94,18 +94,13 @@ class TestSequences:
             assert np.array_equal(seq.packed, sample_sequence(sched, length, seed).packed)
 
     def test_accessors_agree(self):
-        seq = pack_bits([1, 0, 0, 1, 1, 0, 1])
-        assert seq.length == 7
-        assert list(seq.bits01) == [1, 0, 0, 1, 1, 0, 1]
-        assert [seq.bit(n) for n in range(1, 8)] == [1, 0, 0, 1, 1, 0, 1]
-        assert seq.symbol(1) == 1 and seq.symbol(2) == -1
-        symbols = seq.symbols()
-        assert symbols.dtype == np.int8
-        assert np.array_equal(symbols, 2 * seq.bits01.astype(np.int8) - 1)
-        with pytest.raises(ValueError):
-            seq.bit(0)
-        with pytest.raises(ValueError):
-            seq.bit(8)
+        bits = [1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0]
+        seq = pack_bits(bits)
+        assert seq.length == 11
+        assert seq.bits01.dtype == np.uint8
+        assert seq.bits01.tolist() == bits
+        # position n is bit (n - 1) % 8 of byte (n - 1) // 8, LSB first
+        assert seq.packed.tolist() == [0b01011001, 0b011]
 
     def test_empirical_frequency_tracks_the_bias(self):
         cases = [(Zero(), 0.5), (Constant(0.3), 0.8), (Constant(-0.49), 0.01)]

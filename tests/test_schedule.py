@@ -204,12 +204,16 @@ class TestPersistence:
         assert first_persistent_below(Zero(), 0.0) is None
         assert first_persistent_below(Constant(0.05), 0.1) == 1
         assert first_persistent_below(Constant(0.2), 0.1) is None
+        assert first_persistent_below(Constant(-0.05), 0.1) == 1
+        assert first_persistent_below(Constant(-0.2), 0.1) is None
 
     def test_table_scans_past_the_last_offender(self):
         sched = Table((0.3, 0.05, 0.2, 0.01))
         assert first_persistent_below(sched, 0.1) == 4
         assert first_persistent_below(Table((0.3, 0.2)), 0.1) is None
         assert first_persistent_below(Table((0.3, 0.2), tail="zero"), 0.1) == 3
+        assert first_persistent_below(Table((0.3, -0.2, 0.05)), 0.1) == 3
+        assert first_persistent_below(Table((0.05, -0.2)), 0.1) is None
 
     def test_log_power_crossing_matches_hand_formula(self):
         b = (2.0 ** 0.25 - 1.0) / 2.0
