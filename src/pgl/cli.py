@@ -226,8 +226,7 @@ def _selftest_battery():
     def check_counter():
         sched = schedule.Constant(0.2)
         seq = sampler.sample_sequence(sched, (1 << 10) + 9, 3)
-        hist = counter.window_histogram(seq, 10)
-        law = counter.quenched_distribution(hist)
+        law = counter.quenched_distribution(counter.window_codes(seq, 10))
         exact_mean = law.exact_mean()
         assert exact_mean is not None and exact_mean == 1, "quenched mean is 1"
 

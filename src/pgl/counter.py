@@ -6,17 +6,21 @@ x_{j+t-1}; x_j sits at the least significant bit.  Codes are read straight
 from the packed buffer: the 64-bit little-endian word loaded at byte b holds
 the windows at positions 8b+1, ..., 8b+8, one shift apart.  Since the level-k
 code of a window is the low k bits of its level-K code, one level-K build
-serves every level k <= K through its first 2^k codes.  A level-k histogram
-is the plain array of 2^k pattern counts, entry w for the pattern with code w.
+serves every level k <= K through its first 2^k codes.  Codes are uint32,
+which holds every level up to DENSE_CAP.  A level-k histogram is the plain
+array of 2^k pattern counts, entry w for the pattern with code w.
 
 The quenched count law of x at level k is the distribution of the count
 N_x(w) when the pattern w is drawn uniformly: pmf(m) is the fraction of the
 2^k patterns occurring exactly m times.  Its mean is exactly 1, because the
-2^k windows distribute exactly 2^k occurrences over the 2^k patterns.
+2^k windows distribute exactly 2^k occurrences over the 2^k patterns.  The
+law is read from the sorted codes: a pattern occurring m times is a run of
+length m, so no array of counts is built.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,20 +33,22 @@ __all__ = [
     "CountDistribution",
     "window_codes",
     "level_codes",
-    "level_histogram",
     "window_histogram",
     "quenched_distribution",
     "DENSE_CAP",
 ]
 
-# Counting keeps 2^k window codes and 2^k counters, each of native integer
-# width (512 MiB apiece at the cap); above it they would exceed the memory
-# policy.
+# Counting keeps 2^k uint32 window codes (256 MiB at the cap) and no array of
+# counts; above it they would exceed the memory policy.
 DENSE_CAP = 26
 
 # Rows of eight windows built per block, so that a block's codes stay in
 # cache while the eight shift phases fill them.
 _CODE_BLOCK = 1 << 14
+
+# Sorted codes whose run boundaries are read at a time; larger blocks add
+# their boolean and index temporaries to the peak memory of a deep level.
+_RUN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,13 +87,18 @@ class CountDistribution:
 
 
 def window_codes(sequence: PackedSequence, k: int) -> np.ndarray:
-    """Level-k codes of the windows at positions 1..2^k, as an intp vector.
+    """Level-k codes of the windows at positions 1..2^k, as a uint32 vector.
 
-    Needs length >= 2^k + k - 1.  No buffer that long exists beyond
-    k = 57, the longest window one 64-bit load holds at every shift.
+    Needs length >= 2^k + k - 1.  Up to DENSE_CAP; ResourceError beyond,
+    before anything is allocated.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
+    if k > DENSE_CAP:
+        raise ResourceError(
+            f"level {k} exceeds the memory policy (cap {DENSE_CAP}); "
+            "lower k or raise the policy in a fork that has the memory"
+        )
     n = 1 << k
     if sequence.length < n + k - 1:
         raise ValueError(
@@ -98,63 +109,57 @@ def window_codes(sequence: PackedSequence, k: int) -> np.ndarray:
     padded = np.zeros(rows + 8, dtype=np.uint8)
     take = min(sequence.packed.size, padded.size)
     padded[:take] = sequence.packed[:take]
-    loads = np.ndarray((rows,), dtype="<i8", buffer=padded, strides=(1,))
-    codes = np.empty((rows, 8), dtype=np.intp)
-    mask = n - 1
+    loads = np.ndarray((rows,), dtype="<u8", buffer=padded, strides=(1,))
+    codes = np.empty((rows, 8), dtype=np.uint32)
     for lo in range(0, rows, _CODE_BLOCK):
         block = np.ascontiguousarray(loads[lo : lo + _CODE_BLOCK])
         for shift in range(8):
-            # an arithmetic shift only fills bits that the mask drops
-            np.bitwise_and(block >> shift, mask, out=codes[lo : lo + _CODE_BLOCK, shift])
+            out = codes[lo : lo + _CODE_BLOCK, shift]
+            np.bitwise_and(block >> shift, n - 1, out=out, casting="unsafe")
     return codes.reshape(-1)[:n]
 
 
 def level_codes(codes: np.ndarray, k: int) -> np.ndarray:
-    """Level-k codes of the first 2^k windows, from the codes of a level >= k.
-
-    The codes themselves when they are level k already (2^k of them).
-    """
+    """Level-k codes of the first 2^k windows, from the codes of a level >= k:
+    the codes themselves when there are 2^k of them, else a masked copy."""
     n = 1 << k
     if codes.size < n:
         raise ValueError(f"level {k} needs {n} window codes, got {codes.size}")
     return codes if codes.size == n else codes[:n] & (n - 1)
 
 
-def level_histogram(codes: np.ndarray, k: int) -> np.ndarray:
-    """Occurrences of every level-k pattern over the first 2^k windows of
-    ``codes``: entry w counts the pattern with code w."""
-    return np.bincount(level_codes(codes, k), minlength=1 << k)
-
-
 def window_histogram(sequence: PackedSequence, k: int) -> np.ndarray:
-    """Occurrences of every level-k pattern over window positions 1..2^k.
-
-    Needs length >= 2^k + k - 1.  Up to DENSE_CAP; ResourceError beyond,
-    before any window is read.
-    """
-    if k > DENSE_CAP:
-        raise ResourceError(
-            f"level {k} exceeds the memory policy (cap {DENSE_CAP}); "
-            "lower k or raise the policy in a fork that has the memory"
-        )
-    return level_histogram(window_codes(sequence, k), k)
+    """Occurrences of every level-k pattern over window positions 1..2^k,
+    as ``np.bincount`` of ``window_codes`` (which has the same limits)."""
+    return np.bincount(window_codes(sequence, k), minlength=1 << k)
 
 
-def quenched_distribution(counts: np.ndarray) -> CountDistribution:
+def quenched_distribution(codes: np.ndarray) -> CountDistribution:
     """Count law of a uniform pattern against a fixed sequence, from its
-    level-k pattern counts (2^k of them).
+    level-k window codes (2^k of them), which it sorts in place.
 
-    multiplicity[m] is the number of patterns occurring exactly m times, so
-    the zero-count mass is its entry 0 and only its non-zero entries become
-    weights.
+    A pattern occurring m >= 1 times is a run of m equal sorted codes, so
+    weight m is the number of runs of length m, and the zero-count weight is
+    2^k less the number of runs.  The run boundaries are read in blocks,
+    carrying the open run from one block into the next.
     """
-    n = counts.size
-    multiplicity = np.bincount(counts)
-    weights = {0: int(multiplicity[0])}
-    weights.update((int(m), int(multiplicity[m])) for m in np.flatnonzero(multiplicity))
-    pmf = {m: w / n for m, w in sorted(weights.items())}
+    n = codes.size
+    codes.sort()
+    weights = Counter()
+    start = 0  # where the run still open starts
+    for lo in range(1, n, _RUN_BLOCK):
+        hi = min(lo + _RUN_BLOCK, n)
+        starts = lo + np.flatnonzero(codes[lo:hi] != codes[lo - 1 : hi - 1])
+        if starts.size:
+            weights[int(starts[0]) - start] += 1
+            lengths = np.bincount(np.diff(starts))
+            weights.update({int(m): int(lengths[m]) for m in np.flatnonzero(lengths)})
+            start = int(starts[-1])
+    weights[n - start] += 1
+    weights[0] = n - sum(weights.values())
+    weights = dict(sorted(weights.items()))
     return CountDistribution(
-        pmf=pmf,
+        pmf={m: w / n for m, w in weights.items()},
         label=f"quenched:k={n.bit_length() - 1}",
         weights=weights,
         denominator=n,

@@ -43,13 +43,7 @@ from .analytics import (
     symbol_sum_tail_mass,
     union_bound_hit_probability,
 )
-from .counter import (
-    DENSE_CAP,
-    level_codes,
-    level_histogram,
-    quenched_distribution,
-    window_codes,
-)
+from .counter import DENSE_CAP, level_codes, quenched_distribution, window_codes
 from .errors import CapabilityError, NanGuard
 from .sampler import MAX_WORD_LEVEL, derive_seed, sample_sequences, sample_word
 from .schedule import cesaro_average, classify_kakutani, parse_schedule, validate
@@ -271,10 +265,12 @@ def _level_outcomes(config: ExperimentConfig, mode: str, outcome) -> dict:
 
     One pass per (schedule, trial) samples the sequence once, at the largest
     level K, and builds its level-K window codes once; each level k reads the
-    first 2^k.  A schedule's trials are sampled together, sharing each
-    chunk's thresholds.  A MemoryError while sampling or building the codes
-    is the outcome of every level of the trial; a MemoryError at one level
-    is the outcome of that level alone.
+    first 2^k.  Levels go in ascending order, so ``outcome`` at the top level,
+    which comes last, may sort the codes in place, as the count law does.  A
+    schedule's trials are sampled together, sharing each chunk's thresholds.
+    A MemoryError while sampling or building the codes is the outcome of
+    every level of the trial; a MemoryError at one level is the outcome of
+    that level alone.
     """
     bad = [k for k in config.k_list if k > DENSE_CAP]
     if bad:
@@ -318,7 +314,7 @@ def _level_outcomes(config: ExperimentConfig, mode: str, outcome) -> dict:
 
 
 def _count_law(schedule, trial: int, k: int, codes):
-    return quenched_distribution(level_histogram(codes, k))
+    return quenched_distribution(level_codes(codes, k))
 
 
 def _law_record(

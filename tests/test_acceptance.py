@@ -45,7 +45,7 @@ from pgl.analytics import (
     pair_hit_probability,
     symbol_sum_tail_mass,
 )
-from pgl.counter import quenched_distribution, window_histogram
+from pgl.counter import quenched_distribution, window_codes, window_histogram
 from pgl.runner import (
     DEFAULT_K_LIST,
     DEFAULT_SCHEDULES,
@@ -82,7 +82,7 @@ def test_a01_window_totals_and_mean_count_are_exact():
             seq = sample_sequence(sched, (1 << k) + k - 1, seed=seed)
             counts = window_histogram(seq, k)
             assert int(counts.sum()) == 1 << k
-            law = quenched_distribution(counts)
+            law = quenched_distribution(window_codes(seq, k))
             assert law.exact_mean() == Fraction(1)
 
 
@@ -275,10 +275,13 @@ def test_a11_default_sweep_is_thread_deterministic():
 
 
 def test_a12_level_24_histogram_finishes_inside_five_seconds():
-    """2^24 window positions, wall-clock budget 5 s (histogram only)."""
+    """2^24 window positions, wall-clock budget 5 s (window codes and their
+    count law, as a sweep computes them)."""
     seq = sample_sequence(Zero(), (1 << 24) + 23, seed=3)
     start = time.perf_counter()
-    counts = window_histogram(seq, 24)
+    law = quenched_distribution(window_codes(seq, 24))
     elapsed = time.perf_counter() - start
-    assert int(counts.sum()) == 1 << 24
+    assert law.denominator == 1 << 24
+    assert sum(law.weights.values()) == 1 << 24
+    assert law.exact_mean() == Fraction(1)
     assert elapsed < 5.0, f"took {elapsed:.2f} s"

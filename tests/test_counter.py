@@ -2,21 +2,24 @@
 
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_window_counts, pack_bits
+import pgl.counter as counter
 from pgl.counter import (
     level_codes,
-    level_histogram,
     quenched_distribution,
     window_codes,
     window_histogram,
 )
 from pgl.errors import ResourceError
 from pgl.sampler import sample_sequence
-from pgl.schedule import Constant, LogPower, Zero
+from pgl.schedule import Constant, LogPower, Zero, parse_schedule
 
 
 def histogram_as_dict(counts) -> dict[int, int]:
@@ -69,7 +72,7 @@ class TestWindowCodes:
             bits = seq.bits01.tolist()
             expected = [sum(bits[j + t] << t for t in range(k)) for j in range(1 << k)]
             codes = window_codes(seq, k)
-            assert codes.dtype == np.intp
+            assert codes.dtype == np.uint32
             assert codes.tolist() == expected
 
     def test_every_level_reads_the_prefix_of_one_build(self):
@@ -79,14 +82,22 @@ class TestWindowCodes:
         assert level_codes(codes, top) is codes
         for k in (1, 5, 8, 13, 14):
             assert np.array_equal(level_codes(codes, k), window_codes(seq, k))
-            assert np.array_equal(level_histogram(codes, k), window_histogram(seq, k))
+            assert np.array_equal(
+                np.bincount(level_codes(codes, k), minlength=1 << k), window_histogram(seq, k)
+            )
         with pytest.raises(ValueError, match="needs 32768 window codes"):
             level_codes(codes, 15)
+
+    def test_levels_above_the_cap_raise_before_any_allocation(self):
+        # a 3-bit sequence: the length check would raise ValueError, so the
+        # memory-policy guard must come first
+        with pytest.raises(ResourceError, match="memory policy"):
+            window_codes(pack_bits([1, 0, 1]), 27)
 
 
 class TestQuenchedDistribution:
     def test_constant_plus_sequence_law(self):
-        law = quenched_distribution(window_histogram(pack_bits([1] * 5), 2))
+        law = quenched_distribution(window_codes(pack_bits([1] * 5), 2))
         assert law.pmf == {0: 0.75, 4: 0.25}
         assert law.label == "quenched:k=2"
         assert law.weights == {0: 3, 4: 1}
@@ -95,14 +106,14 @@ class TestQuenchedDistribution:
 
     def test_single_level_law(self):
         # x = ++: both windows read +, so the count is 2 or 0 with equal odds
-        law = quenched_distribution(window_histogram(pack_bits([1, 1]), 1))
+        law = quenched_distribution(window_codes(pack_bits([1, 1]), 1))
         assert law.pmf == {0: 0.5, 2: 0.5}
         assert law.mean() == pytest.approx(1.0)
 
     def test_pmf_matches_multiplicity_census(self):
         k = 6
         seq = sample_sequence(Constant(-0.15), (1 << k) + k - 1, seed=14)
-        law = quenched_distribution(window_histogram(seq, k))
+        law = quenched_distribution(window_codes(seq, k))
         census = naive_window_counts(list(seq.bits01), k)
         expected: dict[int, float] = {0: (1 << k) - len(census)}
         for count in census.values():
@@ -120,7 +131,7 @@ class TestQuenchedDistribution:
         counts = window_histogram(seq, k)
         weights = Counter(counts.tolist())
         assert max(weights) > 100_000
-        law = quenched_distribution(counts)
+        law = quenched_distribution(window_codes(seq, k))
         assert law.weights == dict(weights)
         assert law.pmf == {m: w / (1 << k) for m, w in sorted(weights.items())}
         assert list(law.pmf) == sorted(weights)
@@ -129,6 +140,28 @@ class TestQuenchedDistribution:
     @pytest.mark.parametrize("k,seed", [(4, 0), (8, 5), (10, 11)])
     def test_mean_count_is_exactly_one(self, k, seed):
         seq = sample_sequence(LogPower(0.25), (1 << k) + k - 1, seed=seed)
-        law = quenched_distribution(window_histogram(seq, k))
+        law = quenched_distribution(window_codes(seq, k))
         assert law.exact_mean() == Fraction(1)
         assert sum(law.pmf.values()) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.sampled_from(("zero", "logpow:1.0", "const:0.49")),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32),
+        block=st.sampled_from((1, 2, 3)),
+    )
+    def test_law_matches_the_multiplicity_of_the_counts(self, spec, k, seed, block):
+        # blocks of 1-3 codes make runs cross block boundaries; under
+        # const:0.49 the all-ones pattern, the largest code, has the longest
+        # run, so the run still open after the last block is the longest
+        n = 1 << k
+        codes = window_codes(sample_sequence(parse_schedule(spec), n + k - 1, seed), k)
+        multiplicity = np.bincount(np.bincount(codes, minlength=n))
+        weights = {0: int(multiplicity[0])}
+        weights.update((int(m), int(multiplicity[m])) for m in np.flatnonzero(multiplicity))
+        with mock.patch.object(counter, "_RUN_BLOCK", block):
+            law = quenched_distribution(codes)
+        assert law.weights == weights
+        assert law.pmf == {m: w / n for m, w in sorted(weights.items())}
+        assert list(law.pmf) == sorted(weights)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pgl.runner as runner
 from pgl.analytics import ChenSteinParams, chen_stein_terms, symbol_sum_tail_mass
-from pgl.counter import quenched_distribution, window_histogram
+from pgl.counter import quenched_distribution, window_codes
 from pgl.errors import CapabilityError
 from pgl.runner import (
     DEFAULT_K_LIST,
@@ -191,7 +191,7 @@ class TestQuenched:
         record = run_quenched(cfg)[0]
         sched = parse_schedule("logpow:1.0")
         seq = sample_sequence(sched, (1 << 6) + 5, seed=record.seed)
-        law = quenched_distribution(window_histogram(seq, 6))
+        law = quenched_distribution(window_codes(seq, 6))
         assert record.mode == "quenched"
         assert record.status == "ok"
         assert record.p0 == law.mass(0)
@@ -324,7 +324,7 @@ class TestSharedPasses:
                 for trial in range(trials):
                     seed = derive_seed(master_seed, trial)
                     sequence = sample_sequence(schedule, (1 << k) + k - 1, seed)
-                    law = quenched_distribution(window_histogram(sequence, k))
+                    law = quenched_distribution(window_codes(sequence, k))
                     tv = tv_distance(law, poisson_distribution(1.0))
                     expected.append((spec, k, seed, "quenched", law.mass(0), law.mass(1),
                                      law.mass(2), tv, "ok"))
@@ -351,7 +351,7 @@ class TestSharedPasses:
         for label, k in cells:
             schedule = parse_schedule(label)
             laws = [
-                quenched_distribution(window_histogram(
+                quenched_distribution(window_codes(
                     sample_sequence(schedule, (1 << k) + k - 1, derive_seed(master_seed, t)), k
                 ))
                 for t in range(trials)
@@ -437,15 +437,39 @@ class TestAnnealed:
         nonconv = run_nonconv(cfg)
         assert [(r.schedule, r.trials) for r in nonconv] == [("logpow:1.0", 3)]
 
+    def test_sorting_the_top_level_in_place_leaves_lower_levels_intact(self):
+        # the count law sorts the top level's codes, the shared pass's own
+        # array; the levels read before it must see the unsorted codes
+        cfg = small_config(k_list=(6, 4, 6), trials=3)
+        expected = []
+        for spec in cfg.schedules:
+            schedule = parse_schedule(spec)
+            for k in (4, 6):
+                laws = [
+                    quenched_distribution(window_codes(
+                        sample_sequence(schedule, (1 << k) + k - 1, derive_seed(91, t)), k
+                    ))
+                    for t in range(3)
+                ]
+                rows = [(spec, k, derive_seed(91, t), "quenched", law.mass(0), law.mass(1),
+                         law.mass(2), None) for t, law in enumerate(laws)]
+                expected += rows * (2 if k == 6 else 1)
+                law, stderr = aggregate_annealed(laws)
+                expected.append((spec, k, 91, "annealed", law.mass(0), law.mass(1),
+                                 law.mass(2), stderr.get(0, 0.0)))
+        got = [(r.schedule, r.k, r.seed, r.mode, r.p0, r.p1, r.p2, r.p0_stderr)
+               for r in run_annealed(cfg)]
+        assert sorted(got, key=repr) == sorted(expected, key=repr)
+
     def test_trial_errors_are_isolated_per_record(self, monkeypatch):
-        real = runner.level_histogram
+        real = runner.quenched_distribution
 
-        def flaky(codes, k):
-            if k == 6:
+        def flaky(codes):
+            if codes.size == 1 << 6:
                 raise MemoryError("synthetic pressure")
-            return real(codes, k)
+            return real(codes)
 
-        monkeypatch.setattr(runner, "level_histogram", flaky)
+        monkeypatch.setattr(runner, "quenched_distribution", flaky)
         cfg = small_config(schedules=("zero",), k_list=(4, 6), trials=2)
         records = run_annealed(cfg)
         ok = [r for r in records if r.k == 4]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from pgl.counter import CountDistribution, quenched_distribution, window_histogram
+from pgl.counter import CountDistribution, quenched_distribution, window_codes
 from pgl.sampler import derive_seed, sample_sequence
 from pgl.schedule import Zero
 from pgl.stats import (
@@ -117,7 +117,7 @@ class TestAggregation:
         laws = []
         for t in range(5):
             seq = sample_sequence(Zero(), (1 << 8) + 7, seed=derive_seed(50, t))
-            laws.append(quenched_distribution(window_histogram(seq, 8)))
+            laws.append(quenched_distribution(window_codes(seq, 8)))
         mean_law, _ = aggregate_annealed(laws)
         assert mean_law.mean() == pytest.approx(1.0, abs=1e-12)
 
@@ -132,7 +132,7 @@ class TestAggregation:
         laws = []
         for t in range(trials):
             seq = sample_sequence(Zero(), (1 << k) + k - 1, seed=derive_seed(777, t))
-            laws.append(quenched_distribution(window_histogram(seq, k)))
+            laws.append(quenched_distribution(window_codes(seq, k)))
         mean_law, stderr = aggregate_annealed(laws)
         for m in range(7):
             gap = abs(mean_law.mass(m) - poisson_pmf(1.0, m))
