@@ -21,8 +21,8 @@ over uniform w.  The module computes:
   array products per class length and a windowed product over the classes);
 * the three Stein-method error terms A, B, C bounding the total-variation
   distance between the law of the total match count and Poisson(1), whose
-  bounds read the biases through the non-increasing |gamma| envelope, so
-  they hold for biases of either sign and in any order;
+  bounds read the biases through the |gamma| envelope (schedule.envelope),
+  so they hold for biases of either sign and in any order;
 * the ingredients of the non-convergence mechanism at slowly decaying bias:
   balanced products, the mass of patterns with atypically negative symbol
   sum, and the union bound for the hit probability of a fixed pattern.
@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .counter import CountDistribution
 from .errors import CapabilityError, NanGuard
 from .sampler import Word, derive_seed, sample_words
-from .schedule import BiasSchedule, Table, first_persistent_below
+from .schedule import BiasSchedule, envelope, first_persistent_below
 
 __all__ = [
     "ChenSteinParams",
@@ -453,17 +453,6 @@ def _stratum_grid(lo: int, n: int) -> list[tuple[int, int]]:
 _HEAD_BLOCK_EXACT_LIMIT = 4096
 
 
-def _envelope(schedule: BiasSchedule) -> BiasSchedule:
-    """A schedule with non-increasing |gamma*_n| >= |gamma_m| for all m >= n:
-    zero, constant and log-power decay are their own; a table gets
-    gamma*_n = sup_{m >= n} |gamma_m| by one backward pass, which covers the
-    tail too (|last value| when repeated, 0 when zero)."""
-    if not isinstance(schedule, Table):
-        return schedule
-    values = np.maximum.accumulate(np.abs(schedule.values)[::-1])[::-1]
-    return Table(values=tuple(values.tolist()), tail=schedule.tail)
-
-
 def _pair_bound(envelope: BiasSchedule, k: int) -> float:
     """Upper bound on _pair_sum_exact for any schedule with this envelope.
 
@@ -541,7 +530,7 @@ def chen_stein_terms(schedule: BiasSchedule, params: ChenSteinParams) -> ChenSte
     n = 1 << k
     a_value = _neighborhood_term(k)
     onset = critical_onset_index(schedule)
-    envelope = _envelope(schedule)
+    bounding = envelope(schedule)
     if k <= params.exact_cap:
         b_value, b_mode = _pair_sum_exact(schedule, k), "exact"
     else:
@@ -549,8 +538,8 @@ def chen_stein_terms(schedule: BiasSchedule, params: ChenSteinParams) -> ChenSte
         b_value = head_count * k * math.ldexp(1.0, -k)
         if onset is not None and onset <= n:
             b_value += k * 2.0 ** (-k / 2)
-        b_value, b_mode = max(b_value, _pair_bound(envelope, k)), "bound"
-    c_value, c_mode, c_stderr = _c_term(schedule, envelope, params)
+        b_value, b_mode = max(b_value, _pair_bound(bounding, k)), "bound"
+    c_value, c_mode, c_stderr = _c_term(schedule, bounding, params)
     return ChenSteinReport(
         k=k,
         lam=1.0,
@@ -666,16 +655,17 @@ def union_bound_hit_probability(schedule: BiasSchedule, k: int, word: Word) -> f
     if k > UNION_BOUND_CAP:
         raise CapabilityError(f"union bound scans 2^k positions; k <= {UNION_BOUND_CAP}")
     n = 1 << k
-    signs = np.fromiter(word.symbols(), dtype=np.float64, count=k)
     total = 0.0
     chunk = 1 << 20
     j = 1
     while j <= n:
         count = min(chunk, n - j + 1)
         gam = schedule.gamma_slice(j, count + k - 1)
-        acc = np.ones(count)
-        for i in range(k):
-            acc *= 1.0 + 2.0 * signs[i] * gam[i : i + count]
+        # factors[b] is the factor of a symbol with bit b: 1 - 2 gamma or 1 + 2 gamma
+        factors = (1.0 - 2.0 * gam, 1.0 + 2.0 * gam)
+        acc = factors[word.bit(1)][:count].copy()
+        for i in range(1, k):
+            acc *= factors[word.bit(i + 1)][i : i + count]
         total += float(acc.sum())
         j += count
     return math.ldexp(total, -k)

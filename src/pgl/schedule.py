@@ -3,7 +3,8 @@
 A schedule assigns to every position n >= 1 a bias gamma_n in (-1/2, 1/2);
 the sampled sequence has P(x_n = +1) = 1/2 + gamma_n independently.  Four
 kinds are supported: identically zero (fair coin), constant, log-power decay
-gamma_n = min(cap, (ln n)^-c), and explicit tables with a tail rule.
+gamma_n = min(cap, (ln n)^-c), and explicit tables with a tail rule.  A kind
+checks its range when built; ``envelope`` is its non-increasing |gamma| bound.
 
 Natural logarithm throughout; swapping the base would only rescale the decay
 constants, not the threshold structure.
@@ -25,16 +26,12 @@ __all__ = [
     "LogPower",
     "Table",
     "KakutaniClass",
-    "validate",
     "classify_kakutani",
     "cesaro_average",
     "parse_schedule",
+    "envelope",
     "first_persistent_below",
-    "PROBE_GRID",
 ]
-
-# Geometric probe grid used by validate(): {1, 2, 4, ..., 2^40}.
-PROBE_GRID = tuple(1 << m for m in range(41))
 
 _DEFAULT_CAP = 0.49
 _DEFAULT_N0 = 2
@@ -67,10 +64,9 @@ class BiasSchedule:
         """
         if start < 1 or count < 0:
             raise ValueError("positions are 1-based and count must be >= 0")
-        ns = start + np.arange(count, dtype=np.float64)
-        return self._gamma_array(ns)
+        return self._gamma_run(start, count)
 
-    def _gamma_array(self, ns: np.ndarray) -> np.ndarray:
+    def _gamma_run(self, start: int, count: int) -> np.ndarray:
         raise NotImplementedError
 
     @property
@@ -86,8 +82,8 @@ class Zero(BiasSchedule):
         _check_index(n)
         return 0.0
 
-    def _gamma_array(self, ns: np.ndarray) -> np.ndarray:
-        return np.zeros_like(ns)
+    def _gamma_run(self, start: int, count: int) -> np.ndarray:
+        return np.zeros(count)
 
     @property
     def label(self) -> str:
@@ -107,8 +103,8 @@ class Constant(BiasSchedule):
         _check_index(n)
         return self.value
 
-    def _gamma_array(self, ns: np.ndarray) -> np.ndarray:
-        return np.full_like(ns, self.value)
+    def _gamma_run(self, start: int, count: int) -> np.ndarray:
+        return np.full(count, self.value)
 
     @property
     def label(self) -> str:
@@ -142,7 +138,8 @@ class LogPower(BiasSchedule):
             return self.cap
         return min(self.cap, math.log(n) ** -self.exponent)
 
-    def _gamma_array(self, ns: np.ndarray) -> np.ndarray:
+    def _gamma_run(self, start: int, count: int) -> np.ndarray:
+        ns = start + np.arange(count, dtype=np.float64)
         out = np.full_like(ns, self.cap)
         m = ns >= self.n0
         if np.any(m):
@@ -176,22 +173,23 @@ class Table(BiasSchedule):
             raise ValueError("Table schedule needs at least one value")
         if self.tail not in ("repeat", "zero"):
             raise ValueError("Table tail rule must be 'repeat' or 'zero'")
-        for n, value in enumerate(self.values, start=1):
-            _check_bias(f"gamma({n})", value)
+        bad = np.flatnonzero(~(np.abs(np.asarray(self.values, dtype=np.float64)) < 0.5))
+        if bad.size:
+            n = int(bad[0]) + 1
+            _check_bias(f"gamma({n})", self.values[n - 1])
+
+    @property
+    def _tail_value(self) -> float:
+        return self.values[-1] if self.tail == "repeat" else 0.0
 
     def gamma(self, n: int) -> float:
         _check_index(n)
-        if n <= len(self.values):
-            return self.values[n - 1]
-        return self.values[-1] if self.tail == "repeat" else 0.0
+        return self.values[n - 1] if n <= len(self.values) else self._tail_value
 
-    def _gamma_array(self, ns: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self.values, dtype=np.float64)
-        tail_value = vals[-1] if self.tail == "repeat" else 0.0
-        out = np.full_like(ns, tail_value)
-        m = ns <= len(vals)
-        if np.any(m):
-            out[m] = vals[ns[m].astype(np.int64) - 1]
+    def _gamma_run(self, start: int, count: int) -> np.ndarray:
+        out = np.full(count, self._tail_value)
+        head = self.values[start - 1 : start - 1 + count]
+        out[: len(head)] = head
         return out
 
     @property
@@ -212,28 +210,6 @@ def _check_bias(name: str, value: float) -> None:
     """Reject a bias outside the open interval (-1/2, 1/2), NaN included."""
     if not -0.5 < value < 0.5:
         raise ValueError(f"{name} = {value!r} outside (-1/2, 1/2)")
-
-
-def validate(schedule: BiasSchedule) -> list[str]:
-    """Check the schedule on the geometric probe grid.
-
-    Returns violation messages (empty list means clean); out-of-range values
-    are data to report, not exceptions (``Constant`` and ``Table`` raise them
-    when built).
-    """
-    violations: list[str] = []
-    for n in PROBE_GRID:
-        g = schedule.gamma(n)
-        if not -0.5 < g < 0.5:
-            violations.append(f"gamma({n}) = {g!r} outside (-1/2, 1/2)")
-    if isinstance(schedule, LogPower):
-        # Decay kinds must be non-increasing from position 2 on.
-        for n in PROBE_GRID[1:]:
-            if schedule.gamma(n + 1) > schedule.gamma(n) + 1e-15:
-                violations.append(
-                    f"gamma({n + 1}) > gamma({n}): decay schedule not non-increasing"
-                )
-    return violations
 
 
 def classify_kakutani(schedule: BiasSchedule) -> KakutaniClass:
@@ -269,41 +245,37 @@ def cesaro_average(schedule: BiasSchedule, n_terms: int) -> float:
     return total / n_terms
 
 
+def envelope(schedule: BiasSchedule) -> BiasSchedule:
+    """A schedule whose |gamma*_n| is non-increasing and >= |gamma_m| for all
+    m >= n: zero, constant and log-power decay are their own; a table gets
+    gamma*_n = sup_{m >= n} |gamma_m| by one backward pass, which covers the
+    tail too (|last value| when repeated, 0 when zero)."""
+    if not isinstance(schedule, Table):
+        return schedule
+    values = np.maximum.accumulate(np.abs(schedule.values)[::-1])[::-1]
+    return Table(values=tuple(values.tolist()), tail=schedule.tail)
+
+
 def first_persistent_below(schedule: BiasSchedule, bound: float) -> int | None:
     """Smallest n with |gamma(m)| < bound for every m >= n, or None.
 
-    Uses kind structure: constants are all-or-nothing, log-power decay is
-    positive and monotone (binary search), tables reduce to the tail rule
-    plus a finite scan.  The search ceiling is 2^63.
+    Binary search over the non-increasing envelope for its first position
+    below the bound; the search ceiling is 2^63.
     """
-    if isinstance(schedule, Zero):
-        return 1 if 0.0 < bound else None
-    if isinstance(schedule, Constant):
-        return 1 if abs(schedule.value) < bound else None
-    if isinstance(schedule, Table):
-        tail_value = schedule.values[-1] if schedule.tail == "repeat" else 0.0
-        if not abs(tail_value) < bound:
-            return None
-        last_bad = 0
-        for idx, v in enumerate(schedule.values, start=1):
-            if not abs(v) < bound:
-                last_bad = idx
-        return last_bad + 1
-    if isinstance(schedule, LogPower):
-        ceiling = 1 << 63
-        if schedule.cap < bound:
-            return 1
-        if not schedule.gamma(ceiling) < bound:
-            return None
-        lo, hi = 1, ceiling  # gamma(lo) >= bound > gamma(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if schedule.gamma(mid) < bound:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-    raise ValueError(f"unsupported schedule kind: {type(schedule).__name__}")
+    env = envelope(schedule)
+    ceiling = 1 << 63
+    if abs(env.gamma(1)) < bound:
+        return 1
+    if not abs(env.gamma(ceiling)) < bound:
+        return None
+    lo, hi = 1, ceiling  # |gamma*(lo)| >= bound > |gamma*(hi)|
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if abs(env.gamma(mid)) < bound:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def parse_schedule(text: str) -> BiasSchedule:

@@ -432,13 +432,6 @@ class TestBoundsForEverySchedule:
     """A term labelled bound is at least its exact value, whatever the sign
     and order of the biases."""
 
-    def test_envelope_is_the_suffix_maximum_of_the_absolute_bias(self):
-        table = Table((0.1, -0.3, 0.2, -0.05, 0.0), tail="zero")
-        assert analytics._envelope(table).values == (0.3, 0.3, 0.2, 0.05, 0.0)
-        assert analytics._envelope(Table((0.1, -0.2))).values == (0.2, 0.2)
-        sched = LogPower(1.0)
-        assert analytics._envelope(sched) is sched
-
     def test_negative_constant_has_no_onset_for_the_b_bound(self):
         sched = Constant(-0.3)
         report = chen_stein_terms(sched, ChenSteinParams(k=16, exact_cap=15))

@@ -1,5 +1,7 @@
 """Experiment sweeps: determinism, aggregation, serialization, error capture."""
 
+import csv
+import io
 import json
 import math
 
@@ -9,12 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgl.runner as runner
-from pgl.analytics import ChenSteinParams, chen_stein_terms, symbol_sum_tail_mass
+from pgl.analytics import (
+    ChenSteinParams,
+    chen_stein_terms,
+    critical_onset_index,
+    symbol_sum_tail_mass,
+)
 from pgl.counter import quenched_distribution, window_codes
 from pgl.errors import CapabilityError
 from pgl.runner import (
     DEFAULT_K_LIST,
     DEFAULT_SCHEDULES,
+    MODES,
     ExperimentConfig,
     NonconvRecord,
     ResultRecord,
@@ -28,7 +36,7 @@ from pgl.runner import (
     schedule_info,
 )
 from pgl.sampler import derive_seed, sample_sequence
-from pgl.schedule import parse_schedule
+from pgl.schedule import LogPower, parse_schedule
 from pgl.stats import aggregate_annealed, poisson_distribution, tv_distance
 
 E_INV = math.exp(-1.0)
@@ -142,7 +150,7 @@ class TestConfig:
             small_config(schedules=("zero", spec))
 
     def test_checks_every_table_entry(self, tmp_path):
-        # 0.6 sits at position 3, which is not on the validate() probe grid
+        # 0.6 sits at position 3, between positions 2 and 4
         path = tmp_path / "bias.txt"
         path.write_text("0.1\n0.2\n0.6\n0.1\n")
         with pytest.raises(ValueError, match=r"gamma\(3\) = 0\.6"):
@@ -535,6 +543,32 @@ class TestBounds:
         assert record.report.total > 0.0
 
 
+class TestTableSchedules:
+    def test_a_table_of_log_power_biases_gives_the_log_power_rows(self, tmp_path):
+        # the table holds every bias the sweeps read at levels up to 13
+        top = 13
+        values = LogPower(1.0).gamma_slice(1, (1 << top) + 2 * top).tolist()
+        path = tmp_path / "logpow.txt"
+        path.write_text("".join(f"{v!r}\n" for v in values))
+        table = f"table:{path}"
+        cfg = small_config(schedules=("logpow:1.0", table), k_list=(4, 9, top), trials=2)
+        # the repeated tail 1/ln(2^13 + 26) stays above the onset bound
+        assert critical_onset_index(parse_schedule(table)) is None
+        for mode in ("quenched", "annealed", "bounds"):
+            rows = {}
+            csv_text = records_to_csv(mode, MODES[mode][0](cfg))
+            for row in csv.DictReader(io.StringIO(csv_text.split("\n", 1)[1])):
+                rows.setdefault(row.pop("schedule"), []).append(row)
+            got, ref = rows.pop(table), rows.pop("logpow:1.0")
+            assert not rows and len(got) == len(ref) > 0
+            if mode == "bounds":
+                assert [row.pop("j0") for row in ref] == ["38966"] * 3
+                assert [row.pop("j0") for row in got] == [""] * 3
+                assert [row["B_mode"] for row in got] == ["exact"] * 3
+                assert [row["C_mode"] for row in got] == ["exact"] * 3
+            assert got == ref
+
+
 class TestNonconv:
     def test_fair_sequences_follow_the_independence_heuristic(self):
         cfg = small_config(schedules=("zero",), k_list=(10,), trials=200)
@@ -583,7 +617,7 @@ class TestScheduleInfo:
         assert info["spec"] == "zero"
         assert info["label"] == "zero"
         assert info["kakutani"] == "equivalent"
-        assert info["violations"] == []
+        assert "violations" not in info
         assert set(info["gamma"]) == {"1", "2", "10", "100", "1000", "1000000"}
         assert all(v == 0.0 for v in info["gamma"].values())
         assert info["cesaro"]["1000"] == 0.0

@@ -34,8 +34,8 @@ class Unchecked(BiasSchedule):
 
     value: float
 
-    def _gamma_array(self, ns):
-        return np.full_like(ns, self.value)
+    def _gamma_run(self, start, count):
+        return np.full(count, self.value)
 
     @property
     def label(self) -> str:

@@ -1,4 +1,4 @@
-"""Bias schedules: values, validation, classification, and parsing."""
+"""Bias schedules: values, range checks, classification, envelope, and parsing."""
 
 import math
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgl.schedule import (
-    PROBE_GRID,
     BiasSchedule,
     Constant,
     KakutaniClass,
@@ -17,9 +16,9 @@ from pgl.schedule import (
     Zero,
     cesaro_average,
     classify_kakutani,
+    envelope,
     first_persistent_below,
     parse_schedule,
-    validate,
 )
 
 # The spec grammar's characters (no '/', so a table path stays relative),
@@ -29,6 +28,9 @@ SPEC_TOKENS = [
     "zero", "const", "logpow", "table", ":", "cap=", "n0=", "tail=zero", "tail=repeat",
     "0", "0.1", "0.25", "0.49", "0.5", "1.0", "-0.3", "2", "16", "1e-3", "inf", "nan",
 ]
+
+# Geometric probe grid {1, 2, 4, ..., 2^40} for log-power decay.
+PROBE_GRID = tuple(1 << m for m in range(41))
 
 # First index at which (ln n)^(-1) drops below b, derived by hand:
 # 1/ln(n) < b  iff  n > e^(1/b), so the first integer is floor(e^(1/b)) + 1.
@@ -102,13 +104,19 @@ class TestValues:
             Table(())
 
     def test_gamma_slice_matches_pointwise_values(self):
-        scheds = [Zero(), Constant(0.25), LogPower(0.5), Table((0.1, 0.2, 0.3))]
+        scheds = [
+            Zero(), Constant(0.25), LogPower(0.5), LogPower(3.0, n0=6),
+            Table((0.1, -0.2, 0.3)), Table((0.1, -0.2, 0.3), tail="zero"),
+        ]
+        # runs inside the table, up to its end, across it, past it, and
+        # across the floor index 6 (positions 4 and 5 take the cap, not (ln n)^-3)
+        runs = [(1, 7), (5, 7), (1, 2), (2, 2), (2, 4), (3, 1), (4, 3), (9, 2), (2, 0)]
         for sched in scheds:
-            for start in (1, 5):
-                block = sched.gamma_slice(start, 7)
+            for start, count in runs:
+                block = sched.gamma_slice(start, count)
                 assert block.dtype == np.float64
-                assert block.shape == (7,)
-                for offset in range(7):
+                assert block.shape == (count,)
+                for offset in range(count):
                     assert block[offset] == sched.gamma(start + offset)
 
     @settings(max_examples=60, deadline=None)
@@ -128,12 +136,8 @@ class TestValues:
 
 
 class TestValidation:
-    def test_standard_schedules_are_clean(self):
-        for sched in (Zero(), Constant(0.3), LogPower(1.0), LogPower(0.25)):
-            assert validate(sched) == []
-
     def test_out_of_range_bias_is_reported(self):
-        # the constructor reports it; no such schedule reaches validate()
+        # the constructor is the range check
         with pytest.raises(ValueError, match=r"const = 0\.7 outside \(-1/2, 1/2\)"):
             Constant(0.7)
         with pytest.raises(ValueError, match="outside"):
@@ -144,10 +148,12 @@ class TestValidation:
             Table((0.1, 0.6))
 
     def test_extra_indices_are_probed(self):
-        # position 5 is off the validate() probe grid; the constructor
-        # checks every table entry
+        # the constructor checks every table entry and names the first
+        # offender
         with pytest.raises(ValueError, match=r"gamma\(5\) = 0\.9 outside"):
             Table((0.1, 0.1, 0.1, 0.1, 0.9), tail="zero")
+        with pytest.raises(ValueError, match=r"gamma\(2\) = nan outside"):
+            Table((0.1, math.nan, 0.7))
 
     @settings(max_examples=200, deadline=None)
     @given(value=st.floats())
@@ -158,7 +164,7 @@ class TestValidation:
             assert not -0.5 < value < 0.5
         else:
             assert -0.5 < value < 0.5
-            assert validate(sched) == []
+            assert sched.gamma_slice(1, 2).tolist() == [value, value]
 
 
 class TestClassification:
@@ -231,6 +237,28 @@ class TestPersistence:
     def test_log_power_beyond_search_ceiling_is_none(self):
         # (ln n)^(-1/2) < 0.0946 requires n > e^(111.7), past the 2^63 ceiling
         assert first_persistent_below(LogPower(0.5), 0.0946) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.floats(-0.49, 0.49), min_size=1, max_size=64),
+        tail=st.sampled_from(["repeat", "zero"]),
+        data=st.data(),
+    )
+    def test_table_crossing_follows_the_last_offender(self, values, tail, data):
+        bound = data.draw(
+            st.one_of(st.floats(0.0, 0.5), st.sampled_from([abs(v) for v in values]))
+        )
+        tail_value = values[-1] if tail == "repeat" else 0.0
+        offenders = [n for n, v in enumerate(values, start=1) if abs(v) >= bound]
+        expected = None if abs(tail_value) >= bound else max(offenders, default=0) + 1
+        assert first_persistent_below(Table(tuple(values), tail=tail), bound) == expected
+
+    def test_envelope_is_the_suffix_maximum_of_the_absolute_bias(self):
+        table = Table((0.1, -0.3, 0.2, -0.05, 0.0), tail="zero")
+        assert envelope(table).values == (0.3, 0.3, 0.2, 0.05, 0.0)
+        assert envelope(Table((0.1, -0.2))).values == (0.2, 0.2)
+        sched = LogPower(1.0)
+        assert envelope(sched) is sched
 
 
 class TestParsing:
