@@ -75,8 +75,9 @@ SCHEMA_LINE = "# pgl-schema v1"
 _WORD_TAG = 0x57
 # Monte Carlo seed namespace for the bounds mode.
 _BOUNDS_TAG = 0xB0
-# The trials of one schedule are sampled together while their packed bits
-# fit in 256 MiB: all 50 default trials up to level 25, batches of 31 at the cap.
+# A batch of trials is sampled for every schedule at once while the packed
+# bits of all its (schedule, trial) units fit in 256 MiB: with the 4 default
+# schedules, all 50 default trials up to level 23, batches of 7 at the cap.
 _BATCH_BYTES = 1 << 28
 # The benchmark law of every summary.
 _POISSON_ONE = poisson_distribution(1.0)
@@ -267,7 +268,8 @@ def _level_outcomes(config: ExperimentConfig, mode: str, outcome) -> dict:
     level K, and builds its level-K window codes once; each level k reads the
     first 2^k.  Levels go in ascending order, so ``outcome`` at the top level,
     which comes last, may sort the codes in place, as the count law does.  A
-    schedule's trials are sampled together, sharing each chunk's thresholds.
+    batch of trials is sampled for every schedule in one call, which draws
+    each trial's stream words once per chunk for all schedules.
     A MemoryError while sampling or building the codes is the outcome of
     every level of the trial; a MemoryError at one level is the outcome of
     that level alone.
@@ -280,36 +282,41 @@ def _level_outcomes(config: ExperimentConfig, mode: str, outcome) -> dict:
     levels = sorted(set(config.k_list))
     top = levels[-1]
     length = (1 << top) + top - 1
-    batch = max(1, _BATCH_BYTES // ((length + 7) // 8))
-    table = {}
-    for schedule in {parsed.label: parsed for parsed in config.parsed_schedules}.values():
-        for first in range(0, config.trials, batch):
-            trials = range(first, min(first + batch, config.trials))
-            seeds = [derive_seed(config.master_seed, trial) for trial in trials]
+    schedules = list({parsed.label: parsed for parsed in config.parsed_schedules}.values())
+    batch = max(1, _BATCH_BYTES // (len(schedules) * ((length + 7) // 8)))
+
+    def work(unit):
+        schedule, trial, sequence = unit
+        try:
+            if isinstance(sequence, MemoryError):
+                raise sequence
+            codes = window_codes(sequence, top)
+        except MemoryError as exc:
+            return [exc] * len(levels)
+        outcomes = []
+        for k in levels:
             try:
-                sequences = sample_sequences(schedule, length, seeds)
+                outcomes.append(outcome(schedule, trial, k, codes))
             except MemoryError as exc:
-                sequences = [exc] * len(seeds)
+                outcomes.append(exc)
+        return outcomes
 
-            def work(unit, schedule=schedule):
-                trial, sequence = unit
-                try:
-                    if isinstance(sequence, MemoryError):
-                        raise sequence
-                    codes = window_codes(sequence, top)
-                except MemoryError as exc:
-                    return [exc] * len(levels)
-                outcomes = []
-                for k in levels:
-                    try:
-                        outcomes.append(outcome(schedule, trial, k, codes))
-                    except MemoryError as exc:
-                        outcomes.append(exc)
-                return outcomes
-
-            for outcomes in _map_tasks(work, list(zip(trials, sequences)), config.threads):
-                for k, result in zip(levels, outcomes):
-                    table.setdefault((schedule.label, k), []).append(result)
+    table = {}
+    for first in range(0, config.trials, batch):
+        trials = range(first, min(first + batch, config.trials))
+        seeds = [derive_seed(config.master_seed, trial) for trial in trials]
+        try:
+            sequences = sample_sequences(schedules, length, seeds)
+        except MemoryError as exc:
+            sequences = [[exc] * len(seeds)] * len(schedules)
+        units = [
+            (schedule, trial, sequence)
+            for schedule, row in zip(schedules, sequences)
+            for trial, sequence in zip(trials, row)
+        ]
+        for (schedule, _, _), outcomes in zip(units, _map_tasks(work, units, config.threads)):
+            for k, result in zip(levels, outcomes):
+                table.setdefault((schedule.label, k), []).append(result)
     return table
 
 

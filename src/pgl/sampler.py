@@ -46,8 +46,8 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MAGIC = b"PGL1"
-# Positions per chunk: a chunk's thresholds and stream words (512 KiB each)
-# stay in cache while every trial of a schedule compares against them.
+# Positions per chunk: a chunk's stream words and each schedule's thresholds
+# (512 KiB each) stay in cache while every schedule compares against them.
 _CHUNK = 1 << 16
 
 # Word codes are masked from a single 64-bit draw; 60 keeps headroom in the
@@ -145,38 +145,53 @@ def sample_sequence(schedule: BiasSchedule, length: int, seed: int) -> PackedSeq
 
     Bit n depends only on (seed, n, gamma_n); chunking below is invisible.
     """
-    return sample_sequences(schedule, length, [seed])[0]
+    return sample_sequences([schedule], length, [seed])[0][0]
 
 
 def sample_sequences(
-    schedule: BiasSchedule, length: int, seeds: Sequence[int]
-) -> list[PackedSequence]:
-    """One sequence per seed, each drawn as ``sample_sequence`` describes.
+    schedules: Sequence[BiasSchedule], length: int, seeds: Sequence[int]
+) -> list[list[PackedSequence]]:
+    """``result[s][t]``: seed t's sequence under schedule s, each drawn as
+    ``sample_sequence`` describes.
 
-    Each chunk's biases and 64-bit thresholds are computed once and compared
-    against the stream words of every seed, so memory beyond the packed
-    outputs stays one chunk whatever the length.
+    Each chunk's 64-bit thresholds are computed once per schedule, and each
+    seed's stream words for the chunk are drawn once and compared against
+    every schedule's thresholds, so memory beyond the packed outputs stays
+    one chunk per schedule whatever the length.
     """
     if length < 1:
         raise ValueError("sequence length must be >= 1")
-    packed = [np.empty((length + 7) // 8, dtype=np.uint8) for _ in seeds]
+    packed = [[np.empty((length + 7) // 8, dtype=np.uint8) for _ in seeds] for _ in schedules]
     pos = 0
     while pos < length:
         count = min(_CHUNK, length - pos)
-        p = 0.5 + schedule.gamma_slice(pos + 1, count)
-        if not (0.0 < p.min() and p.max() < 1.0):
-            raise ValueError("schedule produced a bias outside (-1/2, 1/2)")
-        thresholds = np.floor(p * 2.0**64).astype(np.uint64)
+        thresholds = [_thresholds(schedule, pos + 1, count) for schedule in schedules]
         # _CHUNK is a multiple of 8, so every chunk starts on a byte
-        for buffer, seed in zip(packed, seeds):
-            buffer[pos >> 3 : (pos + count + 7) >> 3] = np.packbits(
-                _raw_words(seed, pos, count) < thresholds, bitorder="little"
-            )
+        span = slice(pos >> 3, (pos + count + 7) >> 3)
+        for t, seed in enumerate(seeds):
+            words = _raw_words(seed, pos, count)
+            for buffers, limit in zip(packed, thresholds):
+                buffers[t][span] = np.packbits(words < limit, bitorder="little")
         pos += count
     return [
-        PackedSequence(packed=buffer, length=length, seed=seed, schedule_label=schedule.label)
-        for buffer, seed in zip(packed, seeds)
+        [
+            PackedSequence(packed=buffer, length=length, seed=seed, schedule_label=schedule.label)
+            for buffer, seed in zip(buffers, seeds)
+        ]
+        for buffers, schedule in zip(packed, schedules)
     ]
+
+
+def _thresholds(schedule: BiasSchedule, start: int, count: int) -> np.ndarray:
+    """floor((1/2 + gamma_n) * 2^64) for the run of positions, built in the
+    array ``gamma_slice`` hands over."""
+    p = schedule.gamma_slice(start, count)
+    p += 0.5
+    if not (0.0 < p.min() and p.max() < 1.0):
+        raise ValueError("schedule produced a bias outside (-1/2, 1/2)")
+    p *= 2.0**64
+    np.floor(p, out=p)
+    return p.astype(np.uint64)
 
 
 def sample_word(k: int, seed: int) -> Word:

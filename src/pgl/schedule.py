@@ -59,8 +59,11 @@ class BiasSchedule:
     def gamma_slice(self, start: int, count: int) -> np.ndarray:
         """Vector of gamma at positions start, ..., start+count-1 (1-based).
 
-        Positions above 2^53 collapse to float64 resolution; the bias varies
-        so slowly there that the loss is far below every tolerance used here.
+        The result is a fresh, writable float64 array that the caller owns
+        and may overwrite (the sampler builds its thresholds in it); no
+        schedule keeps a reference to it.  Positions above 2^53 collapse to
+        float64 resolution; the bias varies so slowly there that the loss is
+        far below every tolerance used here.
         """
         if start < 1 or count < 0:
             raise ValueError("positions are 1-based and count must be >= 0")
@@ -139,11 +142,13 @@ class LogPower(BiasSchedule):
         return min(self.cap, math.log(n) ** -self.exponent)
 
     def _gamma_run(self, start: int, count: int) -> np.ndarray:
-        ns = start + np.arange(count, dtype=np.float64)
-        out = np.full_like(ns, self.cap)
-        m = ns >= self.n0
-        if np.any(m):
-            out[m] = np.minimum(self.cap, np.log(ns[m]) ** -self.exponent)
+        out = np.full(count, self.cap)
+        skip = min(count, max(0, self.n0 - start))
+        ns = np.arange(skip, count, dtype=np.float64)
+        ns += start
+        np.log(ns, out=ns)
+        ns **= -self.exponent
+        np.minimum(ns, self.cap, out=out[skip:])
         return out
 
     @property

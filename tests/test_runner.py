@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgl.runner as runner
+import pgl.sampler as sampler
 from pgl.analytics import (
     ChenSteinParams,
     chen_stein_terms,
@@ -211,11 +212,24 @@ class TestQuenched:
     def test_sampling_in_batches_leaves_the_records_unchanged(self, monkeypatch):
         cfg = small_config(k_list=(6, 4, 6), trials=5)
         whole = records_to_csv("quenched", run_quenched(cfg))
-        # a trial's packed bits take 9 bytes at level 6 (69 bits): batches
-        # of one trial, then of two
-        for batch_bytes in (1, 18):
+        real = runner.sample_sequences
+        batches = []
+
+        def spy(schedules, length, seeds):
+            batches.append(([s.label for s in schedules], list(seeds)))
+            return real(schedules, length, seeds)
+
+        monkeypatch.setattr(runner, "sample_sequences", spy)
+        seeds = [derive_seed(cfg.master_seed, t) for t in range(cfg.trials)]
+        # a unit's packed bits take 9 bytes at level 6 (69 bits), and the
+        # budget covers both schedules' units: batches of one trial, then of two
+        for batch_bytes, sizes in ((18, [1, 1, 1, 1, 1]), (36, [2, 2, 1])):
+            batches.clear()
             monkeypatch.setattr(runner, "_BATCH_BYTES", batch_bytes)
             assert records_to_csv("quenched", run_quenched(cfg)) == whole
+            assert [len(batch) for _, batch in batches] == sizes
+            assert [seed for _, batch in batches for seed in batch] == seeds
+            assert all(labels == ["zero", "logpow:1.0"] for labels, _ in batches)
 
     def test_memory_error_in_a_shared_pass_marks_its_trial(self, monkeypatch):
         cfg = small_config(k_list=(6, 4), trials=3)
@@ -237,17 +251,19 @@ class TestQuenched:
                 assert r.status == "ok"
 
     def test_memory_error_while_sampling_marks_every_trial_of_the_batch(self, monkeypatch):
-        def short_of_memory(schedule, length, seeds):
+        def short_of_memory(schedules, length, seeds):
             raise MemoryError("synthetic pressure")
 
         monkeypatch.setattr(runner, "sample_sequences", short_of_memory)
-        records = run_annealed(small_config(schedules=("zero",), trials=2))
-        assert [r.status for r in records] == ["error: synthetic pressure"] * 4 + [
+        records = run_annealed(small_config(trials=2))
+        # 2 schedules x 2 levels x 2 trials, then one aggregate per cell
+        assert [r.status for r in records] == ["error: synthetic pressure"] * 8 + [
             "error: no successful trials to aggregate"
-        ] * 2
+        ] * 4
+        assert {r.schedule for r in records} == {"zero", "logpow:1.0"}
 
     def test_memory_error_while_sampling_gives_nonconv_error_rows(self, monkeypatch):
-        def short_of_memory(schedule, length, seeds):
+        def short_of_memory(schedules, length, seeds):
             raise MemoryError("synthetic pressure")
 
         monkeypatch.setattr(runner, "sample_sequences", short_of_memory)
@@ -374,6 +390,25 @@ class TestSharedPasses:
         assert [(r.schedule, r.k, r.trials) for r in run_nonconv(cfg)] == [
             (label, k, trials) for label, k in cells
         ]
+
+
+    def test_each_trial_draws_its_words_once_for_every_schedule(self, monkeypatch):
+        # 4 schedules x 3 trials over a 263-position sequence in chunks of
+        # 64 positions: 3 x 5 draws, where one draw per schedule made 60
+        real = sampler._raw_words
+        calls = []
+
+        def spy(seed, start, count):
+            calls.append((seed, start))
+            return real(seed, start, count)
+
+        cfg = small_config(schedules=DEFAULT_SCHEDULES, k_list=(6, 8), trials=3)
+        whole = records_to_csv("annealed", run_annealed(cfg))
+        monkeypatch.setattr(sampler, "_CHUNK", 64)
+        monkeypatch.setattr(sampler, "_raw_words", spy)
+        assert records_to_csv("annealed", run_annealed(cfg)) == whole
+        seeds = [derive_seed(cfg.master_seed, t) for t in range(3)]
+        assert sorted(calls) == sorted((seed, start) for seed in seeds for start in range(0, 263, 64))
 
 
 class TestNanGuard:

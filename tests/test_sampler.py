@@ -24,7 +24,7 @@ from pgl.sampler import (
     sample_words,
     write_bits,
 )
-from pgl.schedule import BiasSchedule, Constant, LogPower, Zero
+from pgl.schedule import BiasSchedule, Constant, LogPower, Table, Zero
 
 
 @dataclass(frozen=True)
@@ -80,18 +80,26 @@ class TestSequences:
             assert np.array_equal(short.bits01, long.bits01[:37])
 
     def test_shared_chunks_match_one_unchunked_draw_per_seed(self):
-        # several chunks and a ragged tail: every seed's bits equal one
-        # straight Philox draw compared with the thresholds of all positions
-        sched = LogPower(0.5)
+        # several chunks and a ragged tail, four schedules sharing each
+        # seed's words: every sequence equals one straight Philox draw
+        # compared with its own schedule's thresholds at all positions
+        schedules = [
+            LogPower(0.5), Zero(), Constant(-0.3), Table(values=(0.2, -0.1, 0.45), tail="zero")
+        ]
         length = 3 * 2**16 + 13
         seeds = (0, 5, 2**63 + 7)
-        p = 0.5 + sched.gamma_slice(1, length)
-        thresholds = np.floor(p * 2.0**64).astype(np.uint64)
-        for seed, seq in zip(seeds, sample_sequences(sched, length, seeds)):
-            words = np.random.Philox(key=seed).random_raw(length)
-            assert seq.seed == seed and seq.length == length
-            assert np.array_equal(seq.bits01, (words < thresholds).astype(np.uint8))
-            assert np.array_equal(seq.packed, sample_sequence(sched, length, seed).packed)
+        result = sample_sequences(schedules, length, seeds)
+        assert len(result) == len(schedules)
+        words = [np.random.Philox(key=seed).random_raw(length) for seed in seeds]
+        for sched, row in zip(schedules, result):
+            p = 0.5 + sched.gamma_slice(1, length)
+            thresholds = np.floor(p * 2.0**64).astype(np.uint64)
+            assert len(row) == len(seeds)
+            for seed, stream, seq in zip(seeds, words, row):
+                assert seq.seed == seed and seq.length == length
+                assert seq.schedule_label == sched.label
+                assert np.array_equal(seq.bits01, (stream < thresholds).astype(np.uint8))
+                assert np.array_equal(seq.packed, sample_sequence(sched, length, seed).packed)
 
     def test_accessors_agree(self):
         bits = [1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0]

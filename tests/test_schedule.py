@@ -119,6 +119,27 @@ class TestValues:
                 for offset in range(count):
                     assert block[offset] == sched.gamma(start + offset)
 
+    def test_gamma_slice_hands_over_a_fresh_array(self):
+        # the caller owns the result: writing into it (as the sampler does
+        # when it builds thresholds) changes neither the schedule nor the
+        # next evaluation, including runs that lie wholly inside a table
+        values = (0.1, -0.2, 0.3, 0.05)
+        scheds = [
+            Zero(), Constant(0.25), LogPower(0.5), LogPower(3.0, n0=6),
+            Table(values), Table(values, tail="zero"),
+        ]
+        for sched in scheds:
+            for start, count in ((1, 4), (2, 2), (3, 6), (9, 3)):
+                expected = sched.gamma_slice(start, count).copy()
+                block = sched.gamma_slice(start, count)
+                assert block.dtype == np.float64 and block.flags.writeable
+                assert block.flags.owndata
+                block += 0.5
+                block[:] = -1.0
+                assert np.array_equal(sched.gamma_slice(start, count), expected)
+            if isinstance(sched, Table):
+                assert sched.values == values
+
     @settings(max_examples=60, deadline=None)
     @given(
         exponent=st.floats(0.1, 3.0, allow_nan=False),
