@@ -1,9 +1,9 @@
 """Deterministic sequence and word sampling.
 
 Randomness comes from numpy's Philox counter generator keyed directly by the
-caller's seed: the 64-bit word at stream index m is a pure function of
-(seed, m), so bit n of a sampled sequence never depends on how much of the
-sequence is generated, in what chunks, or on how many threads are running.
+caller's seed.  Each seed's stream is read once, in order, from word 0, so
+bit n of a sampled sequence depends only on (seed, n), never on the chunk
+size or on how many threads are running.
 
 Sequences store one bit per position, bit value 1 encoding symbol +1 and bit
 value 0 encoding -1.  Position n is sampled by comparing stream word n-1
@@ -76,23 +76,6 @@ def derive_seed(master: int, *parts: int) -> int:
     return h
 
 
-def _raw_words(seed: int, start: int, count: int) -> np.ndarray:
-    """Stream words [start, start+count) for this seed, as uint64.
-
-    Philox advances in blocks of four words; the generator is advanced to the
-    containing block and lane offsets are discarded, which keeps word m a pure
-    function of (seed, m).
-    """
-    if count == 0:
-        return np.empty(0, dtype=np.uint64)
-    bg = Philox(key=seed & _MASK64)
-    blocks, lane = divmod(start, 4)
-    if blocks:
-        bg.advance(blocks)
-    raw = bg.random_raw(lane + count)
-    return raw[lane:]
-
-
 @dataclass(frozen=True, eq=False)
 class PackedSequence:
     """An immutable +-1 sequence stored as packed bits (LSB-first per byte)."""
@@ -162,14 +145,15 @@ def sample_sequences(
     if length < 1:
         raise ValueError("sequence length must be >= 1")
     packed = [[np.empty((length + 7) // 8, dtype=np.uint8) for _ in seeds] for _ in schedules]
+    streams = [Philox(key=seed & _MASK64) for seed in seeds]
     pos = 0
     while pos < length:
         count = min(_CHUNK, length - pos)
         thresholds = [_thresholds(schedule, pos + 1, count) for schedule in schedules]
         # _CHUNK is a multiple of 8, so every chunk starts on a byte
         span = slice(pos >> 3, (pos + count + 7) >> 3)
-        for t, seed in enumerate(seeds):
-            words = _raw_words(seed, pos, count)
+        for t, stream in enumerate(streams):
+            words = stream.random_raw(count)
             for buffers, limit in zip(packed, thresholds):
                 buffers[t][span] = np.packbits(words < limit, bitorder="little")
         pos += count
@@ -184,13 +168,14 @@ def sample_sequences(
 
 def _thresholds(schedule: BiasSchedule, start: int, count: int) -> np.ndarray:
     """floor((1/2 + gamma_n) * 2^64) for the run of positions, built in the
-    array ``gamma_slice`` hands over."""
+    array ``gamma_slice`` hands over.  Past the guard, p * 2^64 is a positive
+    double below 2^64 (an integer even: p is a multiple of 2^-54), so the
+    truncating cast to uint64 is the floor."""
     p = schedule.gamma_slice(start, count)
     p += 0.5
     if not (0.0 < p.min() and p.max() < 1.0):
         raise ValueError("schedule produced a bias outside (-1/2, 1/2)")
     p *= 2.0**64
-    np.floor(p, out=p)
     return p.astype(np.uint64)
 
 
@@ -199,15 +184,14 @@ def sample_word(k: int, seed: int) -> Word:
     return Word(k=k, code=int(sample_words(k, seed, 1)[0]))
 
 
-def sample_words(k: int, seed: int, count: int, start: int = 0) -> np.ndarray:
+def sample_words(k: int, seed: int, count: int) -> np.ndarray:
     """Vector of ``count`` independent uniform word codes (uint64).
 
-    Word t is masked from stream word start+t, so slices of the same stream
-    never overlap and are reproducible piecewise.
+    Word t is masked from stream word t of this seed.
     """
     if not 1 <= k <= MAX_WORD_LEVEL:
         raise ValueError(f"word length must lie in 1..{MAX_WORD_LEVEL}")
-    return _raw_words(seed, start, count) & np.uint64((1 << k) - 1)
+    return Philox(key=seed & _MASK64).random_raw(count) & np.uint64((1 << k) - 1)
 
 
 def write_bits(path: str | Path, sequence: PackedSequence, level: int = 0) -> None:

@@ -130,8 +130,9 @@ class LogPower(BiasSchedule):
     def __post_init__(self) -> None:
         if not self.exponent > 0:
             raise ValueError("LogPower exponent must be > 0")
-        if not 0 < self.cap < 0.5:
+        if not self.cap > 0:
             raise ValueError("LogPower cap must lie in (0, 1/2)")
+        _check_bias("cap", self.cap)
         if self.n0 < 2:
             raise ValueError("LogPower n0 must be >= 2")
 
@@ -178,7 +179,8 @@ class Table(BiasSchedule):
             raise ValueError("Table schedule needs at least one value")
         if self.tail not in ("repeat", "zero"):
             raise ValueError("Table tail rule must be 'repeat' or 'zero'")
-        bad = np.flatnonzero(~(np.abs(np.asarray(self.values, dtype=np.float64)) < 0.5))
+        p = np.asarray(self.values, dtype=np.float64) + 0.5
+        bad = np.flatnonzero(~((0.0 < p) & (p < 1.0)))
         if bad.size:
             n = int(bad[0]) + 1
             _check_bias(f"gamma({n})", self.values[n - 1])
@@ -212,8 +214,12 @@ def _check_index(n: int) -> None:
 
 
 def _check_bias(name: str, value: float) -> None:
-    """Reject a bias outside the open interval (-1/2, 1/2), NaN included."""
-    if not -0.5 < value < 0.5:
+    """Reject a bias unless 0 < 1/2 + value < 1 in double precision, the
+    sampler's own condition: NaN fails, and so does a value just below 1/2
+    for which 1/2 + value rounds to 1."""
+    if not 0.0 < 0.5 + value < 1.0:
+        if -0.5 < value < 0.5:
+            raise ValueError(f"{name} = {value!r}: 1/2 + {name} rounds to 1 in double precision")
         raise ValueError(f"{name} = {value!r} outside (-1/2, 1/2)")
 
 

@@ -70,20 +70,22 @@ def aggregate_annealed(
 
     Averaging quenched laws over fresh sequences estimates the annealed law
     (sequence and pattern both random).  Standard errors use the sample
-    standard deviation over laws; a single law gets stderr 0.
+    standard deviation over laws; a single law gets stderr 0.  The masses
+    form one C-ordered (bins x laws) array reduced along its rows, so each
+    bin gets the same pairwise sums as a 1-D column of its masses would.
     """
     if not laws:
         raise ValueError("aggregate_annealed needs at least one law")
     support = sorted(set().union(*(law.pmf.keys() for law in laws)))
+    row = {m: i for i, m in enumerate(support)}
     n = len(laws)
-    pmf: dict[int, float] = {}
-    stderr: dict[int, float] = {}
-    for m in support:
-        column = np.array([law.mass(m) for law in laws])
-        pmf[m] = float(column.mean())
-        stderr[m] = float(column.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    masses = np.zeros((len(support), n))
+    for j, law in enumerate(laws):
+        masses[[row[m] for m in law.pmf], j] = list(law.pmf.values())
+    errors = masses.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(len(support))
+    pmf = dict(zip(support, masses.mean(axis=1).tolist()))
     mean_law = CountDistribution(pmf=pmf, label=f"annealed:mean-of-{n}")
-    return mean_law, stderr
+    return mean_law, dict(zip(support, errors.tolist()))
 
 
 def binomial_ci(successes: int, trials: int, confidence: float) -> tuple[float, float]:

@@ -131,6 +131,29 @@ class TestQuenchedCommand:
         assert "gamma(2) = 0.6" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("command", ["schedule-info", "quenched", "annealed", "bounds", "nonconv"])
+    def test_bias_rounding_half_sum_to_one_exits_one_before_any_work(self, command, tmp_path):
+        # 1/2 + 0.49999999999999994 rounds to 1.0 in double precision; the
+        # next double down and the mirrored value still sample
+        path = tmp_path / "bias.txt"
+        path.write_text("0.1\n0.49999999999999994\n")
+        specs = {
+            "const:0.49999999999999994": 1,
+            "logpow:1.0:cap=0.49999999999999994": 1,
+            f"table:{path}": 1,
+            "const:-0.49999999999999994": 0,
+            "const:0.4999999999999999": 0,
+        }
+        for spec, code in specs.items():
+            if command == "schedule-info":
+                proc = run_cli(command, spec)
+            else:
+                proc = run_cli(command, "--schedule", spec, "--k", "4", "--trials", "2")
+            assert proc.returncode == code, (spec, proc.stderr)
+            if code:
+                assert "rounds to 1" in proc.stderr, (spec, proc.stderr)
+                assert proc.stdout == ""
+
     def test_thread_flag_keeps_output_identical(self, tmp_path):
         outs = []
         for threads, name in ((1, "a.csv"), (3, "b.csv")):

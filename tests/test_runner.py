@@ -394,21 +394,28 @@ class TestSharedPasses:
 
     def test_each_trial_draws_its_words_once_for_every_schedule(self, monkeypatch):
         # 4 schedules x 3 trials over a 263-position sequence in chunks of
-        # 64 positions: 3 x 5 draws, where one draw per schedule made 60
-        real = sampler._raw_words
-        calls = []
+        # 64 positions: one generator per trial, read once per chunk in
+        # order (3 x 5 reads), where one draw per schedule made 60
+        generators = []
 
-        def spy(seed, start, count):
-            calls.append((seed, start))
-            return real(seed, start, count)
+        class CountingPhilox:
+            def __init__(self, key):
+                self.key, self.reads = key, []
+                self.inner = np.random.Philox(key=key)
+                generators.append(self)
+
+            def random_raw(self, count):
+                self.reads.append(count)
+                return self.inner.random_raw(count)
 
         cfg = small_config(schedules=DEFAULT_SCHEDULES, k_list=(6, 8), trials=3)
         whole = records_to_csv("annealed", run_annealed(cfg))
         monkeypatch.setattr(sampler, "_CHUNK", 64)
-        monkeypatch.setattr(sampler, "_raw_words", spy)
+        monkeypatch.setattr(sampler, "Philox", CountingPhilox)
         assert records_to_csv("annealed", run_annealed(cfg)) == whole
         seeds = [derive_seed(cfg.master_seed, t) for t in range(3)]
-        assert sorted(calls) == sorted((seed, start) for seed in seeds for start in range(0, 263, 64))
+        assert sorted(g.key for g in generators) == sorted(seeds)
+        assert all(g.reads == [64, 64, 64, 64, 7] for g in generators)
 
 
 class TestNanGuard:

@@ -3,15 +3,16 @@
 import math
 import tempfile
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2
 
 from conftest import pack_bits
+from pgl import sampler
 from pgl.sampler import (
     PackedSequence,
     Word,
@@ -61,6 +62,29 @@ class TestSeeds:
 
     def test_derive_seed_accepts_large_parts(self):
         assert 0 <= derive_seed(2**64 - 1, 2**63) < 1 << 64
+
+
+# Biases next to +-1/2, where rounding decides acceptance, and any double in
+# [-1/2, 1/2]; construction rejects what the sampler could not use.
+NEAR_HALF = (0.4999999999999999, -0.4999999999999999, 0.49999999999999994, -0.49999999999999994)
+BIASES = st.one_of(st.sampled_from(NEAR_HALF), st.floats(-0.5, 0.5))
+
+
+@st.composite
+def accepted_schedules(draw):
+    """A schedule of any kind that construction accepts."""
+    kind = draw(st.sampled_from(["zero", "const", "logpow", "table"]))
+    try:
+        if kind == "zero":
+            return Zero()
+        if kind == "const":
+            return Constant(draw(BIASES))
+        if kind == "logpow":
+            return LogPower(draw(st.floats(0.01, 4.0)), cap=draw(BIASES), n0=draw(st.integers(2, 64)))
+        values = tuple(draw(st.lists(BIASES, min_size=1, max_size=8)))
+        return Table(values, tail=draw(st.sampled_from(["repeat", "zero"])))
+    except ValueError:
+        reject()
 
 
 class TestSequences:
@@ -135,6 +159,25 @@ class TestSequences:
         with pytest.raises(ValueError):
             sample_sequence(Unchecked(-0.7), 8, seed=1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sched=accepted_schedules(),
+        start=st.one_of(st.integers(1, 70), st.integers(1, 2**40)),
+        count=st.integers(1, 40),
+    )
+    @example(sched=Constant(0.4999999999999999), start=1, count=1)
+    @example(sched=Constant(-0.4999999999999999), start=1, count=1)
+    @example(sched=Constant(-0.49999999999999994), start=1, count=1)
+    @example(sched=LogPower(1.0, cap=0.4999999999999999), start=1, count=4)
+    @example(sched=Table((0.4999999999999999, -0.49999999999999994), tail="zero"), start=1, count=3)
+    def test_thresholds_are_the_exact_floor_for_every_accepted_bias(self, sched, start, count):
+        # floor(fl(1/2 + gamma) * 2^64) in exact arithmetic, never 0 and
+        # never 2^64: every bias construction accepts samples in range
+        got = sampler._thresholds(sched, start, count).tolist()
+        for g, t in zip(sched.gamma_slice(start, count).tolist(), got):
+            assert t == math.floor(Fraction(0.5 + g) * 2**64)
+            assert 1 <= t <= 2**64 - 1
+
 
 class TestWords:
     def test_word_bit_conventions(self):
@@ -160,7 +203,9 @@ class TestWords:
     def test_draws_are_pure_in_seed_and_index(self):
         k, seed = 12, 31
         stream = sample_words(k, seed, 10)
-        assert np.array_equal(stream[3:7], sample_words(k, seed, 4, start=3))
+        # word t is stream word t of the seed's Philox generator, masked
+        straight = np.random.Philox(key=seed).random_raw(10) & np.uint64((1 << k) - 1)
+        assert np.array_equal(stream, straight)
         assert sample_word(k, seed).code == int(stream[0])
         assert sample_word(k, seed).k == k
 
@@ -177,7 +222,8 @@ class TestWords:
         observed = np.bincount(codes.astype(np.int64), minlength=1 << k)
         expected = n / (1 << k)
         statistic = float(((observed - expected) ** 2 / expected).sum())
-        assert statistic < chi2.ppf(1 - 1e-4, (1 << k) - 1)
+        # the 1 - 1e-4 quantile of chi-square with 15 degrees of freedom
+        assert statistic < 44.26322494417528
 
 
 class TestBitDumps:

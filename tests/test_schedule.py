@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgl.schedule import (
@@ -167,6 +167,16 @@ class TestValidation:
             Constant(math.nan)
         with pytest.raises(ValueError, match=r"gamma\(2\) = 0\.6 outside"):
             Table((0.1, 0.6))
+        # 1/2 + 0.49999999999999994 rounds to 1.0, which leaves no randomness
+        near = math.nextafter(0.5, 0.0)
+        with pytest.raises(ValueError, match=r"const = 0\.49999999999999994: 1/2 \+ const rounds to 1"):
+            Constant(near)
+        with pytest.raises(ValueError, match=r"cap = 0\.49999999999999994: .* rounds to 1"):
+            LogPower(1.0, cap=near)
+        with pytest.raises(ValueError, match=r"gamma\(2\) = 0\.49999999999999994: .* rounds to 1"):
+            Table((0.1, near, 0.2))
+        assert Constant(-near).value == -near
+        assert LogPower(1.0, cap=math.nextafter(near, 0.0)).gamma(1) < 0.5
 
     def test_extra_indices_are_probed(self):
         # the constructor checks every table entry and names the first
@@ -178,13 +188,18 @@ class TestValidation:
 
     @settings(max_examples=200, deadline=None)
     @given(value=st.floats())
+    @example(value=0.49999999999999994)
+    @example(value=-0.49999999999999994)
     def test_any_float_makes_a_valid_constant_or_fails(self, value):
+        # the one double inside (-1/2, 1/2) with 1/2 + value rounding to 1
+        # is the largest below 1/2
+        usable = -0.5 < value < 0.5 and value != math.nextafter(0.5, 0.0)
         try:
             sched = Constant(value)
         except ValueError:
-            assert not -0.5 < value < 0.5
+            assert not usable
         else:
-            assert -0.5 < value < 0.5
+            assert usable
             assert sched.gamma_slice(1, 2).tolist() == [value, value]
 
 
