@@ -72,6 +72,7 @@ EXACT_ANNEALED_CAP = 4
 UNION_BOUND_CAP = 30
 # Onset threshold for per-factor control: positions with 1 + 2 gamma_n below
 # 2^(1/4) make every overlap-pair factor small enough for the 2^(-3k/2) bound.
+# The onset index j0 is reported with the Stein terms and enters none of them.
 _ONSET_FACTOR_BOUND = (2.0 ** 0.25 - 1.0) / 2.0
 
 
@@ -395,6 +396,7 @@ def critical_onset_index(schedule: BiasSchedule) -> int | None:
     From this position on, every overlap-pair joint probability at level k is
     below 2^(-3k/2): each residue-class bracket is at most
     2 prod (1 + 2 |gamma_t|).  None when the schedule never decays that far.
+    Reported as j0 beside the Stein terms; no term is computed from it.
     """
     return first_persistent_below(schedule, _ONSET_FACTOR_BOUND)
 
@@ -518,27 +520,19 @@ def chen_stein_terms(schedule: BiasSchedule, params: ChenSteinParams) -> ChenSte
 
     A: exact closed form over the window-neighborhood structure.
     B: sum of joint hit probabilities over overlapping pairs; exact through
-       exact_cap, else the onset-index bound j0 k 2^-k + k 2^-k/2, or the
-       stratified envelope bound where larger (the onset bound holds only up
-       to constants: near-saturated windows overlap more often).
+       exact_cap, else the stratified envelope bound (_pair_bound).
     C: pattern-averaged likelihood deviation summed over positions; exact for
        small k, stratified monotone bound with exact or Monte Carlo grid
        values beyond (mode and stderr reported).  Both bounds hold for
        biases of either sign and in any order.
     """
     k = params.k
-    n = 1 << k
     a_value = _neighborhood_term(k)
-    onset = critical_onset_index(schedule)
     bounding = envelope(schedule)
     if k <= params.exact_cap:
         b_value, b_mode = _pair_sum_exact(schedule, k), "exact"
     else:
-        head_count = n if onset is None else min(onset, n)
-        b_value = head_count * k * math.ldexp(1.0, -k)
-        if onset is not None and onset <= n:
-            b_value += k * 2.0 ** (-k / 2)
-        b_value, b_mode = max(b_value, _pair_bound(bounding, k)), "bound"
+        b_value, b_mode = _pair_bound(bounding, k), "bound"
     c_value, c_mode, c_stderr = _c_term(schedule, bounding, params)
     return ChenSteinReport(
         k=k,
@@ -550,7 +544,7 @@ def chen_stein_terms(schedule: BiasSchedule, params: ChenSteinParams) -> ChenSte
         c_mode=c_mode,
         c_stderr=c_stderr,
         total=a_value + b_value + c_value,
-        onset_index=onset,
+        onset_index=critical_onset_index(schedule),
         epsilon=params.epsilon,
         theta=params.theta,
     )

@@ -445,15 +445,15 @@ def _sampled_statistics(config: ExperimentConfig, label: str, k: int, outcomes) 
     tail_words = [word for word, _, in_tail in outcomes if in_tail]
     lo, hi = binomial_ci(absent, trials, 0.95)
     schedule = next(s for s in config.parsed_schedules if s.label == label)
-    union_values = [
-        union_bound_hit_probability(schedule, k, word)
-        for word in tail_words[: config.union_bound_samples]
-    ]
+    union_words = tail_words[: config.union_bound_samples]
+    union_total = 0.0
+    for word in union_words:  # left to right, as in stats.tv_distance
+        union_total += union_bound_hit_probability(schedule, k, word)
     return {
         "p0_hat": absent / trials, "p0_lo": lo, "p0_hi": hi,
         "tail_rate": len(tail_words) / trials, "tail_and_hit_rate": tail_hit / trials,
-        "union_bound_mean": sum(union_values) / len(union_values) if union_values else None,
-        "union_bound_samples": len(union_values),
+        "union_bound_mean": union_total / len(union_words) if union_words else None,
+        "union_bound_samples": len(union_words),
     }
 
 

@@ -60,7 +60,12 @@ def tv_distance(p: CountDistribution, q: CountDistribution) -> float:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"{dist.label}: masses sum to {total!r}, not 1")
     support = set(p.pmf) | set(q.pmf)
-    return 0.5 * sum(abs(p.mass(m) - q.mass(m)) for m in sorted(support))
+    # Left to right: from Python 3.12 sum() compensates float additions, so
+    # the printed bytes would depend on the Python version.
+    total = 0.0
+    for m in sorted(support):
+        total += abs(p.mass(m) - q.mass(m))
+    return 0.5 * total
 
 
 def aggregate_annealed(

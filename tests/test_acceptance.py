@@ -32,6 +32,7 @@ from conftest import (
     tv_to_poisson_one,
 )
 from fractions import Fraction
+from pathlib import Path
 
 from pgl.analytics import (
     BalancedSpec,
@@ -60,6 +61,7 @@ from pgl.schedule import Constant, LogPower, Table, Zero
 from pgl.stats import poisson_distribution, tv_distance
 
 E_INV = math.exp(-1.0)
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def random_schedule(rng: random.Random):
@@ -264,7 +266,8 @@ def test_a10_error_term_totals_trend_downward_for_borderline_decay():
 
 
 def test_a11_default_sweep_is_thread_deterministic():
-    """Two default sweeps, threads 1 vs 4, same master seed: identical CSV."""
+    """Two default sweeps, threads 1 vs 4, same master seed: identical CSV,
+    and the CSV recorded in tests/golden/default-annealed.csv."""
     outputs = []
     for threads in (1, 4):
         cfg = ExperimentConfig(schedules=DEFAULT_SCHEDULES, k_list=DEFAULT_K_LIST,
@@ -272,6 +275,7 @@ def test_a11_default_sweep_is_thread_deterministic():
         outputs.append(records_to_csv("annealed", run_annealed(cfg)))
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith("# pgl-schema v1\n")
+    assert outputs[0] == (GOLDEN_DIR / "default-annealed.csv").read_text()
 
 
 def test_a12_level_24_histogram_finishes_inside_five_seconds():

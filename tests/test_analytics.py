@@ -34,7 +34,7 @@ from pgl.analytics import (
 )
 from pgl.errors import CapabilityError
 from pgl.sampler import Word
-from pgl.schedule import Constant, LogPower, Table, Zero
+from pgl.schedule import Constant, LogPower, Table, Zero, envelope
 
 TABLE6 = Table((0.1, -0.05, 0.2, 0.05, 0.15, -0.1))
 ONSET_FACTOR_BOUND = (2.0 ** 0.25 - 1.0) / 2.0
@@ -438,7 +438,7 @@ class TestBoundsForEverySchedule:
         exact = analytics._pair_sum_exact(sched, 16)
         assert exact == pytest.approx(0.23890, abs=1e-5)
         assert report.b_mode == "bound" and report.onset_index is None
-        assert report.b_term == 16.0
+        assert exact <= report.b_term
 
     def test_saturated_bias_b_bound_dominates_the_exact_sum(self):
         # logpow:0.25 sits at its cap 0.49 far beyond 2^16, so pairs of
@@ -448,6 +448,27 @@ class TestBoundsForEverySchedule:
         exact = analytics._pair_sum_exact(sched, 16)
         assert exact > 16.0
         assert report.b_mode == "bound" and report.b_term >= exact
+
+    # Above exact_cap, B is the stratified envelope bound and nothing else, and
+    # on non-increasing schedules it stays within a small factor of the exact
+    # sum; the factors hold the ratios seen at k = 14..16 with some headroom.
+    @pytest.mark.parametrize("sched,factor", [
+        (Zero(), 1.001),
+        (Constant(0.1), 1.001),
+        (Constant(-0.3), 1.001),
+        (LogPower(0.25), 1.001),
+        (LogPower(0.5), 1.15),
+        (LogPower(1.0), 3.0),
+        (LogPower(2.0), 5.5),
+        (Table(tuple(min(0.49, 1.0 / math.log(n + 1)) for n in range(1, (1 << 15) + 1))), 2.75),
+    ], ids=lambda value: getattr(value, "label", None))
+    @pytest.mark.parametrize("k", [14, 15, 16])
+    def test_bounded_b_is_the_envelope_bound_and_stays_tight(self, sched, factor, k):
+        report = chen_stein_terms(sched, ChenSteinParams(k=k, exact_cap=k - 1))
+        assert report.b_mode == "bound"
+        assert report.b_term == analytics._pair_bound(envelope(sched), k)
+        exact = analytics._pair_sum_exact(sched, k)
+        assert exact <= report.b_term <= factor * exact
 
     @pytest.mark.parametrize("table,exact", [
         (Table((0.0,) * 6200 + (0.45,) * 1800, tail="zero"), 0.213598),

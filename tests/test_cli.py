@@ -12,8 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pgl.analytics import _pair_sum_exact
 from pgl.cli import _build_config, build_parser
 from pgl.runner import ExperimentConfig
+from pgl.schedule import Constant
 
 SCHEMA_LINE = "# pgl-schema v1"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -360,11 +362,12 @@ class TestOtherCommands:
         assert "tail_and_hit_rate" in lines[1]
 
     def test_negative_constant_b_bound_has_no_onset(self):
-        proc = run_cli("bounds", "--schedule", "const:-0.3", "--k", "21")
+        proc = run_cli("bounds", "--schedule", "const:-0.3", "--k", "14", "--exact-cap", "13")
         assert proc.returncode == 0, proc.stderr
         header, row = proc.stdout.strip().splitlines()[1:]
         cells = dict(zip(header.split(","), row.split(",")))
-        assert (cells["B"], cells["B_mode"], cells["j0"]) == ("21.0", "bound", "")
+        assert (cells["B_mode"], cells["j0"]) == ("bound", "")
+        assert float(cells["B"]) >= _pair_sum_exact(Constant(-0.3), 14)
 
     def test_schedule_info_reports_json(self):
         proc = run_cli("schedule-info", "logpow:1.0")

@@ -4,7 +4,9 @@ tests/golden/ were recorded, whatever the thread count.
 quenched, annealed and nonconv must match byte for byte.  bounds must match
 every string cell exactly and every float cell within 1e-12 relative, so
 that a change in floating-point summation order inside the Stein terms is
-allowed and nothing else is.
+allowed and nothing else is.  The default-* files hold the four sweeps with
+every config field at its default; the annealed one is checked by test_a11,
+which runs that sweep anyway.
 
 To record the files again after an intended change of output, run
 ``PYTHONPATH=src python tests/test_golden.py`` and name the change in
@@ -16,6 +18,7 @@ import io
 import math
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -46,6 +49,10 @@ CASES = {
         run_bounds,
         {"schedules": ("logpow:0.5", "logpow:1.0", "zero"), "k_list": (8, 14, 21)},
     ),
+    "default-quenched": ("quenched", run_quenched, {}),
+    "default-annealed": ("annealed", run_annealed, {}),
+    "default-nonconv": ("nonconv", run_nonconv, {}),
+    "default-bounds": ("bounds", run_bounds, {}),
 }
 
 
@@ -79,6 +86,46 @@ def test_sweep_csv_is_byte_identical(mode, threads):
 def test_bounds_csv_matches_within_rounding(threads):
     want = (GOLDEN_DIR / "bounds.csv").read_text()
     assert_close_cells(render("bounds", threads), want)
+
+
+@pytest.mark.parametrize("mode", ["default-quenched", "default-nonconv"])
+def test_default_sweep_csv_is_byte_identical(mode):
+    want = (GOLDEN_DIR / f"{mode}.csv").read_text()
+    assert render(mode, threads=1) == want
+
+
+def test_default_bounds_csv_matches_within_rounding():
+    want = (GOLDEN_DIR / "default-bounds.csv").read_text()
+    assert_close_cells(render("default-bounds", threads=1), want)
+
+
+def neumaier_sum(values, start=0):
+    """The builtin sum() as Python 3.12 computes it: from 3.12 it adds floats
+    with Neumaier compensated summation (What's New in Python 3.12; CPython
+    gh-100425), while 3.10 and 3.11 add them left to right.  Ints alone
+    still sum exactly."""
+    values = list(values)
+    if all(isinstance(value, int) for value in values):
+        return sum(values, start)
+    total, compensation = float(start), 0.0
+    for value in map(float, values):
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation
+
+
+@pytest.mark.parametrize("mode", ["quenched", "quenched-levels", "annealed", "nonconv"])
+def test_sweep_csv_bytes_do_not_depend_on_how_sum_adds_floats(mode):
+    # pgl runs on Python >= 3.10, so no printed float may come from sum().
+    want = (GOLDEN_DIR / f"{mode}.csv").read_text()
+    with mock.patch("pgl.stats.sum", neumaier_sum, create=True), mock.patch(
+        "pgl.runner.sum", neumaier_sum, create=True
+    ):
+        assert render(mode, threads=1) == want
 
 
 def test_a_repeated_level_adds_no_trials_to_the_annealed_aggregates():
