@@ -250,14 +250,15 @@ def pair_hit_probability(schedule: BiasSchedule, i: int, j: int, k: int) -> floa
         gi = schedule.gamma_slice(lo, k)
         gj = schedule.gamma_slice(hi, k)
         return math.ldexp(float(np.prod(1.0 + 4.0 * gi * gj)), -2 * k)
-    return float(overlap_pair_probabilities(schedule, k, d, lo, 1)[0])
+    return float(overlap_pair_probabilities(schedule.gamma_slice(lo, k + d), k, d, 1)[0])
 
 
 def overlap_pair_probabilities(
-    schedule: BiasSchedule, k: int, distance: int, i_start: int, count: int
+    gamma: np.ndarray, k: int, distance: int, count: int
 ) -> np.ndarray:
     """Joint hit probabilities for window pairs (i, i+distance), vectorized
-    over i = i_start..i_start+count-1, for overlap distance 0 < d < k.
+    over count consecutive lower positions i, for overlap distance 0 < d < k;
+    gamma is the bias run from the first i on (count + k + d - 1 values read).
 
     For each i the value is
         2^-(2k+d) * prod_{r=1}^{d} [ prod_{t = r, r+d, ... <= k+d} (1 + 2 g_t)
@@ -276,11 +277,11 @@ def overlap_pair_probabilities(
     d = distance
     if not 0 < d < k:
         raise ValueError("overlap distance must satisfy 0 < d < k")
-    if i_start < 1 or count < 1:
-        raise ValueError("need i_start >= 1 and count >= 1")
+    if count < 1 or len(gamma) < count + k + d - 1:
+        raise ValueError("need count >= 1 and a bias run of count + k + d - 1 values")
     q, s = divmod(k + d, d)
     starts = count + d - 1
-    two_g = 2.0 * schedule.gamma_slice(i_start, count + k + d - 1)
+    two_g = 2.0 * gamma[: count + k + d - 1]
     grow = 1.0 + two_g
     shrink = 1.0 - two_g
     # chain products of length q at every start, then q + 1 for the first
@@ -410,16 +411,18 @@ def _pair_sum_exact(schedule: BiasSchedule, k: int) -> float:
     """Sum of joint hit probabilities over all ordered overlapping pairs
     (j, i) with i, j in 1..2^k and 0 < |i-j| < k.
 
-    For each distance d, the 2^k - d pairs (i, i+d) go through
-    overlap_pair_probabilities (chain products per residue class) in chunks
-    of _PAIR_CHUNK positions; the chunk sums are added exactly (math.fsum).
+    Each chunk of _PAIR_CHUNK lower positions i reads its bias run once for
+    every distance d, whose pairs (i, i+d) with i <= 2^k - d go through
+    overlap_pair_probabilities (chain products per residue class); the chunk
+    sums are added exactly (math.fsum), so their order does not matter.
     """
     n = 1 << k
     chunk_sums = []
-    for d in range(1, k):
-        for i in range(1, n - d + 1, _PAIR_CHUNK):
+    for i in range(1, n, _PAIR_CHUNK):
+        gamma = schedule.gamma_slice(i, min(_PAIR_CHUNK + 2 * k - 2, n + k - i))
+        for d in range(1, min(k - 1, n - i) + 1):
             count = min(_PAIR_CHUNK, n - d + 1 - i)
-            chunk_sums.append(float(overlap_pair_probabilities(schedule, k, d, i, count).sum()))
+            chunk_sums.append(float(overlap_pair_probabilities(gamma, k, d, count).sum()))
     return 2.0 * math.fsum(chunk_sums)
 
 
@@ -637,29 +640,32 @@ def symbol_sum_tail_mass(k: int, eta: float) -> TailMass:
     return TailMass(exact=exact, normal_approx=normal)
 
 
-def union_bound_hit_probability(schedule: BiasSchedule, k: int, word: Word) -> float:
-    """2^-k sum_{j=1}^{2^k} R_j(w): a union bound for P(w occurs at all).
+def union_bound_hit_probability(schedule: BiasSchedule, k: int, words: list[Word]) -> list[float]:
+    """2^-k sum_{j=1}^{2^k} R_j(w) for each word w: union bounds for P(w occurs).
 
-    Scans all 2^k positions in chunks (k <= UNION_BOUND_CAP).  Factors stay
-    >= 1 - 2*cap > 0 for capped schedules, so products cannot underflow
-    within this envelope.
+    Scans all 2^k positions in chunks (k <= UNION_BOUND_CAP), reading each
+    chunk's biases once for every word.  Factors stay >= 1 - 2*cap > 0 for
+    capped schedules, so products cannot underflow within this envelope.
     """
-    if word.k != k:
-        raise ValueError(f"word has level {word.k}, expected {k}")
+    for word in words:
+        if word.k != k:
+            raise ValueError(f"word has level {word.k}, expected {k}")
     if k > UNION_BOUND_CAP:
         raise CapabilityError(f"union bound scans 2^k positions; k <= {UNION_BOUND_CAP}")
+    if not words:
+        return []
     n = 1 << k
-    total = 0.0
+    totals = [0.0] * len(words)
     chunk = 1 << 20
-    j = 1
-    while j <= n:
+    for j in range(1, n + 1, chunk):
         count = min(chunk, n - j + 1)
         gam = schedule.gamma_slice(j, count + k - 1)
+        gam *= 2.0  # 1 + 2 gamma then overwrites it: one 2^20 array fewer per chunk
         # factors[b] is the factor of a symbol with bit b: 1 - 2 gamma or 1 + 2 gamma
-        factors = (1.0 - 2.0 * gam, 1.0 + 2.0 * gam)
-        acc = factors[word.bit(1)][:count].copy()
-        for i in range(1, k):
-            acc *= factors[word.bit(i + 1)][i : i + count]
-        total += float(acc.sum())
-        j += count
-    return math.ldexp(total, -k)
+        factors = (1.0 - gam, np.add(gam, 1.0, out=gam))
+        for w, word in enumerate(words):
+            acc = factors[word.bit(1)][:count].copy()
+            for i in range(1, k):
+                acc *= factors[word.bit(i + 1)][i : i + count]
+            totals[w] += float(acc.sum())
+    return [math.ldexp(total, -k) for total in totals]

@@ -447,8 +447,8 @@ def _sampled_statistics(config: ExperimentConfig, label: str, k: int, outcomes) 
     schedule = next(s for s in config.parsed_schedules if s.label == label)
     union_words = tail_words[: config.union_bound_samples]
     union_total = 0.0
-    for word in union_words:  # left to right, as in stats.tv_distance
-        union_total += union_bound_hit_probability(schedule, k, word)
+    for bound in union_bound_hit_probability(schedule, k, union_words):
+        union_total += bound  # left to right, as in stats.tv_distance
     return {
         "p0_hat": absent / trials, "p0_lo": lo, "p0_hi": hi,
         "tail_rate": len(tail_words) / trials, "tail_and_hit_rate": tail_hit / trials,

@@ -246,13 +246,8 @@ def cesaro_average(schedule: BiasSchedule, n_terms: int) -> float:
     if n_terms < 1:
         raise ValueError("cesaro_average needs at least one term")
     total = 0.0
-    start = 1
-    remaining = n_terms
-    while remaining > 0:
-        count = min(remaining, 1 << 22)
-        total += float(schedule.gamma_slice(start, count).sum())
-        start += count
-        remaining -= count
+    for start in range(1, n_terms + 1, 1 << 22):
+        total += float(schedule.gamma_slice(start, min(1 << 22, n_terms + 1 - start)).sum())
     return total / n_terms
 
 

@@ -30,8 +30,8 @@ def poisson_pmf(lam: float, m: int) -> float:
     return math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1))
 
 
-def poisson_distribution(lam: float, tail_tol: float = _TAIL_TOL) -> CountDistribution:
-    """Poisson(lam) truncated adaptively so the neglected tail is < tail_tol."""
+def poisson_distribution(lam: float) -> CountDistribution:
+    """Poisson(lam) truncated adaptively so the neglected tail is < _TAIL_TOL."""
     if lam <= 0:
         raise ValueError("Poisson rate must be > 0")
     pmf: dict[int, float] = {}
@@ -41,7 +41,7 @@ def poisson_distribution(lam: float, tail_tol: float = _TAIL_TOL) -> CountDistri
         p = poisson_pmf(lam, m)
         pmf[m] = p
         cumulative += p
-        if 1.0 - cumulative < tail_tol:
+        if 1.0 - cumulative < _TAIL_TOL:
             break
     else:
         raise ValueError(f"failed to reach tail tolerance for lam={lam}")

@@ -143,8 +143,8 @@ def test_a05_far_overlapping_pairs_sit_below_the_uniform_bound():
         bound = 2.0 ** (-1.5 * k)
         for d in range(1, k):
             count = (1 << k) - d - onset + 1
-            block = overlap_pair_probabilities(sched, k, d, i_start=onset,
-                                               count=count)
+            block = overlap_pair_probabilities(sched.gamma_slice(onset, count + k + d - 1),
+                                               k, d, count=count)
             assert float(block.max()) < bound
 
 

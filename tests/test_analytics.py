@@ -34,10 +34,23 @@ from pgl.analytics import (
 )
 from pgl.errors import CapabilityError
 from pgl.sampler import Word
-from pgl.schedule import Constant, LogPower, Table, Zero, envelope
+from pgl.schedule import BiasSchedule, Constant, LogPower, Table, Zero, envelope
 
 TABLE6 = Table((0.1, -0.05, 0.2, 0.05, 0.15, -0.1))
 ONSET_FACTOR_BOUND = (2.0 ** 0.25 - 1.0) / 2.0
+
+
+def count_bias_reads(monkeypatch) -> list[tuple[int, int]]:
+    """Record (start, count) of every BiasSchedule.gamma_slice call."""
+    reads = []
+    original = BiasSchedule.gamma_slice
+
+    def counted(self, start, count):
+        reads.append((start, count))
+        return original(self, start, count)
+
+    monkeypatch.setattr(BiasSchedule, "gamma_slice", counted)
+    return reads
 
 
 class TestLikelihoodEnumeration:
@@ -171,12 +184,14 @@ class TestPairProbabilities:
         sched = LogPower(1.0)
         k = 6
         for d in (1, 3, 5):
-            block = overlap_pair_probabilities(sched, k, d, i_start=9, count=12)
+            block = overlap_pair_probabilities(sched.gamma_slice(9, 12 + k + d - 1), k, d, count=12)
             for offset in range(12):
                 i = 9 + offset
                 assert block[offset] == pytest.approx(
                     pair_hit_probability(sched, i, i + d, k), rel=1e-12
                 )
+            with pytest.raises(ValueError, match="bias run"):
+                overlap_pair_probabilities(sched.gamma_slice(9, 12 + k + d - 2), k, d, count=12)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 9])
     @pytest.mark.parametrize("count", [1, 2, 7, 33])
@@ -189,12 +204,14 @@ class TestPairProbabilities:
             np.testing.assert_allclose(got, expected, rtol=1e-14)
 
     @pytest.mark.parametrize("schedule", [TABLE6, LogPower(1.0)])
-    @pytest.mark.parametrize("chunk", [5, 1 << 14])
+    @pytest.mark.parametrize("chunk", [5, 62, 63, 1 << 14])
     def test_pair_sum_matches_brute_force_over_every_pair(self, schedule, chunk,
                                                           monkeypatch):
         # k = 6 takes every distance d = 1..5, so k + d = q d + s meets both
         # s = 0 (d = 1, 2, 3) and s > 0 (d = 4, 5); chunks of 5 positions
-        # split every distance's run of pairs
+        # split every distance's run of pairs; with 62 the last chunk holds
+        # lower position 63 alone, whose only pair is at d = 1, and with 63
+        # one chunk holds every pair, since position 64 starts none
         k = 6
         n = 1 << k
         expected = math.fsum(
@@ -207,6 +224,13 @@ class TestPairProbabilities:
         got = analytics._pair_sum_exact(schedule, k)
         assert got == pytest.approx(expected, rel=1e-12)
 
+    def test_pair_sum_reads_each_chunk_of_biases_once(self, monkeypatch):
+        # 2^16 lower positions are four chunks of 2^14; each chunk's bias run
+        # serves all 15 distances
+        reads = count_bias_reads(monkeypatch)
+        analytics._pair_sum_exact(LogPower(1.0), 16)
+        assert len(reads) == 4
+
     @pytest.mark.parametrize("k", [8, 12, 16])
     def test_far_overlapping_pairs_obey_the_uniform_bound(self, k):
         # once the per-position factor 1 + 2 gamma drops below 2^(1/4),
@@ -218,8 +242,8 @@ class TestPairProbabilities:
             pytest.skip(f"no window pair at level {k} starts at or after {onset}")
         for d in range(1, k):
             count = (1 << k) - d - onset + 1
-            block = overlap_pair_probabilities(sched, k, d, i_start=onset,
-                                               count=count)
+            block = overlap_pair_probabilities(sched.gamma_slice(onset, count + k + d - 1),
+                                               k, d, count=count)
             assert float(block.max()) < bound
 
     @pytest.mark.parametrize("schedule", [Constant(0.1), LogPower(1.0)])
@@ -655,12 +679,12 @@ class TestSymbolSumTail:
 
 class TestUnionBound:
     def test_unbiased_bound_is_one(self):
-        assert union_bound_hit_probability(Zero(), 8, Word(8, 37)) == pytest.approx(
+        assert union_bound_hit_probability(Zero(), 8, [Word(8, 37)])[0] == pytest.approx(
             1.0, rel=1e-14
         )
 
     def test_strong_minus_bias_all_plus_word(self):
-        got = union_bound_hit_probability(Constant(-0.49), 8, Word(8, 255))
+        got = union_bound_hit_probability(Constant(-0.49), 8, [Word(8, 255)])[0]
         assert got == pytest.approx(0.02**8, rel=1e-12)
 
     def test_matches_direct_average(self):
@@ -671,18 +695,30 @@ class TestUnionBound:
             brute_likelihood_ratio(TABLE6, j, word_bits) / 16.0
             for j in range(1, 17)
         )
-        got = union_bound_hit_probability(TABLE6, k, Word(4, 0b1001))
+        got = union_bound_hit_probability(TABLE6, k, [Word(4, 0b1001)])[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_saturated_bias_starves_minus_heavy_patterns(self):
         # under near-cap plus bias an all-minus pattern is essentially
         # unreachable: the whole union bound stays far below 1/2
-        got = union_bound_hit_probability(LogPower(0.25), 16, Word(16, 0))
+        got = union_bound_hit_probability(LogPower(0.25), 16, [Word(16, 0)])[0]
         assert got < 0.5
         assert got < 1e-20
 
+    def test_words_share_each_chunk_of_biases(self, monkeypatch):
+        # 2^21 positions are two chunks of 2^20: two bias runs serve all four
+        # words, and each word's bound equals its bound taken alone
+        reads = count_bias_reads(monkeypatch)
+        words = [Word(21, code) for code in (0, 1, 1 << 20, (1 << 21) - 1)]
+        bounds = union_bound_hit_probability(LogPower(1.0), 21, words)
+        assert len(reads) == 2
+        assert bounds == [union_bound_hit_probability(LogPower(1.0), 21, [w])[0] for w in words]
+        reads.clear()
+        assert union_bound_hit_probability(LogPower(1.0), 21, []) == []
+        assert reads == []
+
     def test_level_cap_and_word_mismatch(self):
         with pytest.raises(CapabilityError):
-            union_bound_hit_probability(Zero(), 31, Word(31, 0))
+            union_bound_hit_probability(Zero(), 31, [Word(31, 0)])[0]
         with pytest.raises(ValueError):
-            union_bound_hit_probability(Zero(), 8, Word(4, 0))
+            union_bound_hit_probability(Zero(), 8, [Word(4, 0)])[0]
