@@ -12,8 +12,8 @@ over uniform w.  The module computes:
 
 * exact pattern-averaged quantities by enumerating all 2^k patterns in code
   order (log R_j is a sum over symbols, so the table for k symbols is the
-  table for k-1 symbols twice, one copy per value of the last symbol), for
-  a block of consecutive window positions at once, one table per row;
+  table for k-1 symbols twice, one copy per value of the last symbol), and
+  mean |R_j - 1| from two sorted half-size tables, one row per window;
 * exact joint hit probabilities for two windows, disjoint (closed form) or
   overlapping (the sum over shift-compatible patterns factorizes over
   residue classes of the overlap distance, and each class is a chain
@@ -62,9 +62,8 @@ __all__ = [
     "UNION_BOUND_CAP",
 ]
 
-# The exact C sum fills a 2^k-pattern table for each of the 2^k positions,
-# 4^k entries in blocks of _BLOCK_ENTRIES; k <= 13 keeps that to 2^26
-# entries (about 0.5 s).  Above it, C takes the stratified bound.
+# The exact C sum sorts two 2^(k/2)-entry half tables at each of the 2^k
+# positions, about 0.1 s at k = 13; above it, C takes the stratified bound.
 _FULL_SUM_CAP = 13
 # All-prefix enumeration for the exact annealed law costs 2^(2^k + k - 1).
 EXACT_ANNEALED_CAP = 4
@@ -80,10 +79,10 @@ _ONSET_FACTOR_BOUND = (2.0 ** 0.25 - 1.0) / 2.0
 class ChenSteinParams:
     """Knobs for the Stein-method error terms at level k.
 
-    exact_cap is the largest k for which 2^k-pattern enumerations run exactly
-    (one enumeration holds 8 * 2^k bytes, 512 MiB at the hard ceiling 26, and
-    nothing is cached; 20 is the comfortable default).  mc_samples sizes the
-    Monte Carlo fallback; seed makes it reproducible.
+    exact_cap (at most 26; 20 is the comfortable default) is the largest k
+    for which B and the C grid values are summed exactly, in chunks of 2^14
+    positions and two 2^(k/2)-entry half tables, with nothing cached.
+    mc_samples sizes the Monte Carlo fallback; seed makes it reproducible.
     """
 
     k: int
@@ -325,34 +324,45 @@ def _window_products(values: np.ndarray, width: int, count: int) -> np.ndarray:
 # Pattern-averaged deviation of the likelihood ratio
 
 
-# Table entries per block of the exact deviation sum (2^17 doubles, 1 MiB):
-# of the sizes 2^14..2^20, 2^17 ran the full sum at k = 12 fastest.
-_BLOCK_ENTRIES = 1 << 17
+# High-half table entries per block of the exact deviation sum (32 KiB, 64
+# rows at k = 12): of 2^10..2^16, 2^12 and 2^14 ran k = 12 fastest.
+_BLOCK_ENTRIES = 1 << 12
 
 
 def _deviation_sum(schedule: BiasSchedule, j: int, count: int, k: int) -> float:
     """sum of E|R_i - 1| over i = j..j+count-1, exact over all 2^k patterns.
 
-    Positions go in blocks of rows, each row a window's log-likelihood table
-    (_pattern_sums with the window's symbol logs as columns); the rows'
-    means are added in position order.
+    The first h = k // 2 symbols of a window give the low log-sums a, the
+    rest the N high log-sums b (_pattern_sums tables, one row per window).
+    R - 1 = e^a (E - t) with E = expm1(b) and t = expm1(-a); with E sorted,
+    its prefix sums P and c = #{E <= t} from a stable merge of sorted E and
+    t, sum |E - t| = P_N - 2 P_c + (2c - N) t.  Each step runs along rows and
+    the row means are added in position order, so no value depends on blocks.
     """
     if j < 1 or k < 1:
         raise ValueError("window position and level must be >= 1")
     two_gamma = 2.0 * schedule.gamma_slice(j, count + k - 1)
-    plus = np.log1p(two_gamma)
-    minus = np.log1p(-two_gamma)
-    rows = max(1, _BLOCK_ENTRIES >> k)
+    # symbol i of the window at j + r is column r of row i
+    plus = sliding_window_view(np.log1p(two_gamma), k).T
+    minus = sliding_window_view(np.log1p(-two_gamma), k).T
+    h = k // 2
+    n = 1 << (k - h)
+    step = max(1, _BLOCK_ENTRIES >> (k - h))
     total = 0.0
-    for start in range(0, count, rows):
-        m = min(rows, count - start)
-        block = slice(start, start + m + k - 1)
-        values = _pattern_sums(
-            sliding_window_view(plus[block], m), sliding_window_view(minus[block], m)
-        )
-        np.expm1(values, out=values)
-        np.abs(values, out=values)
-        for mean in values.mean(axis=1).tolist():
+    for start in range(0, count, step):
+        rows = slice(start, start + step)
+        # -a ascending, so t ascends and e^a = exp(-(-a))
+        neg_low = np.sort(-_pattern_sums(plus[:h, rows], minus[:h, rows]), axis=1)
+        t = np.expm1(neg_low)
+        high = np.expm1(np.sort(_pattern_sums(plus[h:, rows], minus[h:, rows]), axis=1))
+        prefix = np.cumsum(np.pad(high, ((0, 0), (1, 0))), axis=1)  # P_0 = 0
+        # t_i lands at i + c_i in the merge: stable, so E goes first on ties
+        merged = np.argsort(np.concatenate((high, t), axis=1), axis=1, kind="stable")
+        below = np.nonzero(merged >= n)[1].reshape(t.shape) - np.arange(1 << h)
+        spread = prefix[:, -1:] - 2.0 * np.take_along_axis(prefix, below, axis=1)
+        spread += (2 * below - n) * t
+        spread *= np.exp(-neg_low)
+        for mean in (spread.sum(axis=1) / (1 << k)).tolist():
             total += mean
     return total
 
@@ -368,8 +378,8 @@ def mean_abs_likelihood_deviation(
 ) -> tuple[float, float]:
     """E |R_j - 1| over uniform patterns; returns (value, stderr).
 
-    Exact (stderr 0) for k <= exact_cap by enumerating all 2^k patterns;
-    Monte Carlo with mc_samples patterns beyond, reproducible per (seed, k, j).
+    Exact (stderr 0) for k <= exact_cap; beyond, Monte Carlo over mc_samples
+    patterns, reproducible per (seed, k, j), one table lookup per 12 symbols.
     """
     if k <= exact_cap:
         return _deviation_sum(schedule, j, 1, k), 0.0
@@ -378,9 +388,9 @@ def mean_abs_likelihood_deviation(
     minus = np.log1p(-two_gamma)
     codes = sample_words(k, derive_seed(seed, k, j), mc_samples)
     logs = np.zeros(mc_samples)
-    for i in range(k):
-        bit = ((codes >> np.uint64(i)) & np.uint64(1)).astype(bool)
-        logs += np.where(bit, plus[i], minus[i])
+    for lo in range(0, k, 12):
+        table = _pattern_sums(plus[lo : lo + 12], minus[lo : lo + 12])
+        logs += table[(codes >> np.uint64(lo)) & np.uint64(len(table) - 1)]
     deviations = np.abs(np.expm1(logs))
     value = float(deviations.mean())
     stderr = float(deviations.std(ddof=1) / math.sqrt(mc_samples))

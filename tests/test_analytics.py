@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import unittest.mock
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -33,11 +34,47 @@ from pgl.analytics import (
     union_bound_hit_probability,
 )
 from pgl.errors import CapabilityError
-from pgl.sampler import Word
+from pgl.sampler import Word, derive_seed, sample_words
 from pgl.schedule import BiasSchedule, Constant, LogPower, Table, Zero, envelope
 
 TABLE6 = Table((0.1, -0.05, 0.2, 0.05, 0.15, -0.1))
 ONSET_FACTOR_BOUND = (2.0 ** 0.25 - 1.0) / 2.0
+
+# Bias families for the exact deviation sum: tiny, extreme, zero, and large
+# next to tiny.  Normal floats only: a subnormal bias puts R - 1 where no
+# float has a relative precision of 1e-13.
+BIAS_FAMILIES = (
+    st.floats(-1e-9, 1e-9, allow_subnormal=False),
+    st.sampled_from([0.49, -0.49]),
+    st.just(0.0),
+    st.sampled_from([0.49, -0.49, 1e-8, -1e-8]),
+)
+
+
+def rational_mean_abs_deviation(gammas) -> Fraction:
+    """Mean |R - 1| over all patterns of the window gammas, in exact rationals."""
+    total = Fraction(0)
+    for code in range(1 << len(gammas)):
+        ratio = Fraction(1)
+        for i, g in enumerate(gammas):
+            ratio *= 1 + (2 if (code >> i) & 1 else -2) * Fraction(g)
+        total += abs(ratio - 1)
+    return total / (1 << len(gammas))
+
+
+def per_symbol_monte_carlo(schedule, j, k, mc_samples, seed):
+    """The Monte Carlo E|R_j - 1| summed one symbol at a time: the reference
+    for the table lookups of mean_abs_likelihood_deviation."""
+    two_gamma = 2.0 * schedule.gamma_slice(j, k)
+    plus = np.log1p(two_gamma)
+    minus = np.log1p(-two_gamma)
+    codes = sample_words(k, derive_seed(seed, k, j), mc_samples)
+    logs = np.zeros(mc_samples)
+    for i in range(k):
+        bit = ((codes >> np.uint64(i)) & np.uint64(1)).astype(bool)
+        logs += np.where(bit, plus[i], minus[i])
+    deviations = np.abs(np.expm1(logs))
+    return float(deviations.mean()), float(deviations.std(ddof=1) / math.sqrt(mc_samples))
 
 
 def count_bias_reads(monkeypatch) -> list[tuple[int, int]]:
@@ -308,16 +345,48 @@ class TestMeanAbsDeviation:
     def test_blocked_sum_equals_the_per_position_sum(
         self, values, k, j, count, block_entries
     ):
-        # block_entries >> k rows per block (at least one) puts the block
-        # boundaries anywhere in the run of positions
+        # block_entries >> (k - k // 2) rows per block (at least one) puts
+        # the block boundaries anywhere in the run of positions
         sched = Table(tuple(values))
         one_at_a_time = 0.0
         for i in range(j, j + count):
             one_at_a_time += mean_abs_likelihood_deviation(sched, i, k)[0]
         with unittest.mock.patch.object(analytics, "_BLOCK_ENTRIES", block_entries):
             blocked = analytics._deviation_sum(sched, j, count, k)
-        # same tables, same row means, added in the same order
+        # every step runs along one row, and the row means are added in the
+        # same order
         assert blocked == one_at_a_time
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), family=st.sampled_from(BIAS_FAMILIES), k=st.integers(1, 8))
+    def test_exact_sum_matches_rational_enumeration(self, data, family, k):
+        values = data.draw(st.lists(family, min_size=k, max_size=k))
+        got = analytics._deviation_sum(Table(tuple(values)), 1, 1, k)
+        want = rational_mean_abs_deviation(values)
+        if want == 0:
+            assert got == 0.0
+        else:
+            assert abs(Fraction(got) - want) <= Fraction(1e-13) * want
+
+    @pytest.mark.parametrize("schedule,j", [(LogPower(1.0), 3), (TABLE6, 2)])
+    @pytest.mark.parametrize("k", [16, 20])
+    def test_exact_value_matches_the_full_table(self, schedule, j, k):
+        full = np.abs(np.expm1(log_likelihood_values(schedule, j, k))).mean()
+        value, _ = mean_abs_likelihood_deviation(schedule, j, k)
+        assert value == pytest.approx(full, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("schedule", [LogPower(1.0), TABLE6, Constant(-0.49)])
+    @pytest.mark.parametrize("k", [1, 5, 11, 12, 13, 22, 60])
+    def test_monte_carlo_matches_the_per_symbol_sum(self, schedule, k):
+        got = mean_abs_likelihood_deviation(
+            schedule, 7, k, exact_cap=0, mc_samples=3000, seed=11
+        )
+        want = per_symbol_monte_carlo(schedule, 7, k, 3000, 11)
+        if k <= 12:
+            # one table: its entries are the per-symbol sums, in that order
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_deviation_shrinks_deeper_into_the_sequence(self):
         late, _ = mean_abs_likelihood_deviation(LogPower(1.0), 2**10, 20)
