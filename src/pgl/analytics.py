@@ -37,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .counter import CountDistribution
-from .errors import CapabilityError, NanGuard
+from .errors import CapabilityError, NanGuard, ResourceError
 from .sampler import Word, derive_seed, sample_words
 from .schedule import BiasSchedule, envelope, first_persistent_below
 
@@ -60,6 +60,7 @@ __all__ = [
     "critical_onset_index",
     "EXACT_ANNEALED_CAP",
     "UNION_BOUND_CAP",
+    "MC_SAMPLES_CAP",
 ]
 
 # The exact C sum sorts two 2^(k/2)-entry half tables at each of the 2^k
@@ -69,6 +70,10 @@ _FULL_SUM_CAP = 13
 EXACT_ANNEALED_CAP = 4
 # Union bounds scan all 2^k window positions.
 UNION_BOUND_CAP = 30
+# Monte Carlo C holds mc_samples 64-bit codes and a few same-length float
+# arrays: 2^22 samples (1 024 times the default) peak near 130 MB, inside the
+# 256 MiB memory policy of counter.DENSE_CAP.
+MC_SAMPLES_CAP = 1 << 22
 # Onset threshold for per-factor control: positions with 1 + 2 gamma_n below
 # 2^(1/4) make every overlap-pair factor small enough for the 2^(-3k/2) bound.
 # The onset index j0 is reported with the Stein terms and enters none of them.
@@ -82,7 +87,8 @@ class ChenSteinParams:
     exact_cap (at most 26; 20 is the comfortable default) is the largest k
     for which B and the C grid values are summed exactly, in chunks of 2^14
     positions and two 2^(k/2)-entry half tables, with nothing cached.
-    mc_samples sizes the Monte Carlo fallback; seed makes it reproducible.
+    mc_samples (2..MC_SAMPLES_CAP) sizes the Monte Carlo fallback; seed makes
+    it reproducible.
     """
 
     k: int
@@ -101,6 +107,10 @@ class ChenSteinParams:
             raise ValueError("theta must lie in (0, 1/2)")
         if self.mc_samples < 2:
             raise ValueError("mc_samples must be >= 2")
+        if self.mc_samples > MC_SAMPLES_CAP:
+            raise ResourceError(
+                f"mc_samples {self.mc_samples} exceeds the memory policy (cap {MC_SAMPLES_CAP})"
+            )
         if not 1 <= self.exact_cap <= 26:
             raise ValueError("exact_cap must lie in 1..26")
 
@@ -632,8 +642,8 @@ def symbol_sum_tail_mass(k: int, eta: float) -> TailMass:
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValueError("eta must be a finite number >= 0")
     threshold = (k - eta * math.sqrt(k)) / 2.0
     nearest = round(threshold)
     if abs(threshold - nearest) < 1e-9 * max(1.0, abs(threshold)):

@@ -16,6 +16,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from .analytics import MC_SAMPLES_CAP
 from .errors import CapabilityError, ResourceError
 from .runner import MODES, ExperimentConfig, records_to_csv, records_to_json, schedule_info
 
@@ -79,7 +80,8 @@ def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
                      f"column; enters none of A, B, C; default {d['theta']}")
     sub.add_argument("--eta", type=float, help=f"nonconv: tail-set depth >= 0; default {d['eta']}")
     sub.add_argument("--mc-samples", type=int,
-                     help=f"bounds: Monte Carlo pattern samples; default {d['mc_samples']}")
+                     help=f"bounds: Monte Carlo pattern samples, 2..{MC_SAMPLES_CAP}; "
+                     f"default {d['mc_samples']}")
     sub.add_argument("--exact-cap", type=int,
                      help=f"bounds: largest k for exact 2^k enumerations; default {d['exact_cap']}")
     sub.add_argument("--union-bound-samples", type=int,

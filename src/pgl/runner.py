@@ -136,8 +136,8 @@ class ExperimentConfig:
             raise ValueError("threads must be >= 1")
         # ChenSteinParams checks epsilon, theta, mc_samples and exact_cap.
         self.stein_params(max(self.k_list))
-        if not self.eta >= 0:
-            raise ValueError("eta must be >= 0")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError("eta must be a finite number >= 0")
         if self.union_bound_samples < 0:
             raise ValueError("union_bound_samples must be >= 0")
         # Parsing rejects malformed specs and out-of-range biases.

@@ -13,7 +13,8 @@ constants, not the threshold structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -49,9 +50,10 @@ class KakutaniClass(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiasSchedule:
-    """Base type; concrete kinds implement ``gamma`` and ``label``."""
+    """Base type; concrete kinds implement ``gamma`` and ``label``.  Kinds
+    with scalar fields compare by them; a Table compares by identity."""
 
     def gamma(self, n: int) -> float:
         raise NotImplementedError
@@ -162,36 +164,40 @@ class LogPower(BiasSchedule):
         return ":".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Table(BiasSchedule):
     """Explicit bias values for the first len(values) positions.
 
-    ``tail`` decides positions beyond the table: "repeat" holds the last
-    value, "zero" switches to a fair coin.
+    ``values`` is one read-only float64 array, copied from the input once;
+    tables compare by identity.  ``tail`` decides positions beyond the
+    table: "repeat" holds the last value, "zero" switches to a fair coin.
     """
 
-    values: tuple[float, ...]
+    values: np.ndarray
     tail: str = "repeat"
-    source: str | None = field(default=None, compare=False)
+    source: str | None = None
 
     def __post_init__(self) -> None:
-        if len(self.values) == 0:
-            raise ValueError("Table schedule needs at least one value")
+        values = np.array(self.values, dtype=np.float64)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("Table schedule needs a flat sequence of at least one value")
         if self.tail not in ("repeat", "zero"):
             raise ValueError("Table tail rule must be 'repeat' or 'zero'")
-        p = np.asarray(self.values, dtype=np.float64) + 0.5
+        p = values + 0.5
         bad = np.flatnonzero(~((0.0 < p) & (p < 1.0)))
         if bad.size:
             n = int(bad[0]) + 1
-            _check_bias(f"gamma({n})", self.values[n - 1])
+            _check_bias(f"gamma({n})", float(values[n - 1]))
 
     @property
     def _tail_value(self) -> float:
-        return self.values[-1] if self.tail == "repeat" else 0.0
+        return float(self.values[-1]) if self.tail == "repeat" else 0.0
 
     def gamma(self, n: int) -> float:
         _check_index(n)
-        return self.values[n - 1] if n <= len(self.values) else self._tail_value
+        return float(self.values[n - 1]) if n <= len(self.values) else self._tail_value
 
     def _gamma_run(self, start: int, count: int) -> np.ndarray:
         out = np.full(count, self._tail_value)
@@ -259,7 +265,7 @@ def envelope(schedule: BiasSchedule) -> BiasSchedule:
     if not isinstance(schedule, Table):
         return schedule
     values = np.maximum.accumulate(np.abs(schedule.values)[::-1])[::-1]
-    return Table(values=tuple(values.tolist()), tail=schedule.tail)
+    return Table(values=values, tail=schedule.tail)
 
 
 def first_persistent_below(schedule: BiasSchedule, bound: float) -> int | None:
@@ -344,21 +350,25 @@ def _parse_float(text: str, spec: str, what: str) -> float:
         raise ValueError(f"schedule spec {spec!r}: bad {what} {text!r}") from None
 
 
-def _load_table(path: Path) -> tuple[float, ...]:
-    """Read one decimal bias per line; blank lines and '#' comments skipped."""
+def _load_table(path: Path) -> np.ndarray:
+    """Read one decimal bias per line, streamed into one array: '#' starts a
+    comment, blank lines are skipped, and lines end at \\n, \\r\\n or \\r."""
     try:
-        lines = path.read_text().splitlines()
+        with path.open() as lines:
+            values = np.fromiter(_table_values(path, lines), dtype=np.float64)
     except OSError as exc:
         raise ValueError(f"cannot read table file {path}: {exc}") from None
-    values: list[float] = []
+    if values.size == 0:
+        raise ValueError(f"table file {path} contains no values")
+    return values
+
+
+def _table_values(path: Path, lines: Iterable[str]) -> Iterator[float]:
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         try:
-            values.append(float(body))
+            yield float(body)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: not a decimal bias: {body!r}") from None
-    if not values:
-        raise ValueError(f"table file {path} contains no values")
-    return tuple(values)

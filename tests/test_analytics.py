@@ -744,6 +744,9 @@ class TestSymbolSumTail:
             symbol_sum_tail_mass(0, 1.0)
         with pytest.raises(ValueError):
             symbol_sum_tail_mass(4, -0.1)
+        for eta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="eta must be a finite number >= 0"):
+                symbol_sum_tail_mass(4, eta)
 
 
 class TestUnionBound:

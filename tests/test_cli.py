@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pgl.analytics import _pair_sum_exact
+from pgl.analytics import MC_SAMPLES_CAP, _pair_sum_exact
 from pgl.cli import _build_config, build_parser
 from pgl.runner import ExperimentConfig
 from pgl.schedule import Constant
@@ -279,6 +279,26 @@ class TestConfigFiles:
         proc = run_cli("bounds", "--k", "4", "--config", str(cfg))
         assert proc.returncode == 1
         assert proc.stderr == f"error: {message}\n"
+        assert proc.stdout == ""
+
+    def test_infinite_eta_exits_one_before_any_work(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta": float("inf")}))  # written as Infinity
+        for extra in (["--eta", "inf"], ["--config", str(cfg)]):
+            proc = run_cli("nonconv", "--k", "4", "--trials", "2", "--schedule", "zero", *extra)
+            assert proc.returncode == 1
+            assert proc.stderr == "error: eta must be a finite number >= 0\n"
+            assert proc.stdout == ""
+
+    def test_mc_samples_above_the_cap_exits_two_before_any_work(self):
+        # one above the cap: were the check gone, the run would hold ~130 MB
+        proc = run_cli("bounds", "--k", "21", "--schedule", "zero",
+                       "--mc-samples", str(MC_SAMPLES_CAP + 1))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: mc_samples {MC_SAMPLES_CAP + 1} exceeds the memory policy "
+            f"(cap {MC_SAMPLES_CAP})\n"
+        )
         assert proc.stdout == ""
 
     def test_missing_config_file_exits_one(self, tmp_path):

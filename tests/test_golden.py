@@ -6,7 +6,9 @@ every string cell exactly and every float cell within 1e-12 relative, so
 that a change in floating-point summation order inside the Stein terms is
 allowed and nothing else is.  The default-* files hold the four sweeps with
 every config field at its default; the annealed one is checked by test_a11,
-which runs that sweep anyway.
+which runs that sweep anyway.  The table-* cases read two table files that
+render() writes to a temporary directory: A holds 3 000 seeded uniform
+values in [-0.45, 0.45], B holds 20 000 values 0.3/(1 + i/500).
 
 To record the files again after an intended change of output, run
 ``PYTHONPATH=src python tests/test_golden.py`` and name the change in
@@ -16,7 +18,9 @@ CHANGES.md.
 import csv
 import io
 import math
+import random
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -32,6 +36,17 @@ from pgl.runner import (
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# Table specs name their files under this placeholder; render() writes the
+# files and prints the placeholder back in place of their directory, so the
+# recorded bytes do not depend on where the tests run.
+TABLES = "<tables>"
+_TABLE_A = random.Random(19)
+TABLE_FILES = {
+    "A.txt": [_TABLE_A.uniform(-0.45, 0.45) for _ in range(3000)],
+    "B.txt": [0.3 / (1 + i / 500) for i in range(20_000)],
+}
+TABLE_SCHEDULES = (f"{TABLES}/A.txt:tail=zero", f"{TABLES}/B.txt")
 
 # case name -> (mode, sweep, config fields); schedules default unless named.
 CASES = {
@@ -49,6 +64,20 @@ CASES = {
         run_bounds,
         {"schedules": ("logpow:0.5", "logpow:1.0", "zero"), "k_list": (8, 14, 21)},
     ),
+    # k = 6 and 12 full-sum C, k = 14 exact B with bound C, k = 15 and 21
+    # bound B with Monte Carlo C, all on tables.
+    "table-bounds": (
+        "bounds",
+        run_bounds,
+        {"schedules": tuple(f"table:{spec}" for spec in TABLE_SCHEDULES),
+         "k_list": (6, 12, 14, 15, 21), "exact_cap": 14},
+    ),
+    "table-annealed": (
+        "annealed",
+        run_annealed,
+        {"schedules": tuple(f"table:{spec}" for spec in TABLE_SCHEDULES),
+         "k_list": (10, 14), "trials": 4},
+    ),
     "default-quenched": ("quenched", run_quenched, {}),
     "default-annealed": ("annealed", run_annealed, {}),
     "default-nonconv": ("nonconv", run_nonconv, {}),
@@ -58,8 +87,14 @@ CASES = {
 
 def render(name: str, threads: int) -> str:
     mode, sweep, fields = CASES[name]
-    config = ExperimentConfig(threads=threads, **fields)
-    return records_to_csv(mode, sweep(config))
+    with tempfile.TemporaryDirectory() as tables:
+        for file_name, values in TABLE_FILES.items():
+            (Path(tables) / file_name).write_text("".join(f"{v!r}\n" for v in values))
+        if "schedules" in fields:
+            schedules = tuple(s.replace(TABLES, tables) for s in fields["schedules"])
+            fields = {**fields, "schedules": schedules}
+        config = ExperimentConfig(threads=threads, **fields)
+        return records_to_csv(mode, sweep(config)).replace(tables, TABLES)
 
 
 def assert_close_cells(got: str, want: str) -> None:
@@ -76,16 +111,19 @@ def assert_close_cells(got: str, want: str) -> None:
 
 
 @pytest.mark.parametrize("threads", [1, 4])
-@pytest.mark.parametrize("mode", ["quenched", "quenched-levels", "annealed", "nonconv"])
+@pytest.mark.parametrize(
+    "mode", ["quenched", "quenched-levels", "annealed", "nonconv", "table-annealed"]
+)
 def test_sweep_csv_is_byte_identical(mode, threads):
     want = (GOLDEN_DIR / f"{mode}.csv").read_text()
     assert render(mode, threads) == want
 
 
 @pytest.mark.parametrize("threads", [1, 4])
-def test_bounds_csv_matches_within_rounding(threads):
-    want = (GOLDEN_DIR / "bounds.csv").read_text()
-    assert_close_cells(render("bounds", threads), want)
+@pytest.mark.parametrize("name", ["bounds", "table-bounds"])
+def test_bounds_csv_matches_within_rounding(name, threads):
+    want = (GOLDEN_DIR / f"{name}.csv").read_text()
+    assert_close_cells(render(name, threads), want)
 
 
 @pytest.mark.parametrize("mode", ["default-quenched", "default-nonconv"])

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 import pgl.runner as runner
 import pgl.sampler as sampler
 from pgl.analytics import (
+    MC_SAMPLES_CAP,
     ChenSteinParams,
     chen_stein_terms,
     critical_onset_index,
     symbol_sum_tail_mass,
 )
 from pgl.counter import quenched_distribution, window_codes
-from pgl.errors import CapabilityError
+from pgl.errors import CapabilityError, ResourceError
 from pgl.runner import (
     DEFAULT_K_LIST,
     DEFAULT_SCHEDULES,
@@ -95,6 +96,17 @@ class TestConfig:
     def test_rejects_nan_parameters(self, field):
         with pytest.raises(ValueError, match=field):
             small_config(**{field: float("nan")})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_rejects_an_infinite_eta(self, value):
+        with pytest.raises(ValueError, match="eta must be a finite number >= 0"):
+            small_config(eta=value)
+
+    def test_caps_mc_samples_before_any_work(self):
+        # construction allocates nothing; the cap itself is accepted
+        assert small_config(mc_samples=MC_SAMPLES_CAP).mc_samples == MC_SAMPLES_CAP
+        with pytest.raises(ResourceError, match="mc_samples 4194305 exceeds the memory policy"):
+            small_config(mc_samples=MC_SAMPLES_CAP + 1)
 
     @pytest.mark.parametrize("value", ["zero", None])
     def test_rejects_schedules_that_are_not_a_list(self, value):

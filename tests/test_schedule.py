@@ -1,12 +1,15 @@
 """Bias schedules: values, range checks, classification, envelope, and parsing."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pgl.schedule as schedule_module
 from pgl.schedule import (
     BiasSchedule,
     Constant,
@@ -138,7 +141,7 @@ class TestValues:
                 block[:] = -1.0
                 assert np.array_equal(sched.gamma_slice(start, count), expected)
             if isinstance(sched, Table):
-                assert sched.values == values
+                assert sched.values.tolist() == list(values)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -291,8 +294,8 @@ class TestPersistence:
 
     def test_envelope_is_the_suffix_maximum_of_the_absolute_bias(self):
         table = Table((0.1, -0.3, 0.2, -0.05, 0.0), tail="zero")
-        assert envelope(table).values == (0.3, 0.3, 0.2, 0.05, 0.0)
-        assert envelope(Table((0.1, -0.2))).values == (0.2, 0.2)
+        assert envelope(table).values.tolist() == [0.3, 0.3, 0.2, 0.05, 0.0]
+        assert envelope(Table((0.1, -0.2))).values.tolist() == [0.2, 0.2]
         sched = LogPower(1.0)
         assert envelope(sched) is sched
 
@@ -323,7 +326,7 @@ class TestParsing:
         path.write_text("# comment line\n0.1\n\n-0.2\n  0.05  \n")
         sched = parse_schedule(f"table:{path}")
         assert isinstance(sched, Table)
-        assert sched.values == (0.1, -0.2, 0.05)
+        assert sched.values.tolist() == [0.1, -0.2, 0.05]
         assert sched.gamma(4) == 0.05           # repeat tail by default
         zeroed = parse_schedule(f"table:{path}:tail=zero")
         assert zeroed.gamma(4) == 0.0
@@ -368,3 +371,100 @@ class TestParsing:
     def test_unknown_kind_message_names_the_kind(self):
         with pytest.raises(ValueError, match="unknown kind 'bogus'"):
             parse_schedule("bogus:1")
+
+
+def reference_table(path: Path) -> tuple[float, ...]:
+    """The table parser before it streamed lines: the whole file read and
+    split with str.splitlines, each line parsed with float()."""
+    lines = path.read_text().splitlines()
+    values: list[float] = []
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        try:
+            values.append(float(body))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not a decimal bias: {body!r}") from None
+    if not values:
+        raise ValueError(f"table file {path} contains no values")
+    return tuple(values)
+
+
+def parse_outcome(parse, path: Path):
+    """Values as their 64-bit patterns, or the error message."""
+    try:
+        return np.asarray(parse(path), dtype=np.float64).view(np.uint64).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+SHORT_DECIMAL = r"[+-]?(\d{1,3}(\.\d{0,4})?|\.\d{1,4})([eE][+-]?\d{1,2})?"
+# Comment and padding text holds no line separator of any kind.
+COMMENT_TEXT = st.text(alphabet="abc xyz019.-#\t", max_size=12)
+TABLE_LINE = st.one_of(
+    st.floats().map(repr),
+    st.from_regex(SHORT_DECIMAL, fullmatch=True),
+    st.tuples(
+        st.sampled_from(["", " ", "\t", "  "]),
+        st.one_of(st.floats(-0.49, 0.49).map(repr), st.from_regex(SHORT_DECIMAL, fullmatch=True)),
+        st.sampled_from(["", " ", "\t "]),
+        st.one_of(st.just(""), COMMENT_TEXT.map(lambda text: "#" + text)),
+    ).map("".join),
+    COMMENT_TEXT.map(lambda text: "#" + text),
+    st.sampled_from(["", " ", "\t", " \t "]),
+    st.sampled_from(["x", "0.1 0.2", "1..2", "--1", "0x1p-3", "1e", "0.1_0", "nan nan"]),
+)
+
+
+class TestTableFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(TABLE_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12
+        ),
+        last_ending=st.booleans(),
+    )
+    def test_streamed_parser_matches_the_whole_file_reference(self, lines, last_ending):
+        text = "".join(line + ending for line, ending in lines)
+        if lines and not last_ending:
+            text = text[: -len(lines[-1][1])]
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "bias.txt"
+            path.write_bytes(text.encode())
+            got = parse_outcome(schedule_module._load_table, path)
+            assert got == parse_outcome(reference_table, path)
+
+    @pytest.mark.parametrize("separator", ["\f", "\v", "\u2028"])
+    def test_only_newline_characters_end_a_line(self, tmp_path, separator):
+        # str.splitlines also splits at form feed, vertical tab and U+2028;
+        # a table line ends at \n, \r\n or \r only
+        path = tmp_path / "bias.txt"
+        path.write_text(f"0.1\n0.2{separator}0.3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"bias\.txt:2: not a decimal bias"):
+            parse_schedule(f"table:{path}")
+
+    def test_values_are_one_read_only_array(self, tmp_path):
+        path = tmp_path / "bias.txt"
+        path.write_text("0.1\n-0.2\n")
+        table = parse_schedule(f"table:{path}")
+        assert table.values.dtype == np.float64 and table.values.shape == (2,)
+        with pytest.raises(ValueError):
+            table.values[0] = 0.3
+        source = np.array([0.1, 0.2])
+        copied = Table(source)
+        source[0] = 0.6
+        assert copied.gamma(1) == 0.1
+        assert envelope(copied).values.flags.writeable is False
+
+    def test_tables_compare_by_identity(self):
+        table = Table((0.1, 0.2))
+        assert table == table and table != Table((0.1, 0.2))
+        assert len({table, Table((0.1, 0.2))}) == 2
+        assert Zero() == Zero() and LogPower(1.0) == LogPower(1.0)
+
+    def test_rejects_values_that_are_not_one_flat_sequence(self):
+        with pytest.raises(ValueError, match="flat sequence"):
+            Table(((0.1, 0.2), (0.1, 0.2)))
+        with pytest.raises(ValueError, match="flat sequence"):
+            Table(0.1)
