@@ -224,6 +224,16 @@ def _selftest_battery():
         c = sampler.sample_sequence(sched, 1024, 7)
         assert np.array_equal(a.bits01[:1024], c.bits01), "prefix purity"
 
+    def check_sampler_definition():
+        # bit n is [word n-1 < floor((1/2 + gamma_n) 2^64)] at every position
+        # of two chunks and a ragged tail, which re-checks the chunk bracket
+        # against this numpy's log and pow
+        sched, length, seed = schedule.LogPower(1.0), 2 * sampler._CHUNK + 77, 13
+        words = np.random.Philox(key=seed).random_raw(length)
+        limits = np.floor((0.5 + sched.gamma_slice(1, length)) * 2.0**64).astype(np.uint64)
+        bits = sampler.sample_sequence(sched, length, seed).bits01
+        assert np.array_equal(bits, (words < limits).astype(np.uint8)), "bits differ"
+
     def check_counter():
         sched = schedule.Constant(0.2)
         seq = sampler.sample_sequence(sched, (1 << 10) + 9, 3)
@@ -287,6 +297,7 @@ def _selftest_battery():
     return [
         ("schedule grammar and classification", check_schedule),
         ("sampler determinism and prefix purity", check_sampler),
+        ("sampler matches its definition", check_sampler_definition),
         ("counter quenched mean", check_counter),
         ("analytics exact terms", check_analytics),
         ("stats distances and intervals", check_stats),

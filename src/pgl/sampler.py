@@ -10,6 +10,18 @@ value 0 encoding -1.  Position n is sampled by comparing stream word n-1
 against the 64-bit threshold of p_n = 1/2 + gamma_n, so P(bit=1) equals p_n
 to within 2^-64.
 
+The biases hardly move across a chunk of positions, so a chunk's words are
+decided against one bracket [T_lo, T_hi) per schedule, made from the
+chunk's least and greatest gamma (``gamma_bounds``): a word below T_lo
+gives bit 1, a word at or above T_hi gives bit 0, and only the words in
+between are compared with their own thresholds, from gamma evaluated at
+their positions alone.  The bits are those of the exact thresholds: 1/2 +
+gamma rounded to double, the scaling by 2^64 and the cast to uint64 are all
+monotone, so every gamma of the chunk gives a threshold inside the bracket,
+and a word outside it is on the same side of every one.  The bracket is
+widened by ``_MARGIN`` threshold units on each side, which absorbs a log or
+pow that is not monotone to the last ulp.
+
 Bit-dump file layout (little-endian throughout):
   bytes 0-3   magic ``PGL1``
   bytes 4-7   u32 level tag (the histogram level k the dump belongs to, or 0
@@ -46,9 +58,15 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MAGIC = b"PGL1"
-# Positions per chunk: a chunk's stream words and each schedule's thresholds
-# (512 KiB each) stay in cache while every schedule compares against them.
+# Positions per chunk: a chunk's stream words (512 KiB) stay in cache while
+# every schedule compares them with its bracket.
 _CHUNK = 1 << 16
+# Threshold units by which a chunk's bracket is widened on each side (about
+# 2^-40 in p).  gamma_bounds reads the two ends of a non-increasing kind's
+# run, so a log or pow that is not monotone to the last ulp could put an
+# inner threshold just outside the unwidened bracket; one ulp of p near 1/2
+# is 2^11 units.  The margin costs a word only in 2^-39 of draws.
+_MARGIN = 1 << 24
 
 # Word codes are masked from a single 64-bit draw; 60 keeps headroom in the
 # signed arithmetic downstream consumers tend to do.
@@ -137,10 +155,13 @@ def sample_sequences(
     """``result[s][t]``: seed t's sequence under schedule s, each drawn as
     ``sample_sequence`` describes.
 
-    Each chunk's 64-bit thresholds are computed once per schedule, and each
-    seed's stream words for the chunk are drawn once and compared against
-    every schedule's thresholds, so memory beyond the packed outputs stays
-    one chunk per schedule whatever the length.
+    Each seed's stream words for a chunk are drawn once and decided for
+    every schedule against that schedule's bracket for the chunk
+    (``_bracket_bits``).  The bracket saves each chunk's gamma evaluation
+    but costs every seed a second comparison with its words and gamma at
+    each word inside the bracket, so it pays most with few seeds and a
+    slowly moving gamma (README, "Performance and caps").  Memory beyond
+    the packed outputs stays one chunk of words whatever the length.
     """
     if length < 1:
         raise ValueError("sequence length must be >= 1")
@@ -148,14 +169,15 @@ def sample_sequences(
     streams = [Philox(key=seed & _MASK64) for seed in seeds]
     pos = 0
     while pos < length:
-        count = min(_CHUNK, length - pos)
-        thresholds = [_thresholds(schedule, pos + 1, count) for schedule in schedules]
+        start, count = pos + 1, min(_CHUNK, length - pos)
+        brackets = [_bracket(schedule, start, count) for schedule in schedules]
         # _CHUNK is a multiple of 8, so every chunk starts on a byte
         span = slice(pos >> 3, (pos + count + 7) >> 3)
         for t, stream in enumerate(streams):
             words = stream.random_raw(count)
-            for buffers, limit in zip(packed, thresholds):
-                buffers[t][span] = np.packbits(words < limit, bitorder="little")
+            for schedule, buffers, bracket in zip(schedules, packed, brackets):
+                bits = _bracket_bits(schedule, start, words, bracket)
+                buffers[t][span] = np.packbits(bits, bitorder="little")
         pos += count
     return [
         [
@@ -167,16 +189,46 @@ def sample_sequences(
 
 
 def _thresholds(schedule: BiasSchedule, start: int, count: int) -> np.ndarray:
-    """floor((1/2 + gamma_n) * 2^64) for the run of positions, built in the
-    array ``gamma_slice`` hands over.  Past the guard, p * 2^64 is a positive
-    double below 2^64 (an integer even: p is a multiple of 2^-54), so the
-    truncating cast to uint64 is the floor."""
-    p = schedule.gamma_slice(start, count)
+    """floor((1/2 + gamma_n) * 2^64) for the run of positions: the
+    thresholds whose bits ``_bracket_bits`` reproduces."""
+    return _limits(schedule.gamma_slice(start, count))
+
+
+def _limits(gamma: np.ndarray) -> np.ndarray:
+    """floor((1/2 + gamma) * 2^64), built in ``gamma``'s own buffer.  Past
+    the guard, p * 2^64 is a positive double below 2^64 (an integer even: p
+    is a multiple of 2^-54), so the truncating cast to uint64 is the floor."""
+    p = gamma
     p += 0.5
     if not (0.0 < p.min() and p.max() < 1.0):
         raise ValueError("schedule produced a bias outside (-1/2, 1/2)")
     p *= 2.0**64
     return p.astype(np.uint64)
+
+
+def _bracket(schedule: BiasSchedule, start: int, count: int) -> tuple[np.uint64, np.uint64]:
+    """(T_lo, T_hi): every threshold of the chunk lies in [T_lo, T_hi).
+
+    The ends are the thresholds of the chunk's least and greatest gamma,
+    widened by ``_MARGIN`` and kept inside [0, 2^64 - 1]."""
+    least, most = _limits(np.array(schedule.gamma_bounds(start, count))).tolist()
+    return np.uint64(max(least - _MARGIN, 0)), np.uint64(min(most + _MARGIN, _MASK64))
+
+
+def _bracket_bits(
+    schedule: BiasSchedule, start: int, words: np.ndarray, bracket: tuple[np.uint64, np.uint64]
+) -> np.ndarray:
+    """``words < _thresholds(...)`` of the chunk at ``start``: only the words
+    that the bracket's two ends decide differently get their own threshold,
+    from ``_gamma_at`` at their positions (module docstring)."""
+    low, high = bracket
+    bits = words < low
+    near = np.flatnonzero((words < high) != bits)
+    if near.size:
+        ns = near.astype(np.float64)
+        ns += start
+        bits[near] = words[near] < _limits(schedule._gamma_at(ns))
+    return bits
 
 
 def sample_word(k: int, seed: int) -> Word:

@@ -55,6 +55,9 @@ class BiasSchedule:
     """Base type; concrete kinds implement ``gamma`` and ``label``.  Kinds
     with scalar fields compare by them; a Table compares by identity."""
 
+    # True on a kind with gamma_n >= gamma_m whenever n <= m.
+    _non_increasing = False
+
     def gamma(self, n: int) -> float:
         raise NotImplementedError
 
@@ -67,11 +70,26 @@ class BiasSchedule:
         float64 resolution; the bias varies so slowly there that the loss is
         far below every tolerance used here.
         """
-        if start < 1 or count < 0:
-            raise ValueError("positions are 1-based and count must be >= 0")
-        return self._gamma_run(start, count)
+        return self._gamma_at(_run(start, count, np.arange(count, dtype=np.float64)))
 
-    def _gamma_run(self, start: int, count: int) -> np.ndarray:
+    def gamma_bounds(self, start: int, count: int) -> tuple[float, float]:
+        """(least, greatest) gamma over positions start, ..., start+count-1,
+        for count >= 1: the two ends of the run for a kind whose gamma never
+        rises, the extremes of ``gamma_slice`` otherwise.  Either way they
+        are values ``gamma_slice`` itself computes."""
+        if count < 1:
+            raise ValueError("a run needs count >= 1")
+        if self._non_increasing:
+            first, last = self._gamma_at(_run(start, count, np.array([0.0, count - 1.0]))).tolist()
+            return last, first
+        gam = self.gamma_slice(start, count)
+        return float(gam.min()), float(gam.max())
+
+    def _gamma_at(self, ns: np.ndarray) -> np.ndarray:
+        """Gamma at ``ns``, ascending float64 positions >= 1, written over
+        the caller's fresh ``ns`` and returned.  Runs and scattered positions
+        go through the same ufuncs, so a position gets the same bits
+        whichever way it is asked for."""
         raise NotImplementedError
 
     @property
@@ -83,12 +101,15 @@ class BiasSchedule:
 class Zero(BiasSchedule):
     """Fair coin: gamma_n = 0 for all n."""
 
+    _non_increasing = True
+
     def gamma(self, n: int) -> float:
         _check_index(n)
         return 0.0
 
-    def _gamma_run(self, start: int, count: int) -> np.ndarray:
-        return np.zeros(count)
+    def _gamma_at(self, ns: np.ndarray) -> np.ndarray:
+        ns[:] = 0.0
+        return ns
 
     @property
     def label(self) -> str:
@@ -100,6 +121,7 @@ class Constant(BiasSchedule):
     """Fixed bias gamma_n = value at every position."""
 
     value: float
+    _non_increasing = True
 
     def __post_init__(self) -> None:
         _check_bias("const", self.value)
@@ -108,8 +130,9 @@ class Constant(BiasSchedule):
         _check_index(n)
         return self.value
 
-    def _gamma_run(self, start: int, count: int) -> np.ndarray:
-        return np.full(count, self.value)
+    def _gamma_at(self, ns: np.ndarray) -> np.ndarray:
+        ns[:] = self.value
+        return ns
 
     @property
     def label(self) -> str:
@@ -128,6 +151,7 @@ class LogPower(BiasSchedule):
     exponent: float
     cap: float = _DEFAULT_CAP
     n0: int = _DEFAULT_N0
+    _non_increasing = True
 
     def __post_init__(self) -> None:
         if not self.exponent > 0:
@@ -144,15 +168,14 @@ class LogPower(BiasSchedule):
             return self.cap
         return min(self.cap, math.log(n) ** -self.exponent)
 
-    def _gamma_run(self, start: int, count: int) -> np.ndarray:
-        out = np.full(count, self.cap)
-        skip = min(count, max(0, self.n0 - start))
-        ns = np.arange(skip, count, dtype=np.float64)
-        ns += start
-        np.log(ns, out=ns)
-        ns **= -self.exponent
-        np.minimum(ns, self.cap, out=out[skip:])
-        return out
+    def _gamma_at(self, ns: np.ndarray) -> np.ndarray:
+        skip = np.searchsorted(ns, self.n0)
+        decay = ns[skip:]
+        np.log(decay, out=decay)
+        decay **= -self.exponent
+        np.minimum(decay, self.cap, out=decay)
+        ns[:skip] = self.cap
+        return ns
 
     @property
     def label(self) -> str:
@@ -199,11 +222,11 @@ class Table(BiasSchedule):
         _check_index(n)
         return float(self.values[n - 1]) if n <= len(self.values) else self._tail_value
 
-    def _gamma_run(self, start: int, count: int) -> np.ndarray:
-        out = np.full(count, self._tail_value)
-        head = self.values[start - 1 : start - 1 + count]
-        out[: len(head)] = head
-        return out
+    def _gamma_at(self, ns: np.ndarray) -> np.ndarray:
+        inside = np.searchsorted(ns, len(self.values), side="right")
+        ns[:inside] = self.values[ns[:inside].astype(np.intp) - 1]
+        ns[inside:] = self._tail_value
+        return ns
 
     @property
     def label(self) -> str:
@@ -212,6 +235,14 @@ class Table(BiasSchedule):
         else:
             base = f"table:<{len(self.values)} values>"
         return base if self.tail == "repeat" else f"{base}:tail=zero"
+
+
+def _run(start: int, count: int, offsets: np.ndarray) -> np.ndarray:
+    """The float64 positions start + offsets of a run start..start+count-1."""
+    if start < 1 or count < 0:
+        raise ValueError("positions are 1-based and count must be >= 0")
+    offsets += start
+    return offsets
 
 
 def _check_index(n: int) -> None:

@@ -25,7 +25,7 @@ from pgl.sampler import (
     sample_words,
     write_bits,
 )
-from pgl.schedule import BiasSchedule, Constant, LogPower, Table, Zero
+from pgl.schedule import BiasSchedule, Constant, LogPower, Table, Zero, parse_schedule
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,9 @@ class Unchecked(BiasSchedule):
 
     value: float
 
-    def _gamma_run(self, start, count):
-        return np.full(count, self.value)
+    def _gamma_at(self, ns):
+        ns[:] = self.value
+        return ns
 
     @property
     def label(self) -> str:
@@ -104,26 +105,46 @@ class TestSequences:
             assert np.array_equal(short.bits01, long.bits01[:37])
 
     def test_shared_chunks_match_one_unchunked_draw_per_seed(self):
-        # several chunks and a ragged tail, four schedules sharing each
-        # seed's words: every sequence equals one straight Philox draw
-        # compared with its own schedule's thresholds at all positions
+        # eight chunks and a ragged tail, every kind sharing each seed's
+        # words: every sequence equals one straight Philox draw compared
+        # with its own schedule's thresholds at all positions.  Chunk 0 of
+        # a log-power decay puts about 40 % of its words inside the chunk's
+        # bracket, and the table's values alternate in sign and switch to
+        # its zero tail in the middle of chunk 1.
+        chunk = sampler._CHUNK
+        signs = np.where(np.arange(chunk + chunk // 2 + 5) % 2 == 0, 0.3, -0.25)
         schedules = [
-            LogPower(0.5), Zero(), Constant(-0.3), Table(values=(0.2, -0.1, 0.45), tail="zero")
+            LogPower(0.25), LogPower(0.5), LogPower(1.0), LogPower(2.0),
+            parse_schedule("logpow:0.7:cap=0.3:n0=40"),
+            Zero(), Constant(0.3), Constant(-0.3), Table(values=signs, tail="zero"),
         ]
-        length = 3 * 2**16 + 13
+        length = 8 * chunk + 13
         seeds = (0, 5, 2**63 + 7)
         result = sample_sequences(schedules, length, seeds)
         assert len(result) == len(schedules)
         words = [np.random.Philox(key=seed).random_raw(length) for seed in seeds]
         for sched, row in zip(schedules, result):
-            p = 0.5 + sched.gamma_slice(1, length)
-            thresholds = np.floor(p * 2.0**64).astype(np.uint64)
+            thresholds = sampler._thresholds(sched, 1, length)
             assert len(row) == len(seeds)
             for seed, stream, seq in zip(seeds, words, row):
                 assert seq.seed == seed and seq.length == length
                 assert seq.schedule_label == sched.label
                 assert np.array_equal(seq.bits01, (stream < thresholds).astype(np.uint8))
-                assert np.array_equal(seq.packed, sample_sequence(sched, length, seed).packed)
+            assert np.array_equal(row[0].packed, sample_sequence(sched, length, seeds[0]).packed)
+
+    def test_every_threshold_lies_in_its_chunk_bracket(self):
+        # positions 1..2^24 of each log-power variant, chunk by chunk: the
+        # widened bracket holds every threshold the chunk computes
+        chunk = sampler._CHUNK
+        variants = [
+            LogPower(0.25), LogPower(0.5), LogPower(1.0), LogPower(2.0),
+            parse_schedule("logpow:0.7:cap=0.3:n0=40"),
+        ]
+        for sched in variants:
+            for start in range(1, 2**24, chunk):
+                low, high = sampler._bracket(sched, start, chunk)
+                thresholds = sampler._thresholds(sched, start, chunk)
+                assert ((low <= thresholds) & (thresholds < high)).all(), (sched.label, start)
 
     def test_accessors_agree(self):
         bits = [1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0]
@@ -177,6 +198,29 @@ class TestSequences:
         for g, t in zip(sched.gamma_slice(start, count).tolist(), got):
             assert t == math.floor(Fraction(0.5 + g) * 2**64)
             assert 1 <= t <= 2**64 - 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sched=accepted_schedules(),
+        start=st.one_of(st.integers(1, 70), st.integers(1, 2**40)),
+        offsets=st.lists(st.integers(0, 199), min_size=1, max_size=40, unique=True),
+    )
+    @example(sched=LogPower(1.0, n0=40), start=30, offsets=[0, 8, 9, 10, 11, 60])
+    @example(sched=Table((0.1, -0.2, 0.3), tail="zero"), start=1, offsets=[0, 1, 2, 3, 9])
+    @example(sched=Table((0.1, -0.2, 0.3)), start=3, offsets=[0, 1])
+    def test_scattered_gamma_is_the_run_gamma_bit_for_bit(self, sched, start, offsets):
+        # the sampler evaluates gamma only at the positions of words inside
+        # a chunk's bracket; they must get the bits of the enclosing run,
+        # and the run's thresholds must lie inside its bracket
+        offsets = sorted(offsets)
+        count = offsets[-1] + 1
+        ns = np.array(offsets, dtype=np.float64)
+        ns += start
+        run = sched.gamma_slice(start, count)
+        assert np.array_equal(sched._gamma_at(ns).view(np.uint64), run[offsets].view(np.uint64))
+        low, high = sampler._bracket(sched, start, count)
+        thresholds = sampler._thresholds(sched, start, count)
+        assert ((low <= thresholds) & (thresholds < high)).all()
 
 
 class TestWords:
