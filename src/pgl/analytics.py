@@ -38,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .counter import CountDistribution
 from .errors import CapabilityError, NanGuard, ResourceError
-from .sampler import Word, derive_seed, sample_words
+from .sampler import derive_seed, sample_words
 from .schedule import BiasSchedule, envelope, first_persistent_below
 
 __all__ = [
@@ -212,7 +212,7 @@ def _pattern_sums(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
 
 def log_likelihood_values(schedule: BiasSchedule, j: int, k: int) -> np.ndarray:
     """log R_j(w) for every level-k pattern w, indexed by its code:
-    entry w is log R_j(Word(k, w))."""
+    entry w is log likelihood_ratio(schedule, j, k, w)."""
     if j < 1 or k < 1:
         raise ValueError("window position and level must be >= 1")
     two_gamma = 2.0 * schedule.gamma_slice(j, k)
@@ -228,12 +228,21 @@ def exact_likelihood_mean(schedule: BiasSchedule, j: int, k: int) -> float:
 # Likelihood ratios and hit probabilities
 
 
-def likelihood_ratio(schedule: BiasSchedule, j: int, word: Word) -> float:
-    """R_j(w) = prod_i (1 + 2 omega_i gamma_{i+j-1})."""
-    if j < 1:
-        raise ValueError("window position must be >= 1")
-    two_gamma = 2.0 * schedule.gamma_slice(j, word.k)
-    signs = np.fromiter(word.symbols(), dtype=np.float64, count=word.k)
+def _check_code(k: int, code: int) -> None:
+    """A level-k pattern code w encodes symbol i (1-based) in bit i-1 of w,
+    1 for +1 and 0 for -1, so it lies in [0, 2^k)."""
+    if not 0 <= code < (1 << k):
+        raise ValueError(f"pattern code {code} outside [0, 2^{k})")
+
+
+def likelihood_ratio(schedule: BiasSchedule, j: int, k: int, code: int) -> float:
+    """R_j(w) = prod_i (1 + 2 omega_i gamma_{i+j-1}) for the level-k pattern
+    with code w (``_check_code``)."""
+    if j < 1 or k < 1:
+        raise ValueError("window position and level must be >= 1")
+    _check_code(k, code)
+    two_gamma = 2.0 * schedule.gamma_slice(j, k)
+    signs = np.array([2.0 * ((code >> i) & 1) - 1.0 for i in range(k)])
     return float(np.prod(1.0 + signs * two_gamma))
 
 
@@ -490,9 +499,11 @@ def _pair_bound(envelope: BiasSchedule, k: int) -> float:
     d = np.arange(1, k)
     q, s = np.divmod(k + d, d)
     scale = np.ldexp(1.0, -(2 * k + d))
+    strata = _stratum_grid(1, 1 << k)
+    # the left ends ascend, so one _gamma_at call reads gamma* at all of them
+    left_gamma = envelope._gamma_at(np.array([left for left, _ in strata], dtype=np.float64))
     total = 0.0
-    for left, width in _stratum_grid(1, 1 << k):
-        g = 2.0 * abs(envelope.gamma(left))
+    for (_, width), g in zip(strata, (2.0 * np.abs(left_gamma)).tolist()):
         short = (1.0 + g) ** q + (1.0 - g) ** q
         long = (1.0 + g) ** (q + 1) + (1.0 - g) ** (q + 1)
         total += width * float((long**s * short ** (d - s) * scale).sum())
@@ -619,15 +630,15 @@ def balanced_product(schedule: BiasSchedule, j: int, spec: BalancedSpec) -> floa
 
     For non-increasing schedules this stays <= 1 once the decay is slow
     relative to gamma^2, which is what defeats pattern-average cancellation.
-    Scalar gamma lookups keep indices exact for j beyond 2^53.
     """
     if j < 1:
         raise ValueError("window position must be >= 1")
+    gamma = schedule.gamma_slice(j, spec.k).tolist()
     value = 1.0
     for i in spec.plus:
-        value *= 1.0 + schedule.gamma(i + j - 1)
+        value *= 1.0 + gamma[i - 1]
     for i in spec.minus:
-        value *= 1.0 - schedule.gamma(i + j - 1)
+        value *= 1.0 - gamma[i - 1]
     return value
 
 
@@ -660,22 +671,22 @@ def symbol_sum_tail_mass(k: int, eta: float) -> TailMass:
     return TailMass(exact=exact, normal_approx=normal)
 
 
-def union_bound_hit_probability(schedule: BiasSchedule, k: int, words: list[Word]) -> list[float]:
-    """2^-k sum_{j=1}^{2^k} R_j(w) for each word w: union bounds for P(w occurs).
+def union_bound_hit_probability(schedule: BiasSchedule, k: int, codes: list[int]) -> list[float]:
+    """2^-k sum_{j=1}^{2^k} R_j(w) for each level-k pattern code w: union
+    bounds for P(w occurs).
 
     Scans all 2^k positions in chunks (k <= UNION_BOUND_CAP), reading each
-    chunk's biases once for every word.  Factors stay >= 1 - 2*cap > 0 for
+    chunk's biases once for every pattern.  Factors stay >= 1 - 2*cap > 0 for
     capped schedules, so products cannot underflow within this envelope.
     """
-    for word in words:
-        if word.k != k:
-            raise ValueError(f"word has level {word.k}, expected {k}")
+    for code in codes:
+        _check_code(k, code)
     if k > UNION_BOUND_CAP:
         raise CapabilityError(f"union bound scans 2^k positions; k <= {UNION_BOUND_CAP}")
-    if not words:
+    if not codes:
         return []
     n = 1 << k
-    totals = [0.0] * len(words)
+    totals = [0.0] * len(codes)
     chunk = 1 << 20
     for j in range(1, n + 1, chunk):
         count = min(chunk, n - j + 1)
@@ -683,9 +694,9 @@ def union_bound_hit_probability(schedule: BiasSchedule, k: int, words: list[Word
         gam *= 2.0  # 1 + 2 gamma then overwrites it: one 2^20 array fewer per chunk
         # factors[b] is the factor of a symbol with bit b: 1 - 2 gamma or 1 + 2 gamma
         factors = (1.0 - gam, np.add(gam, 1.0, out=gam))
-        for w, word in enumerate(words):
-            acc = factors[word.bit(1)][:count].copy()
+        for w, code in enumerate(codes):
+            acc = factors[code & 1][:count].copy()
             for i in range(1, k):
-                acc *= factors[word.bit(i + 1)][i : i + count]
+                acc *= factors[(code >> i) & 1][i : i + count]
             totals[w] += float(acc.sum())
     return [math.ldexp(total, -k) for total in totals]

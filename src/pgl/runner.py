@@ -45,7 +45,7 @@ from .analytics import (
 )
 from .counter import DENSE_CAP, level_codes, quenched_distribution, window_codes
 from .errors import CapabilityError, NanGuard
-from .sampler import MAX_WORD_LEVEL, derive_seed, sample_sequences, sample_word
+from .sampler import MAX_WORD_LEVEL, derive_seed, sample_sequences, sample_words
 from .schedule import cesaro_average, classify_kakutani, parse_schedule
 from .stats import aggregate_annealed, binomial_ci, poisson_distribution, tv_distance
 
@@ -416,9 +416,9 @@ def run_nonconv(config: ExperimentConfig) -> list[NonconvRecord]:
     schedule, and its pattern at level k is the low k bits of one draw.
     """
     def probe(schedule, trial, k, codes):
-        word = sample_word(k, derive_seed(config.master_seed, trial, _WORD_TAG))
-        hit = bool((level_codes(codes, k) == word.code).any())
-        return word, hit, 2 * word.code.bit_count() - k < -config.eta * math.sqrt(k)
+        word = int(sample_words(k, derive_seed(config.master_seed, trial, _WORD_TAG), 1)[0])
+        hit = bool((level_codes(codes, k) == word).any())
+        return word, hit, 2 * word.bit_count() - k < -config.eta * math.sqrt(k)
 
     records = []
     for (label, k), outcomes in sorted(_level_outcomes(config, "nonconv", probe).items()):

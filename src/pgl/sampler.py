@@ -21,19 +21,11 @@ monotone, so every gamma of the chunk gives a threshold inside the bracket,
 and a word outside it is on the same side of every one.  The bracket is
 widened by ``_MARGIN`` threshold units on each side, which absorbs a log or
 pow that is not monotone to the last ulp.
-
-Bit-dump file layout (little-endian throughout):
-  bytes 0-3   magic ``PGL1``
-  bytes 4-7   u32 level tag (the histogram level k the dump belongs to, or 0
-              for a plain sequence)
-  bytes 8-15  u64 bit count L
-  then ceil(L/8) payload bytes, LSB-first within each byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -43,21 +35,16 @@ from .schedule import BiasSchedule
 
 __all__ = [
     "PackedSequence",
-    "Word",
     "sample_sequence",
     "sample_sequences",
-    "sample_word",
     "sample_words",
     "mix64",
     "derive_seed",
-    "write_bits",
-    "read_bits",
     "MAX_WORD_LEVEL",
 ]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_MAGIC = b"PGL1"
 # Positions per chunk: a chunk's stream words (512 KiB) stay in cache while
 # every schedule compares them with its bracket.
 _CHUNK = 1 << 16
@@ -68,7 +55,7 @@ _CHUNK = 1 << 16
 # is 2^11 units.  The margin costs a word only in 2^-39 of draws.
 _MARGIN = 1 << 24
 
-# Word codes are masked from a single 64-bit draw; 60 keeps headroom in the
+# Pattern codes are masked from a single 64-bit draw; 60 keeps headroom in the
 # signed arithmetic downstream consumers tend to do.
 MAX_WORD_LEVEL = 60
 
@@ -112,33 +99,6 @@ class PackedSequence:
     def bits01(self) -> np.ndarray:
         """The sequence as a 0/1 uint8 vector of length L (bit 1 <-> +1)."""
         return np.unpackbits(self.packed, count=self.length, bitorder="little")
-
-
-@dataclass(frozen=True)
-class Word(object):
-    """A k-symbol pattern, symbols packed LSB-first: bit i-1 encodes the i-th
-    symbol (1 <-> +1)."""
-
-    k: int
-    code: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= MAX_WORD_LEVEL:
-            raise ValueError(f"word length must lie in 1..{MAX_WORD_LEVEL}")
-        if not 0 <= self.code < (1 << self.k):
-            raise ValueError("word code has bits beyond its length")
-
-    def bit(self, i: int) -> int:
-        """Bit of the i-th symbol (1-based)."""
-        if not 1 <= i <= self.k:
-            raise ValueError(f"symbol index {i} outside 1..{self.k}")
-        return (self.code >> (i - 1)) & 1
-
-    def symbol(self, i: int) -> int:
-        return 2 * self.bit(i) - 1
-
-    def symbols(self) -> tuple[int, ...]:
-        return tuple(self.symbol(i) for i in range(1, self.k + 1))
 
 
 def sample_sequence(schedule: BiasSchedule, length: int, seed: int) -> PackedSequence:
@@ -188,12 +148,6 @@ def sample_sequences(
     ]
 
 
-def _thresholds(schedule: BiasSchedule, start: int, count: int) -> np.ndarray:
-    """floor((1/2 + gamma_n) * 2^64) for the run of positions: the
-    thresholds whose bits ``_bracket_bits`` reproduces."""
-    return _limits(schedule.gamma_slice(start, count))
-
-
 def _limits(gamma: np.ndarray) -> np.ndarray:
     """floor((1/2 + gamma) * 2^64), built in ``gamma``'s own buffer.  Past
     the guard, p * 2^64 is a positive double below 2^64 (an integer even: p
@@ -218,7 +172,8 @@ def _bracket(schedule: BiasSchedule, start: int, count: int) -> tuple[np.uint64,
 def _bracket_bits(
     schedule: BiasSchedule, start: int, words: np.ndarray, bracket: tuple[np.uint64, np.uint64]
 ) -> np.ndarray:
-    """``words < _thresholds(...)`` of the chunk at ``start``: only the words
+    """``words < _limits(schedule.gamma_slice(start, len(words)))``, the
+    chunk at ``start`` compared with its exact thresholds: only the words
     that the bracket's two ends decide differently get their own threshold,
     from ``_gamma_at`` at their positions (module docstring)."""
     low, high = bracket
@@ -231,48 +186,11 @@ def _bracket_bits(
     return bits
 
 
-def sample_word(k: int, seed: int) -> Word:
-    """Uniform k-symbol word: k bits masked from one generator draw."""
-    return Word(k=k, code=int(sample_words(k, seed, 1)[0]))
-
-
 def sample_words(k: int, seed: int, count: int) -> np.ndarray:
     """Vector of ``count`` independent uniform word codes (uint64).
 
-    Word t is masked from stream word t of this seed.
+    Code t is masked from stream word t of this seed.
     """
     if not 1 <= k <= MAX_WORD_LEVEL:
         raise ValueError(f"word length must lie in 1..{MAX_WORD_LEVEL}")
     return Philox(key=seed & _MASK64).random_raw(count) & np.uint64((1 << k) - 1)
-
-
-def write_bits(path: str | Path, sequence: PackedSequence, level: int = 0) -> None:
-    """Dump a sequence in the PGL1 bit format (see module docstring)."""
-    if level < 0 or level > 0xFFFFFFFF:
-        raise ValueError("level tag must fit in an unsigned 32-bit field")
-    header = _MAGIC + level.to_bytes(4, "little") + sequence.length.to_bytes(8, "little")
-    Path(path).write_bytes(header + sequence.packed.tobytes())
-
-
-def read_bits(path: str | Path) -> tuple[PackedSequence, int]:
-    """Read a PGL1 bit dump; returns (sequence, level tag).
-
-    The dump does not carry seed or schedule provenance; the loaded sequence
-    is labelled by its file name with seed 0.
-    """
-    blob = Path(path).read_bytes()
-    if len(blob) < 16 or blob[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a PGL1 bit dump")
-    level = int.from_bytes(blob[4:8], "little")
-    length = int.from_bytes(blob[8:16], "little")
-    payload = np.frombuffer(blob[16:], dtype=np.uint8)
-    need = (length + 7) // 8
-    if payload.size != need:
-        raise ValueError(f"{path}: payload is {payload.size} bytes, expected {need}")
-    seq = PackedSequence(
-        packed=payload.copy(),
-        length=length,
-        seed=0,
-        schedule_label=f"file:{Path(path).name}",
-    )
-    return seq, level

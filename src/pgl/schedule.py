@@ -12,7 +12,6 @@ constants, not the threshold structure.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -52,14 +51,17 @@ class KakutaniClass(Enum):
 
 @dataclass(frozen=True, eq=False)
 class BiasSchedule:
-    """Base type; concrete kinds implement ``gamma`` and ``label``.  Kinds
-    with scalar fields compare by them; a Table compares by identity."""
+    """Base type; concrete kinds implement ``_gamma_at`` and ``label``.
+    Kinds with scalar fields compare by them; a Table compares by identity."""
 
     # True on a kind with gamma_n >= gamma_m whenever n <= m.
     _non_increasing = False
 
     def gamma(self, n: int) -> float:
-        raise NotImplementedError
+        """gamma_n at one position n >= 1, from ``_gamma_at`` like every run,
+        so it has the bits the sampler and the analytics read."""
+        _check_index(n)
+        return float(self._gamma_at(np.array([float(n)]))[0])
 
     def gamma_slice(self, start: int, count: int) -> np.ndarray:
         """Vector of gamma at positions start, ..., start+count-1 (1-based).
@@ -103,10 +105,6 @@ class Zero(BiasSchedule):
 
     _non_increasing = True
 
-    def gamma(self, n: int) -> float:
-        _check_index(n)
-        return 0.0
-
     def _gamma_at(self, ns: np.ndarray) -> np.ndarray:
         ns[:] = 0.0
         return ns
@@ -125,10 +123,6 @@ class Constant(BiasSchedule):
 
     def __post_init__(self) -> None:
         _check_bias("const", self.value)
-
-    def gamma(self, n: int) -> float:
-        _check_index(n)
-        return self.value
 
     def _gamma_at(self, ns: np.ndarray) -> np.ndarray:
         ns[:] = self.value
@@ -161,12 +155,6 @@ class LogPower(BiasSchedule):
         _check_bias("cap", self.cap)
         if self.n0 < 2:
             raise ValueError("LogPower n0 must be >= 2")
-
-    def gamma(self, n: int) -> float:
-        _check_index(n)
-        if n < self.n0:
-            return self.cap
-        return min(self.cap, math.log(n) ** -self.exponent)
 
     def _gamma_at(self, ns: np.ndarray) -> np.ndarray:
         skip = np.searchsorted(ns, self.n0)
@@ -217,10 +205,6 @@ class Table(BiasSchedule):
     @property
     def _tail_value(self) -> float:
         return float(self.values[-1]) if self.tail == "repeat" else 0.0
-
-    def gamma(self, n: int) -> float:
-        _check_index(n)
-        return float(self.values[n - 1]) if n <= len(self.values) else self._tail_value
 
     def _gamma_at(self, ns: np.ndarray) -> np.ndarray:
         inside = np.searchsorted(ns, len(self.values), side="right")
@@ -303,7 +287,10 @@ def first_persistent_below(schedule: BiasSchedule, bound: float) -> int | None:
     """Smallest n with |gamma(m)| < bound for every m >= n, or None.
 
     Binary search over the non-increasing envelope for its first position
-    below the bound; the search ceiling is 2^63.
+    below the bound; the search ceiling is 2^63.  The envelope is evaluated
+    at ``mid`` rounded to float64, and that rounding is monotone, so the
+    envelope stays non-increasing in ``mid`` and the bisection holds up to
+    the ceiling.  An index above 2^53 is exact only to float64 resolution.
     """
     env = envelope(schedule)
     ceiling = 1 << 63

@@ -34,7 +34,7 @@ from pgl.analytics import (
     union_bound_hit_probability,
 )
 from pgl.errors import CapabilityError
-from pgl.sampler import Word, derive_seed, sample_words
+from pgl.sampler import derive_seed, sample_words
 from pgl.schedule import BiasSchedule, Constant, LogPower, Table, Zero, envelope
 
 TABLE6 = Table((0.1, -0.05, 0.2, 0.05, 0.15, -0.1))
@@ -115,7 +115,7 @@ class TestLikelihoodEnumeration:
     def test_entry_w_is_the_log_ratio_of_word_w(self, values, j, k, data):
         sched = Table(tuple(values))
         w = data.draw(st.integers(0, (1 << k) - 1), label="w")
-        expected = math.log(likelihood_ratio(sched, j, Word(k, w)))
+        expected = math.log(likelihood_ratio(sched, j, k, w))
         assert log_likelihood_values(sched, j, k)[w] == pytest.approx(expected, abs=1e-12)
 
     def test_unbiased_values_are_zero(self):
@@ -149,20 +149,27 @@ class TestLikelihoodEnumeration:
 class TestLikelihoodRatio:
     def test_unbiased_ratio_is_one(self):
         for code in (0, 5, 7):
-            assert likelihood_ratio(Zero(), 4, Word(3, code)) == 1.0
+            assert likelihood_ratio(Zero(), 4, 3, code) == 1.0
+
+    def test_rejects_codes_outside_the_level(self):
+        for code in (8, -1):
+            with pytest.raises(ValueError, match="outside"):
+                likelihood_ratio(Zero(), 1, 3, code)
+        with pytest.raises(ValueError):
+            likelihood_ratio(Zero(), 1, 0, 0)
 
     def test_hand_computed_table_case(self):
         sched = Table((0.1, 0.2, 0.05))
-        word = Word(3, 0b101)                  # symbols +, -, +
+        # code 0b101: bit i - 1 holds symbol i, so the symbols are +, -, +
         expected = (1 + 2 * 0.2) * (1 - 2 * 0.05) * (1 + 2 * 0.05)
-        assert likelihood_ratio(sched, 2, word) == pytest.approx(expected, rel=1e-15)
+        assert likelihood_ratio(sched, 2, 3, 0b101) == pytest.approx(expected, rel=1e-15)
 
     def test_strong_constant_bias(self):
         sched = Constant(0.49)
-        assert likelihood_ratio(sched, 5, Word(4, 0b1111)) == pytest.approx(
+        assert likelihood_ratio(sched, 5, 4, 0b1111) == pytest.approx(
             1.98**4, rel=1e-14
         )
-        assert likelihood_ratio(sched, 5, Word(4, 0)) == pytest.approx(
+        assert likelihood_ratio(sched, 5, 4, 0) == pytest.approx(
             0.02**4, rel=1e-14
         )
 
@@ -171,7 +178,7 @@ class TestLikelihoodRatio:
             for code in range(16):
                 bits = [(code >> i) & 1 for i in range(4)]
                 expected = brute_likelihood_ratio(TABLE6, j, bits)
-                got = likelihood_ratio(TABLE6, j, Word(4, code))
+                got = likelihood_ratio(TABLE6, j, 4, code)
                 assert got == pytest.approx(expected, rel=1e-14)
 
 
@@ -563,6 +570,21 @@ class TestBoundsForEverySchedule:
         exact = analytics._pair_sum_exact(sched, k)
         assert exact <= report.b_term <= factor * exact
 
+    def test_envelope_bound_reads_all_stratum_left_ends_in_one_call(self, monkeypatch):
+        reads = []
+        original = LogPower._gamma_at
+
+        def recorded(self, ns):
+            reads.append(ns.tolist())
+            return original(self, ns)
+
+        monkeypatch.setattr(LogPower, "_gamma_at", recorded)
+        k = 20
+        value = analytics._pair_bound(LogPower(0.5), k)
+        strata = analytics._stratum_grid(1, 1 << k)
+        assert reads == [[float(left) for left, _ in strata]]
+        assert value > 0.0
+
     @pytest.mark.parametrize("table,exact", [
         (Table((0.0,) * 6200 + (0.45,) * 1800, tail="zero"), 0.213598),
         (Table((0.0,) * 1000 + (0.3,)), 1.466419),
@@ -610,11 +632,13 @@ class TestOnsetIndex:
         expected = math.floor(math.exp(1.0 / ONSET_FACTOR_BOUND)) + 1
         sched = LogPower(1.0)
         n = critical_onset_index(sched)
-        assert n == expected
+        assert n == expected == 38966
         assert 1 + 2 * sched.gamma(n) < 2.0**0.25 <= 1 + 2 * sched.gamma(n - 1)
+        assert critical_onset_index(LogPower(2.0)) == 26
 
     def test_slow_decay_has_no_reachable_onset(self):
         assert critical_onset_index(LogPower(0.5)) is None
+        assert critical_onset_index(LogPower(0.25)) is None
 
 
 class TestExactAnnealedLaw:
@@ -695,10 +719,13 @@ class TestBalancedProducts:
             )
             assert balanced_product(sched, j, spec) <= 1.0 + 1e-12
 
-    def test_huge_positions_use_exact_integer_indices(self):
+    def test_huge_positions_read_gamma_at_float64_resolution(self):
+        # past 2^53 a position is rounded to float64: 2^63 + 11 reads the
+        # biases of 2^63, whose float64 neighbours lie 2^11 apart
         spec = BalancedSpec(k=4, plus=(1, 2), minus=(3, 4))
         value = balanced_product(LogPower(0.25), 2**63 + 11, spec)
         assert 0.0 < value <= 1.0 + 1e-12
+        assert value == balanced_product(LogPower(0.25), 2**63, spec)
 
 
 class TestSymbolSumTail:
@@ -751,12 +778,12 @@ class TestSymbolSumTail:
 
 class TestUnionBound:
     def test_unbiased_bound_is_one(self):
-        assert union_bound_hit_probability(Zero(), 8, [Word(8, 37)])[0] == pytest.approx(
+        assert union_bound_hit_probability(Zero(), 8, [37])[0] == pytest.approx(
             1.0, rel=1e-14
         )
 
     def test_strong_minus_bias_all_plus_word(self):
-        got = union_bound_hit_probability(Constant(-0.49), 8, [Word(8, 255)])[0]
+        got = union_bound_hit_probability(Constant(-0.49), 8, [255])[0]
         assert got == pytest.approx(0.02**8, rel=1e-12)
 
     def test_matches_direct_average(self):
@@ -767,13 +794,13 @@ class TestUnionBound:
             brute_likelihood_ratio(TABLE6, j, word_bits) / 16.0
             for j in range(1, 17)
         )
-        got = union_bound_hit_probability(TABLE6, k, [Word(4, 0b1001)])[0]
+        got = union_bound_hit_probability(TABLE6, k, [0b1001])[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_saturated_bias_starves_minus_heavy_patterns(self):
         # under near-cap plus bias an all-minus pattern is essentially
         # unreachable: the whole union bound stays far below 1/2
-        got = union_bound_hit_probability(LogPower(0.25), 16, [Word(16, 0)])[0]
+        got = union_bound_hit_probability(LogPower(0.25), 16, [0])[0]
         assert got < 0.5
         assert got < 1e-20
 
@@ -781,16 +808,18 @@ class TestUnionBound:
         # 2^21 positions are two chunks of 2^20: two bias runs serve all four
         # words, and each word's bound equals its bound taken alone
         reads = count_bias_reads(monkeypatch)
-        words = [Word(21, code) for code in (0, 1, 1 << 20, (1 << 21) - 1)]
-        bounds = union_bound_hit_probability(LogPower(1.0), 21, words)
+        codes = [0, 1, 1 << 20, (1 << 21) - 1]
+        bounds = union_bound_hit_probability(LogPower(1.0), 21, codes)
         assert len(reads) == 2
-        assert bounds == [union_bound_hit_probability(LogPower(1.0), 21, [w])[0] for w in words]
+        assert bounds == [union_bound_hit_probability(LogPower(1.0), 21, [w])[0] for w in codes]
         reads.clear()
         assert union_bound_hit_probability(LogPower(1.0), 21, []) == []
         assert reads == []
 
     def test_level_cap_and_word_mismatch(self):
         with pytest.raises(CapabilityError):
-            union_bound_hit_probability(Zero(), 31, [Word(31, 0)])[0]
-        with pytest.raises(ValueError):
-            union_bound_hit_probability(Zero(), 8, [Word(4, 0)])[0]
+            union_bound_hit_probability(Zero(), 31, [0])[0]
+        # a code with bits beyond its level, or a negative one
+        for code in (8, -1):
+            with pytest.raises(ValueError, match="outside"):
+                union_bound_hit_probability(Zero(), 3, [0, code])

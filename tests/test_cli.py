@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -66,8 +67,12 @@ class TestBasics:
         proc = run_cli("selftest")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         lines = [l for l in proc.stdout.splitlines() if l.strip()]
-        assert sum(1 for l in lines if l.startswith("ok")) >= 7
         assert not any("FAIL" in l for l in lines)
+        # README's quick start states the size of the battery
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        stated = re.search(r"# (\d+) internal cross-checks", readme)
+        assert stated, "README no longer states the selftest count"
+        assert int(stated.group(1)) == sum(1 for l in lines if l.startswith("ok - "))
 
     def test_import_does_not_load_scipy(self):
         proc = subprocess.run(

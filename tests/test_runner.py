@@ -686,6 +686,21 @@ class TestScheduleInfo:
             math.exp(2.0 / (2.0**0.25 - 1.0))
         ) + 1
 
+    def test_log_power_gamma_is_pinned_to_the_bit(self):
+        # the printed gamma of the log-power decays, to the last bit
+        points = ("1", "2", "10", "100", "1000", "1000000")
+        pinned = {
+            "logpow:0.25": (0.49,) * 6,
+            "logpow:0.5": (0.49, 0.49, 0.49, 0.46599060178465607,
+                           0.3804797331016252, 0.2690397993802069),
+            "logpow:1.0": (0.49, 0.49, 0.43429448190325176, 0.21714724095162588,
+                           0.14476482730108395, 0.07238241365054197),
+            "logpow:2.0": (0.49, 0.49, 0.1886116970116139, 0.047152924252903475,
+                           0.02095685522351266, 0.005239213805878165),
+        }
+        for spec, values in pinned.items():
+            assert schedule_info(spec)["gamma"] == dict(zip(points, values)), spec
+
     def test_negative_bias_onset_reads_the_absolute_bias(self):
         assert schedule_info("const:-0.3")["onset_index"] is None
         assert schedule_info("const:-0.05")["onset_index"] == 1

@@ -1,31 +1,32 @@
-"""Sequence and pattern sampling: determinism, purity, statistics, bit dumps."""
+"""Sequence and pattern sampling: determinism, purity, statistics."""
 
 import math
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import pack_bits
+from conftest import pack_bits, prefix_probability
 from pgl import sampler
+from pgl.analytics import likelihood_ratio
+from pgl.counter import window_codes
 from pgl.sampler import (
-    PackedSequence,
-    Word,
     derive_seed,
     mix64,
-    read_bits,
     sample_sequence,
     sample_sequences,
-    sample_word,
     sample_words,
-    write_bits,
 )
 from pgl.schedule import BiasSchedule, Constant, LogPower, Table, Zero, parse_schedule
+
+
+def exact_thresholds(sched, start, count):
+    """floor((1/2 + gamma_n) * 2^64) over a run of positions: the exact
+    thresholds whose bits the chunk brackets must reproduce."""
+    return sampler._limits(sched.gamma_slice(start, count))
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ class TestSequences:
         assert len(result) == len(schedules)
         words = [np.random.Philox(key=seed).random_raw(length) for seed in seeds]
         for sched, row in zip(schedules, result):
-            thresholds = sampler._thresholds(sched, 1, length)
+            thresholds = exact_thresholds(sched, 1, length)
             assert len(row) == len(seeds)
             for seed, stream, seq in zip(seeds, words, row):
                 assert seq.seed == seed and seq.length == length
@@ -143,7 +144,7 @@ class TestSequences:
         for sched in variants:
             for start in range(1, 2**24, chunk):
                 low, high = sampler._bracket(sched, start, chunk)
-                thresholds = sampler._thresholds(sched, start, chunk)
+                thresholds = exact_thresholds(sched, start, chunk)
                 assert ((low <= thresholds) & (thresholds < high)).all(), (sched.label, start)
 
     def test_accessors_agree(self):
@@ -194,7 +195,7 @@ class TestSequences:
     def test_thresholds_are_the_exact_floor_for_every_accepted_bias(self, sched, start, count):
         # floor(fl(1/2 + gamma) * 2^64) in exact arithmetic, never 0 and
         # never 2^64: every bias construction accepts samples in range
-        got = sampler._thresholds(sched, start, count).tolist()
+        got = exact_thresholds(sched, start, count).tolist()
         for g, t in zip(sched.gamma_slice(start, count).tolist(), got):
             assert t == math.floor(Fraction(0.5 + g) * 2**64)
             assert 1 <= t <= 2**64 - 1
@@ -219,30 +220,32 @@ class TestSequences:
         run = sched.gamma_slice(start, count)
         assert np.array_equal(sched._gamma_at(ns).view(np.uint64), run[offsets].view(np.uint64))
         low, high = sampler._bracket(sched, start, count)
-        thresholds = sampler._thresholds(sched, start, count)
+        thresholds = exact_thresholds(sched, start, count)
         assert ((low <= thresholds) & (thresholds < high)).all()
 
 
 class TestWords:
     def test_word_bit_conventions(self):
-        w = Word(3, 0b101)
-        assert (w.bit(1), w.bit(2), w.bit(3)) == (1, 0, 1)
-        assert w.symbols() == (1, -1, 1)
-        assert w.symbol(2) == -1
-        with pytest.raises(ValueError):
-            w.bit(0)
-        with pytest.raises(ValueError):
-            w.bit(4)
+        # a pattern is an integer code at level k: bit i - 1 holds symbol i,
+        # 1 for + and 0 for -, as in the codes of a sequence's windows
+        seq = pack_bits([1, 0, 1, 1, 0])
+        assert window_codes(seq, 2).tolist() == [0b01, 0b10, 0b11, 0b01]
+        sched = Table((0.1, 0.2, 0.05))
+        assert likelihood_ratio(sched, 1, 3, 0b001) == pytest.approx(1.2 * 0.6 * 0.9, rel=1e-15)
+        assert likelihood_ratio(sched, 1, 3, 0b100) == pytest.approx(0.8 * 0.6 * 1.1, rel=1e-15)
+        for code in range(8):
+            bits = [(code >> i) & 1 for i in range(3)]
+            assert likelihood_ratio(sched, 1, 3, code) == pytest.approx(
+                8 * prefix_probability(sched, bits), rel=1e-14
+            )
+        assert all(0 <= int(code) < 8 for code in sample_words(3, 7, 100))
 
     def test_word_validation(self):
-        with pytest.raises(ValueError):
-            Word(0, 0)
-        with pytest.raises(ValueError):
-            Word(61, 0)
-        with pytest.raises(ValueError):
-            Word(3, 8)
-        with pytest.raises(ValueError):
-            Word(3, -1)
+        # a level outside 1..MAX_WORD_LEVEL; codes are checked where they
+        # are read (test_analytics)
+        for k in (0, 61):
+            with pytest.raises(ValueError):
+                sample_words(k, 1, 1)
 
     def test_draws_are_pure_in_seed_and_index(self):
         k, seed = 12, 31
@@ -250,8 +253,7 @@ class TestWords:
         # word t is stream word t of the seed's Philox generator, masked
         straight = np.random.Philox(key=seed).random_raw(10) & np.uint64((1 << k) - 1)
         assert np.array_equal(stream, straight)
-        assert sample_word(k, seed).code == int(stream[0])
-        assert sample_word(k, seed).k == k
+        assert np.array_equal(sample_words(k, seed, 1), stream[:1])
 
     def test_word_frequencies_are_uniform(self):
         k, n = 3, 10**5
@@ -268,83 +270,3 @@ class TestWords:
         statistic = float(((observed - expected) ** 2 / expected).sum())
         # the 1 - 1e-4 quantile of chi-square with 15 degrees of freedom
         assert statistic < 44.26322494417528
-
-
-class TestBitDumps:
-    def test_round_trip_and_header_layout(self, tmp_path):
-        seq = sample_sequence(LogPower(0.25), 1001, seed=6)
-        path = tmp_path / "dump.pgl1"
-        write_bits(path, seq, level=14)
-        raw = path.read_bytes()
-        assert raw[:4] == b"PGL1"
-        assert int.from_bytes(raw[4:8], "little") == 14
-        assert int.from_bytes(raw[8:16], "little") == 1001
-        assert len(raw) == 16 + (1001 + 7) // 8
-        loaded, level = read_bits(path)
-        assert level == 14
-        assert loaded.length == 1001
-        assert np.array_equal(loaded.bits01, seq.bits01)
-        assert loaded.schedule_label == f"file:{path.name}"
-
-    def test_rejects_corrupt_dumps(self, tmp_path):
-        seq = pack_bits([1, 0, 1, 1])
-        path = tmp_path / "dump.pgl1"
-        write_bits(path, seq)
-        raw = bytearray(path.read_bytes())
-
-        bad_magic = tmp_path / "magic.pgl1"
-        bad_magic.write_bytes(b"NOPE" + bytes(raw[4:]))
-        with pytest.raises(ValueError, match="not a PGL1 bit dump"):
-            read_bits(bad_magic)
-
-        truncated = tmp_path / "short.pgl1"
-        truncated.write_bytes(bytes(raw[:-1] if len(raw) > 16 else raw[:12]))
-        with pytest.raises(ValueError):
-            read_bits(truncated)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        blob=st.one_of(
-            st.binary(max_size=40),
-            st.builds(
-                lambda level, length, payload: b"PGL1" + level.to_bytes(4, "little")
-                + length.to_bytes(8, "little") + payload,
-                st.integers(0, 2**32 - 1), st.integers(0, 80), st.binary(max_size=10),
-            ),
-        ),
-        bits=st.lists(st.integers(0, 1), min_size=1, max_size=100),
-        cut=st.integers(0, 2**16),
-        length=st.integers(0, 2**64 - 1),
-    )
-    def test_any_bytes_load_or_raise_value_error(self, blob, bits, cut, length):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "bits.pgl1"
-            path.write_bytes(blob)
-            try:
-                loaded, level = read_bits(path)
-            except ValueError:
-                pass
-            else:
-                assert level == int.from_bytes(blob[4:8], "little")
-                assert loaded.length == int.from_bytes(blob[8:16], "little")
-            write_bits(path, pack_bits(bits))
-            valid = path.read_bytes()
-            # a dump cut short
-            path.write_bytes(valid[: cut % len(valid)])
-            with pytest.raises(ValueError):
-                read_bits(path)
-            # a length field that asks for another payload size
-            if (length + 7) // 8 != (len(bits) + 7) // 8:
-                path.write_bytes(valid[:8] + length.to_bytes(8, "little") + valid[16:])
-                with pytest.raises(ValueError):
-                    read_bits(path)
-
-    @settings(max_examples=30, deadline=None)
-    @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=300))
-    def test_round_trip_preserves_any_bit_pattern(self, bits):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "bits.pgl1"
-            write_bits(path, pack_bits(bits))
-            loaded, level = read_bits(path)
-            assert level == 0
-            assert list(loaded.bits01) == bits

@@ -121,6 +121,25 @@ class TestValues:
                 assert block.shape == (count,)
                 for offset in range(count):
                     assert block[offset] == sched.gamma(start + offset)
+        # bit for bit over positions 1..2^18 of the log-power decays, where
+        # libm's log and pow once differed from numpy's by 1-3 ulps
+        count = 1 << 18
+        for exponent in (0.5, 1.0, 2.0):
+            sched = LogPower(exponent)
+            pointwise = np.fromiter(map(sched.gamma, range(1, count + 1)), np.float64, count)
+            run = sched.gamma_slice(1, count)
+            assert np.array_equal(pointwise.view(np.uint64), run.view(np.uint64)), exponent
+
+    def test_gamma_is_one_method_over_the_array_evaluator(self):
+        # no kind defines a scalar gamma of its own: every position is read
+        # through _gamma_at, so past 2^53 it has float64 resolution
+        for kind in (Zero, Constant, LogPower, Table):
+            assert "gamma" not in vars(kind), kind.__name__
+        for sched in (Constant(-0.2), LogPower(0.5, cap=0.3, n0=5), Table((0.1, 0.2))):
+            assert sched.gamma(2**63 + 11) == sched.gamma(2**63)
+            assert sched.gamma(2**53 + 1) == sched.gamma(2**53)
+            with pytest.raises(ValueError):
+                sched.gamma(0)
 
     def test_gamma_slice_hands_over_a_fresh_array(self):
         # the caller owns the result: writing into it (as the sampler does
@@ -272,6 +291,16 @@ class TestPersistence:
         # 1/ln(n) < 0.49 first holds at n = 8 (1/ln 7 = 0.514, 1/ln 8 = 0.481)
         assert first_persistent_below(LogPower(1.0), 0.49) == 8
         assert first_persistent_below(LogPower(1.0), 0.5) == 1
+
+    def test_crossing_past_2_53_sits_at_a_float64_step(self):
+        # float64 rounding of positions is monotone, so the bisection still
+        # finds the last step of the envelope above the bound
+        sched = LogPower(0.5)
+        bound = sched.gamma(2**60)
+        n = first_persistent_below(sched, bound)
+        assert 2**53 < n <= 2**63
+        assert sched.gamma(n) < bound <= sched.gamma(n - 1)
+        assert float(n - 1) < float(n)
 
     def test_log_power_beyond_search_ceiling_is_none(self):
         # (ln n)^(-1/2) < 0.0946 requires n > e^(111.7), past the 2^63 ceiling
