@@ -21,7 +21,7 @@ over uniform w.  The module computes:
   array products per class length and a windowed product over the classes);
 * the three Stein-method error terms A, B, C bounding the total-variation
   distance between the law of the total match count and Poisson(1), whose
-  bounds read the biases through the |gamma| envelope (schedule.envelope),
+  bounds read the biases through the |gamma| envelope (BiasSchedule.envelope),
   so they hold for biases of either sign and in any order;
 * the ingredients of the non-convergence mechanism at slowly decaying bias:
   balanced products, the mass of patterns with atypically negative symbol
@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .counter import CountDistribution
 from .errors import CapabilityError, NanGuard, ResourceError
 from .sampler import derive_seed, sample_words
-from .schedule import BiasSchedule, envelope, first_persistent_below
+from .schedule import BiasSchedule, first_persistent_below
 
 __all__ = [
     "ChenSteinParams",
@@ -510,9 +510,7 @@ def _pair_bound(envelope: BiasSchedule, k: int) -> float:
     return 2.0 * total
 
 
-def _c_term(
-    schedule: BiasSchedule, envelope: BiasSchedule, params: ChenSteinParams
-) -> tuple[float, str, float]:
+def _c_term(schedule: BiasSchedule, params: ChenSteinParams) -> tuple[float, str, float]:
     """2^-k sum_j E|R_j - 1| over j in 1..2^k: exact, stratified-monotone
     bound, or Monte Carlo, in that order of preference.  E|R_j - 1| is
     symmetric and convex in each gamma_i, so it grows with each |gamma_i|,
@@ -536,7 +534,7 @@ def _c_term(
     # tail block j >= lo: monotone upper integration on a half-octave grid
     for left, width in _stratum_grid(lo, n):
         value, stderr = mean_abs_likelihood_deviation(
-            envelope,
+            schedule.envelope,
             left,
             k,
             exact_cap=params.exact_cap,
@@ -562,12 +560,11 @@ def chen_stein_terms(schedule: BiasSchedule, params: ChenSteinParams) -> ChenSte
     """
     k = params.k
     a_value = _neighborhood_term(k)
-    bounding = envelope(schedule)
     if k <= params.exact_cap:
         b_value, b_mode = _pair_sum_exact(schedule, k), "exact"
     else:
-        b_value, b_mode = _pair_bound(bounding, k), "bound"
-    c_value, c_mode, c_stderr = _c_term(schedule, bounding, params)
+        b_value, b_mode = _pair_bound(schedule.envelope, k), "bound"
+    c_value, c_mode, c_stderr = _c_term(schedule, params)
     return ChenSteinReport(
         k=k,
         lam=1.0,

@@ -207,13 +207,8 @@ def _selftest_battery():
         sched = schedule.parse_schedule("logpow:1.0")
         assert abs(sched.gamma(55) - 1.0 / math.log(55)) < 1e-15, "logpow value"
         assert schedule.parse_schedule("zero").label == "zero", "zero label"
-        assert (
-            schedule.classify_kakutani(schedule.Zero())
-            is schedule.KakutaniClass.EQUIVALENT
-        ), "zero class"
-        assert (
-            schedule.classify_kakutani(sched) is schedule.KakutaniClass.SINGULAR
-        ), "logpow class"
+        assert schedule.Zero().kakutani is schedule.KakutaniClass.EQUIVALENT, "zero class"
+        assert sched.kakutani is schedule.KakutaniClass.SINGULAR, "logpow class"
 
     def check_sampler():
         sched = schedule.LogPower(0.5)

@@ -46,7 +46,7 @@ from .analytics import (
 from .counter import DENSE_CAP, level_codes, quenched_distribution, window_codes
 from .errors import CapabilityError, NanGuard
 from .sampler import MAX_WORD_LEVEL, derive_seed, sample_sequences, sample_words
-from .schedule import cesaro_average, classify_kakutani, parse_schedule
+from .schedule import cesaro_average, parse_schedule
 from .stats import aggregate_annealed, binomial_ci, poisson_distribution, tv_distance
 
 __all__ = [
@@ -468,7 +468,7 @@ def schedule_info(spec_text: str) -> dict:
     return {
         "spec": spec_text,
         "label": schedule.label,
-        "kakutani": classify_kakutani(schedule).value,
+        "kakutani": schedule.kakutani.value,
         "gamma": {str(n): schedule.gamma(n) for n in sample_points},
         "cesaro": {
             str(n): cesaro_average(schedule, n) for n in (10**3, 10**6)
@@ -484,8 +484,6 @@ def schedule_info(spec_text: str) -> dict:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

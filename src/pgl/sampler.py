@@ -87,8 +87,6 @@ class PackedSequence:
 
     packed: np.ndarray
     length: int
-    seed: int
-    schedule_label: str
 
     def __post_init__(self) -> None:
         need = (self.length + 7) // 8
@@ -139,13 +137,7 @@ def sample_sequences(
                 bits = _bracket_bits(schedule, start, words, bracket)
                 buffers[t][span] = np.packbits(bits, bitorder="little")
         pos += count
-    return [
-        [
-            PackedSequence(packed=buffer, length=length, seed=seed, schedule_label=schedule.label)
-            for buffer, seed in zip(buffers, seeds)
-        ]
-        for buffers, schedule in zip(packed, schedules)
-    ]
+    return [[PackedSequence(buffer, length) for buffer in row] for row in packed]
 
 
 def _limits(gamma: np.ndarray) -> np.ndarray:

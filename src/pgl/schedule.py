@@ -4,7 +4,8 @@ A schedule assigns to every position n >= 1 a bias gamma_n in (-1/2, 1/2);
 the sampled sequence has P(x_n = +1) = 1/2 + gamma_n independently.  Four
 kinds are supported: identically zero (fair coin), constant, log-power decay
 gamma_n = min(cap, (ln n)^-c), and explicit tables with a tail rule.  A kind
-checks its range when built; ``envelope`` is its non-increasing |gamma| bound.
+checks its range when built and answers for itself: ``envelope`` is its
+non-increasing |gamma| bound and ``kakutani`` its dichotomy class.
 
 Natural logarithm throughout; swapping the base would only rescale the decay
 constants, not the threshold structure.
@@ -15,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +28,8 @@ __all__ = [
     "LogPower",
     "Table",
     "KakutaniClass",
-    "classify_kakutani",
     "cesaro_average",
     "parse_schedule",
-    "envelope",
     "first_persistent_below",
 ]
 
@@ -56,12 +56,19 @@ class BiasSchedule:
 
     # True on a kind with gamma_n >= gamma_m whenever n <= m.
     _non_increasing = False
+    # The dichotomy class, UNKNOWN unless the kind determines the tail.
+    kakutani = KakutaniClass.UNKNOWN
+
+    @property
+    def envelope(self) -> BiasSchedule:
+        """A schedule whose |gamma*_n| is non-increasing and >= |gamma_m|
+        for all m >= n: zero, constant and log-power decay are their own."""
+        return self
 
     def gamma(self, n: int) -> float:
-        """gamma_n at one position n >= 1, from ``_gamma_at`` like every run,
-        so it has the bits the sampler and the analytics read."""
-        _check_index(n)
-        return float(self._gamma_at(np.array([float(n)]))[0])
+        """gamma_n at one position n >= 1: a one-position run, so it has the
+        bits the sampler and the analytics read."""
+        return float(self.gamma_slice(n, 1)[0])
 
     def gamma_slice(self, start: int, count: int) -> np.ndarray:
         """Vector of gamma at positions start, ..., start+count-1 (1-based).
@@ -104,6 +111,7 @@ class Zero(BiasSchedule):
     """Fair coin: gamma_n = 0 for all n."""
 
     _non_increasing = True
+    kakutani = KakutaniClass.EQUIVALENT
 
     def _gamma_at(self, ns: np.ndarray) -> np.ndarray:
         ns[:] = 0.0
@@ -123,6 +131,10 @@ class Constant(BiasSchedule):
 
     def __post_init__(self) -> None:
         _check_bias("const", self.value)
+
+    @property
+    def kakutani(self) -> KakutaniClass:
+        return KakutaniClass.EQUIVALENT if self.value == 0 else KakutaniClass.SINGULAR
 
     def _gamma_at(self, ns: np.ndarray) -> np.ndarray:
         ns[:] = self.value
@@ -146,6 +158,8 @@ class LogPower(BiasSchedule):
     cap: float = _DEFAULT_CAP
     n0: int = _DEFAULT_N0
     _non_increasing = True
+    # the squared biases sum like n / log^2c n
+    kakutani = KakutaniClass.SINGULAR
 
     def __post_init__(self) -> None:
         if not self.exponent > 0:
@@ -203,13 +217,22 @@ class Table(BiasSchedule):
             _check_bias(f"gamma({n})", float(values[n - 1]))
 
     @property
-    def _tail_value(self) -> float:
-        return float(self.values[-1]) if self.tail == "repeat" else 0.0
+    def kakutani(self) -> KakutaniClass:
+        """Equivalent under the zero tail rule, unknown otherwise."""
+        return KakutaniClass.EQUIVALENT if self.tail == "zero" else KakutaniClass.UNKNOWN
+
+    @cached_property
+    def envelope(self) -> Table:
+        """gamma*_n = sup_{m >= n} |gamma_m| by one backward pass, built once
+        per table; it covers the tail too (|last value| when repeated, 0 when
+        zero).  Threads that first read it at the same time may each build
+        it; the copies are equal and the last one is kept."""
+        return Table(np.maximum.accumulate(np.abs(self.values)[::-1])[::-1], self.tail)
 
     def _gamma_at(self, ns: np.ndarray) -> np.ndarray:
         inside = np.searchsorted(ns, len(self.values), side="right")
         ns[:inside] = self.values[ns[:inside].astype(np.intp) - 1]
-        ns[inside:] = self._tail_value
+        ns[inside:] = self.values[-1] if self.tail == "repeat" else 0.0
         return ns
 
     @property
@@ -229,11 +252,6 @@ def _run(start: int, count: int, offsets: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def _check_index(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"positions are 1-based, got {n}")
-
-
 def _check_bias(name: str, value: float) -> None:
     """Reject a bias unless 0 < 1/2 + value < 1 in double precision, the
     sampler's own condition: NaN fails, and so does a value just below 1/2
@@ -242,24 +260,6 @@ def _check_bias(name: str, value: float) -> None:
         if -0.5 < value < 0.5:
             raise ValueError(f"{name} = {value!r}: 1/2 + {name} rounds to 1 in double precision")
         raise ValueError(f"{name} = {value!r} outside (-1/2, 1/2)")
-
-
-def classify_kakutani(schedule: BiasSchedule) -> KakutaniClass:
-    """Analytic dichotomy class for the known kinds.
-
-    Zero -> equivalent; nonzero constant -> singular; log-power decay ->
-    singular (the squared biases sum like n / log^2c n); tables are
-    equivalent when the tail rule is zero and unknown otherwise.
-    """
-    if isinstance(schedule, Zero):
-        return KakutaniClass.EQUIVALENT
-    if isinstance(schedule, Constant):
-        return KakutaniClass.EQUIVALENT if schedule.value == 0 else KakutaniClass.SINGULAR
-    if isinstance(schedule, LogPower):
-        return KakutaniClass.SINGULAR
-    if isinstance(schedule, Table):
-        return KakutaniClass.EQUIVALENT if schedule.tail == "zero" else KakutaniClass.UNKNOWN
-    return KakutaniClass.UNKNOWN
 
 
 def cesaro_average(schedule: BiasSchedule, n_terms: int) -> float:
@@ -272,17 +272,6 @@ def cesaro_average(schedule: BiasSchedule, n_terms: int) -> float:
     return total / n_terms
 
 
-def envelope(schedule: BiasSchedule) -> BiasSchedule:
-    """A schedule whose |gamma*_n| is non-increasing and >= |gamma_m| for all
-    m >= n: zero, constant and log-power decay are their own; a table gets
-    gamma*_n = sup_{m >= n} |gamma_m| by one backward pass, which covers the
-    tail too (|last value| when repeated, 0 when zero)."""
-    if not isinstance(schedule, Table):
-        return schedule
-    values = np.maximum.accumulate(np.abs(schedule.values)[::-1])[::-1]
-    return Table(values=values, tail=schedule.tail)
-
-
 def first_persistent_below(schedule: BiasSchedule, bound: float) -> int | None:
     """Smallest n with |gamma(m)| < bound for every m >= n, or None.
 
@@ -292,7 +281,7 @@ def first_persistent_below(schedule: BiasSchedule, bound: float) -> int | None:
     envelope stays non-increasing in ``mid`` and the bisection holds up to
     the ceiling.  An index above 2^53 is exact only to float64 resolution.
     """
-    env = envelope(schedule)
+    env = schedule.envelope
     ceiling = 1 << 63
     if abs(env.gamma(1)) < bound:
         return 1

@@ -19,8 +19,7 @@ def pack_bits(bits) -> PackedSequence:
     """Build a PackedSequence from explicit 0/1 bits (bit 1 = symbol +1)."""
     arr = np.asarray(list(bits), dtype=np.uint8)
     packed = np.packbits(arr, bitorder="little")
-    return PackedSequence(packed=packed, length=int(arr.size), seed=0,
-                          schedule_label="test")
+    return PackedSequence(packed=packed, length=int(arr.size))
 
 
 def naive_window_counts(bits, k: int) -> dict[int, int]:

@@ -35,7 +35,7 @@ from pgl.analytics import (
 )
 from pgl.errors import CapabilityError
 from pgl.sampler import derive_seed, sample_words
-from pgl.schedule import BiasSchedule, Constant, LogPower, Table, Zero, envelope
+from pgl.schedule import BiasSchedule, Constant, LogPower, Table, Zero
 
 TABLE6 = Table((0.1, -0.05, 0.2, 0.05, 0.15, -0.1))
 ONSET_FACTOR_BOUND = (2.0 ** 0.25 - 1.0) / 2.0
@@ -566,7 +566,7 @@ class TestBoundsForEverySchedule:
     def test_bounded_b_is_the_envelope_bound_and_stays_tight(self, sched, factor, k):
         report = chen_stein_terms(sched, ChenSteinParams(k=k, exact_cap=k - 1))
         assert report.b_mode == "bound"
-        assert report.b_term == analytics._pair_bound(envelope(sched), k)
+        assert report.b_term == analytics._pair_bound(sched.envelope, k)
         exact = analytics._pair_sum_exact(sched, k)
         assert exact <= report.b_term <= factor * exact
 

@@ -38,7 +38,7 @@ from pgl.runner import (
     schedule_info,
 )
 from pgl.sampler import derive_seed, sample_sequence
-from pgl.schedule import LogPower, parse_schedule
+from pgl.schedule import LogPower, Table, Zero, parse_schedule
 from pgl.stats import aggregate_annealed, poisson_distribution, tv_distance
 
 E_INV = math.exp(-1.0)
@@ -246,10 +246,12 @@ class TestQuenched:
     def test_memory_error_in_a_shared_pass_marks_its_trial(self, monkeypatch):
         cfg = small_config(k_list=(6, 4), trials=3)
         failing_seed = derive_seed(cfg.master_seed, 1)
+        # the shared pass samples 2^6 + 5 positions, at the top level
+        failing = sample_sequence(Zero(), (1 << 6) + 5, failing_seed).packed
         real = runner.window_codes
 
         def short_of_memory(sequence, k):
-            if sequence.seed == failing_seed and sequence.schedule_label == "zero":
+            if np.array_equal(sequence.packed, failing):
                 raise MemoryError("synthetic pressure")
             return real(sequence, k)
 
@@ -621,6 +623,29 @@ class TestTableSchedules:
                 assert [row["B_mode"] for row in got] == ["exact"] * 3
                 assert [row["C_mode"] for row in got] == ["exact"] * 3
             assert got == ref
+
+    def test_bounds_build_a_tables_envelope_once(self, tmp_path, monkeypatch):
+        # three levels read the envelope through the onset index, the bound
+        # B and the Monte Carlo C, yet the sweep builds it once: an envelope
+        # is the one Table built without a source file
+        path = tmp_path / "bias.txt"
+        path.write_text("".join(f"{0.3 * (-0.9) ** n!r}\n" for n in range(300)))
+        real = Table.__post_init__
+        envelopes = []
+
+        def counted(table):
+            real(table)
+            if table.source is None:
+                envelopes.append(table)
+
+        monkeypatch.setattr(Table, "__post_init__", counted)
+        cfg = small_config(schedules=(f"table:{path}",), k_list=(4, 8, 14), exact_cap=6,
+                           mc_samples=64)
+        reports = [record.report for record in run_bounds(cfg)]
+        assert [(r.b_mode, r.c_mode) for r in reports] == [
+            ("exact", "exact"), ("bound", "monte-carlo"), ("bound", "monte-carlo")
+        ]
+        assert len(envelopes) == 1
 
 
 class TestNonconv:

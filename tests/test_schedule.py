@@ -18,8 +18,6 @@ from pgl.schedule import (
     Table,
     Zero,
     cesaro_average,
-    classify_kakutani,
-    envelope,
     first_persistent_below,
     parse_schedule,
 )
@@ -138,6 +136,10 @@ class TestValues:
         for sched in (Constant(-0.2), LogPower(0.5, cap=0.3, n0=5), Table((0.1, 0.2))):
             assert sched.gamma(2**63 + 11) == sched.gamma(2**63)
             assert sched.gamma(2**53 + 1) == sched.gamma(2**53)
+            # Python ints past int64 reach the run as float64 positions
+            for n in (2**63, 2**63 + 11, 2**64 + 5):
+                want = sched._gamma_at(np.array([float(n)]))
+                assert np.array([sched.gamma(n)]).view(np.uint64) == want.view(np.uint64)
             with pytest.raises(ValueError):
                 sched.gamma(0)
 
@@ -227,13 +229,14 @@ class TestValidation:
 
 class TestClassification:
     def test_known_kinds(self):
-        assert classify_kakutani(Zero()) is KakutaniClass.EQUIVALENT
-        assert classify_kakutani(Constant(0.0)) is KakutaniClass.EQUIVALENT
-        assert classify_kakutani(Constant(0.1)) is KakutaniClass.SINGULAR
+        assert Zero().kakutani is KakutaniClass.EQUIVALENT
+        assert Constant(0.0).kakutani is KakutaniClass.EQUIVALENT
+        assert Constant(0.1).kakutani is KakutaniClass.SINGULAR
         for c in (0.25, 0.5, 1.0, 2.0):
-            assert classify_kakutani(LogPower(c)) is KakutaniClass.SINGULAR
-        assert classify_kakutani(Table((0.1,), tail="zero")) is KakutaniClass.EQUIVALENT
-        assert classify_kakutani(Table((0.1,))) is KakutaniClass.UNKNOWN
+            assert LogPower(c).kakutani is KakutaniClass.SINGULAR
+        assert Table((0.1,), tail="zero").kakutani is KakutaniClass.EQUIVALENT
+        assert Table((0.1,)).kakutani is KakutaniClass.UNKNOWN
+        assert BiasSchedule.kakutani is KakutaniClass.UNKNOWN
 
     def test_enum_values_are_strings(self):
         assert KakutaniClass.EQUIVALENT.value == "equivalent"
@@ -323,10 +326,11 @@ class TestPersistence:
 
     def test_envelope_is_the_suffix_maximum_of_the_absolute_bias(self):
         table = Table((0.1, -0.3, 0.2, -0.05, 0.0), tail="zero")
-        assert envelope(table).values.tolist() == [0.3, 0.3, 0.2, 0.05, 0.0]
-        assert envelope(Table((0.1, -0.2))).values.tolist() == [0.2, 0.2]
-        sched = LogPower(1.0)
-        assert envelope(sched) is sched
+        assert table.envelope.values.tolist() == [0.3, 0.3, 0.2, 0.05, 0.0]
+        assert table.envelope.tail == "zero"
+        assert Table((0.1, -0.2)).envelope.values.tolist() == [0.2, 0.2]
+        for sched in (Zero(), Constant(-0.3), LogPower(1.0)):
+            assert sched.envelope is sched
 
 
 class TestParsing:
@@ -484,7 +488,7 @@ class TestTableFiles:
         copied = Table(source)
         source[0] = 0.6
         assert copied.gamma(1) == 0.1
-        assert envelope(copied).values.flags.writeable is False
+        assert copied.envelope.values.flags.writeable is False
 
     def test_tables_compare_by_identity(self):
         table = Table((0.1, 0.2))
