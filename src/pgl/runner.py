@@ -14,13 +14,13 @@ Trial t draws its sequence seed as derive_seed(master_seed, t) (shared
 across schedules and levels, so trial t examines nested prefixes of one
 sequence per schedule) and its pattern seed as
 derive_seed(master_seed, t, WORD_TAG).  The histogram modes therefore
-sample each (schedule, trial) sequence once, at the largest level, and read
-every level off its window codes into one table of trial outcomes per
-distinct (schedule label, level); each mode folds it, so a repeated spec or
-level repeats quenched rows but never adds trials to an aggregate.  Thread
-count never changes results: tasks are mapped in a fixed order and
-reassembled positionally, and CSV output excludes wall-clock fields (JSON
-carries them for diagnostics).
+make one task of each trial: a worker samples the trial once for every
+schedule, at the largest level, and reads every level off the window codes
+into one table of trial outcomes per distinct (schedule label, level); each
+mode folds it, so a repeated spec or level repeats quenched rows but never
+adds trials to an aggregate.  Thread count never changes results: tasks are
+mapped in a fixed order and reassembled positionally, and CSV output
+excludes wall-clock fields (JSON carries them for diagnostics).
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ SCHEMA_LINE = "# pgl-schema v1"
 _WORD_TAG = 0x57
 # Monte Carlo seed namespace for the bounds mode.
 _BOUNDS_TAG = 0xB0
-# A batch of trials is sampled for every schedule at once while the packed
-# bits of all its (schedule, trial) units fit in 256 MiB: with the 4 default
-# schedules, all 50 default trials up to level 23, batches of 7 at the cap.
-_BATCH_BYTES = 1 << 28
 # The benchmark law of every summary.
 _POISSON_ONE = poisson_distribution(1.0)
 
@@ -170,8 +166,8 @@ class ResultRecord(NanGuard):
 
     A trial or level that runs out of memory is emitted with status
     "error: ..." and None summaries; the sweep continues.  wall_time_s times
-    only this row's summary (masses and TV distance): the shared (schedule,
-    trial) pass that samples and counts belongs to no single row.
+    only this row's summary (masses and TV distance): the shared trial pass
+    that samples and counts belongs to no single row.
     """
 
     schedule: str
@@ -215,7 +211,7 @@ class NonconvRecord(NanGuard):
     over the first few tail patterns (None when none were seen).  Error
     rows ("error: ...") leave every sampled field None.  wall_time_s times
     the tail masses, the interval and the union bounds, not the shared
-    sampling pass.
+    trial pass.
     """
 
     schedule: str
@@ -264,15 +260,14 @@ def _level_outcomes(config: ExperimentConfig, mode: str, outcome) -> dict:
     """``{(label, k): [outcome(schedule, trial, k, codes) of trial 0, 1, ...]}``
     over the distinct schedule labels and levels.
 
-    One pass per (schedule, trial) samples the sequence once, at the largest
-    level K, and builds its level-K window codes once; each level k reads the
-    first 2^k.  Levels go in ascending order, so ``outcome`` at the top level,
-    which comes last, may sort the codes in place, as the count law does.  A
-    batch of trials is sampled for every schedule in one call, which draws
-    each trial's stream words once per chunk for all schedules.
-    A MemoryError while sampling or building the codes is the outcome of
-    every level of the trial; a MemoryError at one level is the outcome of
-    that level alone.
+    One pass per trial, run by a worker thread, samples the trial once for
+    every distinct schedule, at the largest level K; for each schedule it
+    builds the level-K window codes once, and each level k reads the first
+    2^k.  Levels go in ascending order, so ``outcome`` at the top level,
+    which comes last, may sort the codes in place, as the count law does.
+    A MemoryError while sampling is the outcome of every schedule and level
+    of the trial, one while building a schedule's codes that of each of its
+    levels, and one at a level that of the level alone.
     """
     bad = [k for k in config.k_list if k > DENSE_CAP]
     if bad:
@@ -283,13 +278,9 @@ def _level_outcomes(config: ExperimentConfig, mode: str, outcome) -> dict:
     top = levels[-1]
     length = (1 << top) + top - 1
     schedules = list({parsed.label: parsed for parsed in config.parsed_schedules}.values())
-    batch = max(1, _BATCH_BYTES // (len(schedules) * ((length + 7) // 8)))
 
-    def work(unit):
-        schedule, trial, sequence = unit
+    def read_levels(schedule, trial, sequence):
         try:
-            if isinstance(sequence, MemoryError):
-                raise sequence
             codes = window_codes(sequence, top)
         except MemoryError as exc:
             return [exc] * len(levels)
@@ -301,23 +292,21 @@ def _level_outcomes(config: ExperimentConfig, mode: str, outcome) -> dict:
                 outcomes.append(exc)
         return outcomes
 
-    table = {}
-    for first in range(0, config.trials, batch):
-        trials = range(first, min(first + batch, config.trials))
-        seeds = [derive_seed(config.master_seed, trial) for trial in trials]
+    def work(trial):
         try:
-            sequences = sample_sequences(schedules, length, seeds)
+            sequences = sample_sequences(schedules, length, derive_seed(config.master_seed, trial))
         except MemoryError as exc:
-            sequences = [[exc] * len(seeds)] * len(schedules)
-        units = [
-            (schedule, trial, sequence)
-            for schedule, row in zip(schedules, sequences)
-            for trial, sequence in zip(trials, row)
+            return [[exc] * len(levels)] * len(schedules)
+        return [
+            read_levels(schedule, trial, sequence)
+            for schedule, sequence in zip(schedules, sequences)
         ]
-        for (schedule, _, _), outcomes in zip(units, _map_tasks(work, units, config.threads)):
-            for k, result in zip(levels, outcomes):
-                table.setdefault((schedule.label, k), []).append(result)
-    return table
+
+    rows = _map_tasks(work, range(config.trials), config.threads)
+    return {
+        (schedule.label, k): [row[s][i] for row in rows]
+        for s, schedule in enumerate(schedules) for i, k in enumerate(levels)
+    }
 
 
 def _count_law(schedule, trial: int, k: int, codes):

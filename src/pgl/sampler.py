@@ -104,40 +104,38 @@ def sample_sequence(schedule: BiasSchedule, length: int, seed: int) -> PackedSeq
 
     Bit n depends only on (seed, n, gamma_n); chunking below is invisible.
     """
-    return sample_sequences([schedule], length, [seed])[0][0]
+    return sample_sequences([schedule], length, seed)[0]
 
 
 def sample_sequences(
-    schedules: Sequence[BiasSchedule], length: int, seeds: Sequence[int]
-) -> list[list[PackedSequence]]:
-    """``result[s][t]``: seed t's sequence under schedule s, each drawn as
+    schedules: Sequence[BiasSchedule], length: int, seed: int
+) -> list[PackedSequence]:
+    """The seed's sequence under each schedule, in order, each drawn as
     ``sample_sequence`` describes.
 
-    Each seed's stream words for a chunk are drawn once and decided for
-    every schedule against that schedule's bracket for the chunk
-    (``_bracket_bits``).  The bracket saves each chunk's gamma evaluation
-    but costs every seed a second comparison with its words and gamma at
-    each word inside the bracket, so it pays most with few seeds and a
-    slowly moving gamma (README, "Performance and caps").  Memory beyond
-    the packed outputs stays one chunk of words whatever the length.
+    The seed's stream is read once, in order: each chunk's words are drawn
+    once and decided for every schedule against that schedule's bracket for
+    the chunk (``_bracket_bits``).  The bracket saves each chunk's gamma
+    evaluation but costs a second comparison with the words and gamma at
+    each word inside the bracket, so it pays most with a slowly moving
+    gamma (README, "Performance and caps").  Memory beyond the packed
+    outputs stays one chunk of words whatever the length.
     """
     if length < 1:
         raise ValueError("sequence length must be >= 1")
-    packed = [[np.empty((length + 7) // 8, dtype=np.uint8) for _ in seeds] for _ in schedules]
-    streams = [Philox(key=seed & _MASK64) for seed in seeds]
+    packed = [np.empty((length + 7) // 8, dtype=np.uint8) for _ in schedules]
+    stream = Philox(key=seed & _MASK64)
     pos = 0
     while pos < length:
         start, count = pos + 1, min(_CHUNK, length - pos)
-        brackets = [_bracket(schedule, start, count) for schedule in schedules]
+        words = stream.random_raw(count)
         # _CHUNK is a multiple of 8, so every chunk starts on a byte
         span = slice(pos >> 3, (pos + count + 7) >> 3)
-        for t, stream in enumerate(streams):
-            words = stream.random_raw(count)
-            for schedule, buffers, bracket in zip(schedules, packed, brackets):
-                bits = _bracket_bits(schedule, start, words, bracket)
-                buffers[t][span] = np.packbits(bits, bitorder="little")
+        for schedule, buffer in zip(schedules, packed):
+            bits = _bracket_bits(schedule, start, words)
+            buffer[span] = np.packbits(bits, bitorder="little")
         pos += count
-    return [[PackedSequence(buffer, length) for buffer in row] for row in packed]
+    return [PackedSequence(buffer, length) for buffer in packed]
 
 
 def _limits(gamma: np.ndarray) -> np.ndarray:
@@ -161,14 +159,12 @@ def _bracket(schedule: BiasSchedule, start: int, count: int) -> tuple[np.uint64,
     return np.uint64(max(least - _MARGIN, 0)), np.uint64(min(most + _MARGIN, _MASK64))
 
 
-def _bracket_bits(
-    schedule: BiasSchedule, start: int, words: np.ndarray, bracket: tuple[np.uint64, np.uint64]
-) -> np.ndarray:
+def _bracket_bits(schedule: BiasSchedule, start: int, words: np.ndarray) -> np.ndarray:
     """``words < _limits(schedule.gamma_slice(start, len(words)))``, the
     chunk at ``start`` compared with its exact thresholds: only the words
-    that the bracket's two ends decide differently get their own threshold,
-    from ``_gamma_at`` at their positions (module docstring)."""
-    low, high = bracket
+    that the chunk bracket's two ends decide differently get their own
+    threshold, from ``_gamma_at`` at their positions (module docstring)."""
+    low, high = _bracket(schedule, start, len(words))
     bits = words < low
     near = np.flatnonzero((words < high) != bits)
     if near.size:

@@ -41,7 +41,7 @@ class KakutaniClass(Enum):
     """Dichotomy class of the product measure against the fair-coin measure.
 
     The measures are equivalent iff sum(gamma_n^2) converges, singular iff it
-    diverges; UNKNOWN is reported when the kind does not determine the tail.
+    diverges; UNKNOWN is only the base class's answer, which every kind overrides.
     """
 
     EQUIVALENT = "equivalent"
@@ -56,7 +56,7 @@ class BiasSchedule:
 
     # True on a kind with gamma_n >= gamma_m whenever n <= m.
     _non_increasing = False
-    # The dichotomy class, UNKNOWN unless the kind determines the tail.
+    # The dichotomy class; each kind overrides it.
     kakutani = KakutaniClass.UNKNOWN
 
     @property
@@ -218,8 +218,8 @@ class Table(BiasSchedule):
 
     @property
     def kakutani(self) -> KakutaniClass:
-        """Equivalent under the zero tail rule, unknown otherwise."""
-        return KakutaniClass.EQUIVALENT if self.tail == "zero" else KakutaniClass.UNKNOWN
+        """Constant's rule on the tail value: the last value repeated, or 0."""
+        return Constant(float(self.values[-1]) if self.tail == "repeat" else 0.0).kakutani
 
     @cached_property
     def envelope(self) -> Table:

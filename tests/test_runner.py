@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,27 +223,41 @@ class TestQuenched:
         tv = tv_distance(law, poisson_distribution(1.0))
         assert record.tv_to_po1 == tv
 
-    def test_sampling_in_batches_leaves_the_records_unchanged(self, monkeypatch):
-        cfg = small_config(k_list=(6, 4, 6), trials=5)
+    def test_each_trial_is_one_sampling_call_for_every_schedule(self, monkeypatch):
+        cfg = small_config(schedules=("zero", "logpow:1.0", "zero"), k_list=(6, 4, 6), trials=5)
         whole = records_to_csv("quenched", run_quenched(cfg))
         real = runner.sample_sequences
-        batches = []
+        calls = []
 
-        def spy(schedules, length, seeds):
-            batches.append(([s.label for s in schedules], list(seeds)))
-            return real(schedules, length, seeds)
+        def spy(schedules, length, seed):
+            calls.append(([s.label for s in schedules], length, seed))
+            return real(schedules, length, seed)
 
         monkeypatch.setattr(runner, "sample_sequences", spy)
         seeds = [derive_seed(cfg.master_seed, t) for t in range(cfg.trials)]
-        # a unit's packed bits take 9 bytes at level 6 (69 bits), and the
-        # budget covers both schedules' units: batches of one trial, then of two
-        for batch_bytes, sizes in ((18, [1, 1, 1, 1, 1]), (36, [2, 2, 1])):
-            batches.clear()
-            monkeypatch.setattr(runner, "_BATCH_BYTES", batch_bytes)
-            assert records_to_csv("quenched", run_quenched(cfg)) == whole
-            assert [len(batch) for _, batch in batches] == sizes
-            assert [seed for _, batch in batches for seed in batch] == seeds
-            assert all(labels == ["zero", "logpow:1.0"] for labels, _ in batches)
+        # one call per trial, in trial order, at the top level 6 (69 bits),
+        # for each distinct schedule once
+        assert records_to_csv("quenched", run_quenched(cfg)) == whole
+        assert calls == [(["zero", "logpow:1.0"], (1 << 6) + 5, seed) for seed in seeds]
+        calls.clear()
+        threaded = records_to_csv("quenched", run_quenched(replace(cfg, threads=3)))
+        assert threaded == whole
+        assert sorted(seed for _, _, seed in calls) == sorted(seeds)
+
+    def test_sampling_runs_in_the_worker_threads(self, monkeypatch):
+        real = runner.sample_sequences
+        threads = []
+
+        def spy(schedules, length, seed):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return real(schedules, length, seed)
+
+        monkeypatch.setattr(runner, "sample_sequences", spy)
+        run_quenched(small_config(threads=2, trials=3))
+        assert threads == [False] * 3
+        threads.clear()
+        run_quenched(small_config(threads=1, trials=3))
+        assert threads == [True] * 3
 
     def test_memory_error_in_a_shared_pass_marks_its_trial(self, monkeypatch):
         cfg = small_config(k_list=(6, 4), trials=3)
@@ -264,20 +280,40 @@ class TestQuenched:
             else:
                 assert r.status == "ok"
 
-    def test_memory_error_while_sampling_marks_every_trial_of_the_batch(self, monkeypatch):
-        def short_of_memory(schedules, length, seeds):
-            raise MemoryError("synthetic pressure")
+    def test_memory_error_while_sampling_marks_that_trial_alone(self, monkeypatch):
+        cfg = small_config(trials=3)
+        failing_seed = derive_seed(cfg.master_seed, 1)
+        real = runner.sample_sequences
+
+        def short_of_memory(schedules, length, seed):
+            if seed == failing_seed:
+                raise MemoryError("synthetic pressure")
+            return real(schedules, length, seed)
 
         monkeypatch.setattr(runner, "sample_sequences", short_of_memory)
-        records = run_annealed(small_config(trials=2))
-        # 2 schedules x 2 levels x 2 trials, then one aggregate per cell
-        assert [r.status for r in records] == ["error: synthetic pressure"] * 8 + [
-            "error: no successful trials to aggregate"
-        ] * 4
-        assert {r.schedule for r in records} == {"zero", "logpow:1.0"}
+        records = run_annealed(cfg)
+        quenched = [r for r in records if r.mode == "quenched"]
+        # 2 schedules x 2 levels x 3 trials, then one aggregate per cell
+        assert len(quenched) == 12 and len(records) == 16
+        for r in quenched:
+            if r.seed == failing_seed:
+                assert r.status == "error: synthetic pressure" and r.p0 is None
+            else:
+                assert r.status == "ok"
+        # each aggregate folds the two other trials
+        for r in records[12:]:
+            laws = [
+                quenched_distribution(window_codes(
+                    sample_sequence(parse_schedule(r.schedule), (1 << r.k) + r.k - 1,
+                                    derive_seed(cfg.master_seed, t)), r.k))
+                for t in (0, 2)
+            ]
+            law, stderr = aggregate_annealed(laws)
+            assert r.status == "ok"
+            assert (r.p0, r.p0_stderr) == (law.mass(0), stderr.get(0, 0.0))
 
     def test_memory_error_while_sampling_gives_nonconv_error_rows(self, monkeypatch):
-        def short_of_memory(schedules, length, seeds):
+        def short_of_memory(schedules, length, seed):
             raise MemoryError("synthetic pressure")
 
         monkeypatch.setattr(runner, "sample_sequences", short_of_memory)
@@ -343,7 +379,7 @@ def level_lists(draw):
 
 
 class TestSharedPasses:
-    """One pass per (schedule, trial) gives what a pass per record gives."""
+    """One pass per trial gives what a pass per record gives."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -725,6 +761,12 @@ class TestScheduleInfo:
         }
         for spec, values in pinned.items():
             assert schedule_info(spec)["gamma"] == dict(zip(points, values)), spec
+
+    def test_table_class_follows_its_tail(self, tmp_path):
+        path = tmp_path / "bias.txt"
+        path.write_text("0.1\n0.05\n")
+        assert schedule_info(f"table:{path}")["kakutani"] == "singular"
+        assert schedule_info(f"table:{path}:tail=zero")["kakutani"] == "equivalent"
 
     def test_negative_bias_onset_reads_the_absolute_bias(self):
         assert schedule_info("const:-0.3")["onset_index"] is None

@@ -120,17 +120,15 @@ class TestSequences:
             Zero(), Constant(0.3), Constant(-0.3), Table(values=signs, tail="zero"),
         ]
         length = 8 * chunk + 13
-        seeds = (0, 5, 2**63 + 7)
-        result = sample_sequences(schedules, length, seeds)
-        assert len(result) == len(schedules)
-        words = [np.random.Philox(key=seed).random_raw(length) for seed in seeds]
-        for sched, row in zip(schedules, result):
-            thresholds = exact_thresholds(sched, 1, length)
-            assert len(row) == len(seeds)
-            for stream, seq in zip(words, row):
+        thresholds = [exact_thresholds(sched, 1, length) for sched in schedules]
+        for seed in (0, 5, 2**63 + 7):
+            result = sample_sequences(schedules, length, seed)
+            assert len(result) == len(schedules)
+            stream = np.random.Philox(key=seed).random_raw(length)
+            for sched, limits, seq in zip(schedules, thresholds, result):
                 assert seq.length == length
-                assert np.array_equal(seq.bits01, (stream < thresholds).astype(np.uint8))
-            assert np.array_equal(row[0].packed, sample_sequence(sched, length, seeds[0]).packed)
+                assert np.array_equal(seq.bits01, (stream < limits).astype(np.uint8))
+                assert np.array_equal(seq.packed, sample_sequence(sched, length, seed).packed)
 
     def test_every_threshold_lies_in_its_chunk_bracket(self):
         # positions 1..2^24 of each log-power variant, chunk by chunk: the

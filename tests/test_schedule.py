@@ -235,7 +235,10 @@ class TestClassification:
         for c in (0.25, 0.5, 1.0, 2.0):
             assert LogPower(c).kakutani is KakutaniClass.SINGULAR
         assert Table((0.1,), tail="zero").kakutani is KakutaniClass.EQUIVALENT
-        assert Table((0.1,)).kakutani is KakutaniClass.UNKNOWN
+        # the repeat tail holds the last value forever: sum gamma_n^2
+        # diverges unless that value is 0
+        assert Table((0.1,)).kakutani is KakutaniClass.SINGULAR
+        assert Table((0.1, 0.0)).kakutani is KakutaniClass.EQUIVALENT
         assert BiasSchedule.kakutani is KakutaniClass.UNKNOWN
 
     def test_enum_values_are_strings(self):
