@@ -180,10 +180,12 @@ class BalancedSpec:
 
 @dataclass(frozen=True)
 class TailMass:
-    """Exact and Gaussian-approximate mass of a symbol-sum tail set."""
+    """Exact and Gaussian-approximate mass of a symbol-sum tail set: the
+    patterns with at most max_plus +1 symbols (-1 when the set is empty)."""
 
     exact: float
     normal_approx: float
+    max_plus: int
 
 
 # ---------------------------------------------------------------------------
@@ -387,25 +389,20 @@ def _deviation_sum(schedule: BiasSchedule, j: int, count: int, k: int) -> float:
 
 
 def mean_abs_likelihood_deviation(
-    schedule: BiasSchedule,
-    j: int,
-    k: int,
-    *,
-    exact_cap: int = 20,
-    mc_samples: int = 4096,
-    seed: int = 0,
+    schedule: BiasSchedule, j: int, params: ChenSteinParams
 ) -> tuple[float, float]:
-    """E |R_j - 1| over uniform patterns; returns (value, stderr).
+    """E |R_j - 1| over uniform level-k patterns, k = params.k; returns (value, stderr).
 
-    Exact (stderr 0) for k <= exact_cap; beyond, Monte Carlo over mc_samples
+    Exact (stderr 0) for k <= params.exact_cap; beyond, Monte Carlo over mc_samples
     patterns, reproducible per (seed, k, j), one table lookup per 12 symbols.
     """
-    if k <= exact_cap:
+    k, mc_samples = params.k, params.mc_samples
+    if k <= params.exact_cap:
         return _deviation_sum(schedule, j, 1, k), 0.0
     two_gamma = 2.0 * schedule.gamma_slice(j, k)
     plus = np.log1p(two_gamma)
     minus = np.log1p(-two_gamma)
-    codes = sample_words(k, derive_seed(seed, k, j), mc_samples)
+    codes = sample_words(k, derive_seed(params.seed, k, j), mc_samples)
     logs = np.zeros(mc_samples)
     for lo in range(0, k, 12):
         table = _pattern_sums(plus[lo : lo + 12], minus[lo : lo + 12])
@@ -533,14 +530,7 @@ def _c_term(schedule: BiasSchedule, params: ChenSteinParams) -> tuple[float, str
         c_value += 2.0 * head * math.ldexp(1.0, -k)
     # tail block j >= lo: monotone upper integration on a half-octave grid
     for left, width in _stratum_grid(lo, n):
-        value, stderr = mean_abs_likelihood_deviation(
-            schedule.envelope,
-            left,
-            k,
-            exact_cap=params.exact_cap,
-            mc_samples=params.mc_samples,
-            seed=params.seed,
-        )
+        value, stderr = mean_abs_likelihood_deviation(schedule.envelope, left, params)
         c_value += width * math.ldexp(value, -k)
         variance += (width * math.ldexp(stderr, -k)) ** 2
     mode = "bound" if exact_points else "monte-carlo"
@@ -643,10 +633,10 @@ def symbol_sum_tail_mass(k: int, eta: float) -> TailMass:
     """Mass of k-symbol patterns with symbol sum strictly below -eta sqrt(k).
 
     Exact via the binomial tail (sum over counts of +1 symbols), alongside
-    the Gaussian tail Phi(-eta).  Boundary sums exactly at -eta sqrt(k) are
-    excluded (strict inequality).  The tail is an integer sum of binomial
-    coefficients, built by a running recurrence, and one correctly rounded
-    int division by 2^k.
+    the Gaussian tail Phi(-eta).  Sums within 1e-9 relative of the cutoff are
+    excluded, so a tail pattern has at most max_plus +1 symbols.  The tail is
+    an integer sum of binomial coefficients, built by a running recurrence,
+    and one correctly rounded int division by 2^k.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
@@ -665,7 +655,7 @@ def symbol_sum_tail_mass(k: int, eta: float) -> TailMass:
         coefficient = coefficient * (k - m) // (m + 1)
     exact = total / (1 << k)
     normal = 0.5 * math.erfc(eta / math.sqrt(2.0))
-    return TailMass(exact=exact, normal_approx=normal)
+    return TailMass(exact=exact, normal_approx=normal, max_plus=max(m_max, -1))
 
 
 def union_bound_hit_probability(schedule: BiasSchedule, k: int, codes: list[int]) -> list[float]:

@@ -28,16 +28,16 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 from .analytics import (
     ChenSteinParams,
     ChenSteinReport,
+    TailMass,
     chen_stein_terms,
     critical_onset_index,
     symbol_sum_tail_mass,
@@ -78,10 +78,8 @@ _BOUNDS_TAG = 0xB0
 # The benchmark law of every summary.
 _POISSON_ONE = poisson_distribution(1.0)
 
-_INTEGER_FIELDS = (
-    "trials", "master_seed", "threads", "mc_samples", "exact_cap", "union_bound_samples"
-)
-_REAL_FIELDS = ("epsilon", "theta", "eta")
+# Each scalar field's kind, keyed by its annotation (a string: future annotations).
+_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number")}
 
 
 def _require(name: str, value, kind, what: str) -> None:
@@ -97,11 +95,11 @@ class ExperimentConfig:
     k_list: tuple[int, ...] = DEFAULT_K_LIST
     trials: int = 50
     master_seed: int = 1
-    epsilon: float = 0.1
-    theta: float = 0.25
+    epsilon: float = ChenSteinParams.epsilon
+    theta: float = ChenSteinParams.theta
     eta: float = 0.1
-    mc_samples: int = 4096
-    exact_cap: int = 20
+    mc_samples: int = ChenSteinParams.mc_samples
+    exact_cap: int = ChenSteinParams.exact_cap
     threads: int = 1
     union_bound_samples: int = 4
 
@@ -114,10 +112,9 @@ class ExperimentConfig:
         object.__setattr__(self, "k_list", tuple(self.k_list))
         for spec in self.schedules:
             _require("schedules entry", spec, str, "a string")
-        for name in _INTEGER_FIELDS:
-            _require(name, getattr(self, name), numbers.Integral, "an integer")
-        for name in _REAL_FIELDS:
-            _require(name, getattr(self, name), numbers.Real, "a real number")
+        for field in fields(self):
+            if field.type in _FIELD_KINDS:
+                _require(field.name, getattr(self, field.name), *_FIELD_KINDS[field.type])
         if not self.schedules:
             raise ValueError("need at least one schedule spec")
         if not self.k_list:
@@ -130,10 +127,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        # ChenSteinParams checks epsilon, theta, mc_samples and exact_cap.
+        # ChenSteinParams checks the Stein parameters, symbol_sum_tail_mass eta.
         self.stein_params(max(self.k_list))
-        if not (math.isfinite(self.eta) and self.eta >= 0):
-            raise ValueError("eta must be a finite number >= 0")
+        symbol_sum_tail_mass(max(self.k_list), self.eta)
         if self.union_bound_samples < 0:
             raise ValueError("union_bound_samples must be >= 0")
         # Parsing rejects malformed specs and out-of-range biases.
@@ -399,21 +395,20 @@ def run_nonconv(config: ExperimentConfig) -> list[NonconvRecord]:
     """Joint pattern/sequence probe of the non-convergence mechanism.
 
     Per (schedule, level), each trial draws an independent pattern and
-    sequence, then checks whether the pattern lies in the negative
-    symbol-sum tail and whether it occurs in the sequence at all.  Like the
-    quenched trials, trial t reads every level off one sequence per
+    sequence; the probe returns the pattern code and whether it occurs, and
+    the cell's TailMass says whether the pattern is in the symbol-sum tail.
+    Like the quenched trials, trial t reads every level off one sequence per
     schedule, and its pattern at level k is the low k bits of one draw.
     """
     def probe(schedule, trial, k, codes):
         word = int(sample_words(k, derive_seed(config.master_seed, trial, _WORD_TAG), 1)[0])
-        hit = bool((level_codes(codes, k) == word).any())
-        return word, hit, 2 * word.bit_count() - k < -config.eta * math.sqrt(k)
+        return word, bool((level_codes(codes, k) == word).any())
 
     records = []
     for (label, k), outcomes in sorted(_level_outcomes(config, "nonconv", probe).items()):
         start = time.perf_counter()
         tail = symbol_sum_tail_mass(k, config.eta)
-        sampled = _sampled_statistics(config, label, k, outcomes)
+        sampled = _sampled_statistics(config, label, k, tail, outcomes)
         records.append(NonconvRecord(
             schedule=label, k=k, eta=config.eta, trials=len(outcomes),
             tail_mass_exact=tail.exact, tail_mass_normal=tail.normal_approx,
@@ -422,16 +417,20 @@ def run_nonconv(config: ExperimentConfig) -> list[NonconvRecord]:
     return records
 
 
-def _sampled_statistics(config: ExperimentConfig, label: str, k: int, outcomes) -> dict:
+def _sampled_statistics(
+    config: ExperimentConfig, label: str, k: int, tail: TailMass, outcomes
+) -> dict:
     """The sampled fields of one nonconv cell, or its error status if a trial
-    failed; the first union_bound_samples tail patterns get a union bound."""
+    failed.  A pattern with at most tail.max_plus +1 symbols is in the tail, the
+    set of mass tail.exact; the first union_bound_samples of them get a union bound."""
     failed = [outcome for outcome in outcomes if isinstance(outcome, BaseException)]
     if failed:
         return {"status": f"error: {failed[0]}"}
     trials = len(outcomes)
-    absent = sum(1 for _, hit, _ in outcomes if not hit)
-    tail_hit = sum(1 for _, hit, in_tail in outcomes if hit and in_tail)
-    tail_words = [word for word, _, in_tail in outcomes if in_tail]
+    absent = sum(1 for _, hit in outcomes if not hit)
+    in_tail = [(word, hit) for word, hit in outcomes if word.bit_count() <= tail.max_plus]
+    tail_hit = sum(1 for _, hit in in_tail if hit)
+    tail_words = [word for word, _ in in_tail]
     lo, hi = binomial_ci(absent, trials, 0.95)
     schedule = next(s for s in config.parsed_schedules if s.label == label)
     union_words = tail_words[: config.union_bound_samples]

@@ -174,7 +174,8 @@ class LogPower(BiasSchedule):
         skip = np.searchsorted(ns, self.n0)
         decay = ns[skip:]
         np.log(decay, out=decay)
-        decay **= -self.exponent
+        with np.errstate(over="ignore"):  # (ln 2)^-c is inf past c ~ 1936: the cap clips it
+            decay **= -self.exponent
         np.minimum(decay, self.cap, out=decay)
         ns[:skip] = self.cap
         return ns

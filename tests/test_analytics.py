@@ -309,12 +309,12 @@ class TestPairProbabilities:
 
 class TestMeanAbsDeviation:
     def test_unbiased_deviation_is_zero(self):
-        value, stderr = mean_abs_likelihood_deviation(Zero(), 1, 12)
+        value, stderr = mean_abs_likelihood_deviation(Zero(), 1, ChenSteinParams(k=12))
         assert value == 0.0 and stderr == 0.0
 
     def test_single_symbol_case(self):
         # R is 1.2 or 0.8 with equal odds, so E|R - 1| = 0.2
-        value, stderr = mean_abs_likelihood_deviation(Constant(0.1), 1, 1)
+        value, stderr = mean_abs_likelihood_deviation(Constant(0.1), 1, ChenSteinParams(k=1))
         assert value == pytest.approx(0.2, rel=1e-14)
         assert stderr == 0.0
 
@@ -324,19 +324,16 @@ class TestMeanAbsDeviation:
             bits = [(code >> i) & 1 for i in range(3)]
             total += abs(brute_likelihood_ratio(TABLE6, 2, bits) - 1.0)
         expected = total / 8.0
-        value, _ = mean_abs_likelihood_deviation(TABLE6, 2, 3)
+        value, _ = mean_abs_likelihood_deviation(TABLE6, 2, ChenSteinParams(k=3))
         assert value == pytest.approx(expected, rel=1e-13)
 
     def test_monte_carlo_agrees_with_exact(self):
-        exact, _ = mean_abs_likelihood_deviation(LogPower(1.0), 7, 8)
-        mc, stderr = mean_abs_likelihood_deviation(
-            LogPower(1.0), 7, 8, exact_cap=4, mc_samples=20000, seed=3
-        )
+        exact, _ = mean_abs_likelihood_deviation(LogPower(1.0), 7, ChenSteinParams(k=8))
+        params = ChenSteinParams(k=8, exact_cap=4, mc_samples=20000, seed=3)
+        mc, stderr = mean_abs_likelihood_deviation(LogPower(1.0), 7, params)
         assert stderr > 0.0
         assert abs(mc - exact) < 6 * stderr
-        again, _ = mean_abs_likelihood_deviation(
-            LogPower(1.0), 7, 8, exact_cap=4, mc_samples=20000, seed=3
-        )
+        again, _ = mean_abs_likelihood_deviation(LogPower(1.0), 7, params)
         assert mc == again
 
     @settings(max_examples=40, deadline=None)
@@ -357,7 +354,7 @@ class TestMeanAbsDeviation:
         sched = Table(tuple(values))
         one_at_a_time = 0.0
         for i in range(j, j + count):
-            one_at_a_time += mean_abs_likelihood_deviation(sched, i, k)[0]
+            one_at_a_time += mean_abs_likelihood_deviation(sched, i, ChenSteinParams(k=k))[0]
         with unittest.mock.patch.object(analytics, "_BLOCK_ENTRIES", block_entries):
             blocked = analytics._deviation_sum(sched, j, count, k)
         # every step runs along one row, and the row means are added in the
@@ -379,15 +376,16 @@ class TestMeanAbsDeviation:
     @pytest.mark.parametrize("k", [16, 20])
     def test_exact_value_matches_the_full_table(self, schedule, j, k):
         full = np.abs(np.expm1(log_likelihood_values(schedule, j, k))).mean()
-        value, _ = mean_abs_likelihood_deviation(schedule, j, k)
+        value, _ = mean_abs_likelihood_deviation(schedule, j, ChenSteinParams(k=k))
         assert value == pytest.approx(full, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("schedule", [LogPower(1.0), TABLE6, Constant(-0.49)])
-    @pytest.mark.parametrize("k", [1, 5, 11, 12, 13, 22, 60])
+    @pytest.mark.parametrize("k", [2, 5, 11, 12, 13, 22, 60])
     def test_monte_carlo_matches_the_per_symbol_sum(self, schedule, k):
-        got = mean_abs_likelihood_deviation(
-            schedule, 7, k, exact_cap=0, mc_samples=3000, seed=11
-        )
+        # exact_cap 1 is the smallest ChenSteinParams takes, so k = 2 is the
+        # smallest Monte Carlo level
+        params = ChenSteinParams(k=k, exact_cap=1, mc_samples=3000, seed=11)
+        got = mean_abs_likelihood_deviation(schedule, 7, params)
         want = per_symbol_monte_carlo(schedule, 7, k, 3000, 11)
         if k <= 12:
             # one table: its entries are the per-symbol sums, in that order
@@ -396,8 +394,8 @@ class TestMeanAbsDeviation:
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_deviation_shrinks_deeper_into_the_sequence(self):
-        late, _ = mean_abs_likelihood_deviation(LogPower(1.0), 2**10, 20)
-        early, _ = mean_abs_likelihood_deviation(LogPower(1.0), 4, 20)
+        late, _ = mean_abs_likelihood_deviation(LogPower(1.0), 2**10, ChenSteinParams(k=20))
+        early, _ = mean_abs_likelihood_deviation(LogPower(1.0), 4, ChenSteinParams(k=20))
         assert late < early
 
 
@@ -764,7 +762,19 @@ class TestSymbolSumTail:
         assert symbol_sum_tail_mass(15, 0.1).exact == 0.5
 
     def test_extreme_threshold_empties_the_tail(self):
-        assert symbol_sum_tail_mass(16, 10.0).exact == 0.0
+        tail = symbol_sum_tail_mass(16, 10.0)
+        assert tail.exact == 0.0 and tail.max_plus == -1
+
+    @pytest.mark.parametrize(
+        "eta", [0.0, 0.1, 0.5, 1 / math.sqrt(3), 1 / math.sqrt(2), 1.0, 2.0, 10.0]
+    )
+    def test_max_plus_is_the_largest_plus_count_of_the_tail(self, eta):
+        for k in range(1, 21):
+            tail = symbol_sum_tail_mass(k, eta)
+            # the largest m whose cumulative binomial mass is the exact mass
+            cumulative = [sum(math.comb(k, i) for i in range(m + 1)) / 2**k for m in range(k + 1)]
+            want = max((m for m in range(k + 1) if cumulative[m] == tail.exact), default=-1)
+            assert tail.max_plus == want, k
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -39,7 +39,7 @@ from pgl.runner import (
     run_quenched,
     schedule_info,
 )
-from pgl.sampler import derive_seed, sample_sequence
+from pgl.sampler import derive_seed, sample_sequence, sample_words
 from pgl.schedule import LogPower, Table, Zero, parse_schedule
 from pgl.stats import aggregate_annealed, poisson_distribution, tv_distance
 
@@ -715,6 +715,29 @@ class TestNonconv:
         fair = run_nonconv(small_config(schedules=("zero",), k_list=(10,),
                                         trials=50))[0]
         assert fair.tail_and_hit_rate > 0.05
+
+    def test_tail_rates_count_the_set_of_the_exact_tail_mass(self):
+        # eta sqrt(k) is 1 and 2 up to rounding: a pattern with symbol sum
+        # -1 (k = 3) or -2 (k = 12) sits on the boundary, outside the tail
+        eta = 0.5773502691896257
+        cfg = small_config(schedules=("zero",), k_list=(3, 12), trials=200, eta=eta)
+        top = max(cfg.k_list)
+        sequences = [
+            sample_sequence(Zero(), (1 << top) + top - 1, derive_seed(cfg.master_seed, t))
+            for t in range(cfg.trials)
+        ]
+        for record in run_nonconv(cfg):
+            k = record.k
+            masses = [sum(math.comb(k, i) for i in range(m + 1)) / 2**k for m in range(k + 1)]
+            m_max = max(m for m in range(k + 1) if masses[m] == record.tail_mass_exact)
+            in_tail = hits = 0
+            for t, sequence in enumerate(sequences):
+                word = int(sample_words(k, derive_seed(cfg.master_seed, t, 0x57), 1)[0])
+                if word.bit_count() <= m_max:
+                    in_tail += 1
+                    hits += bool((window_codes(sequence, k) == word).any())
+            assert record.tail_rate == in_tail / cfg.trials
+            assert record.tail_and_hit_rate == hits / cfg.trials
 
     def test_extreme_threshold_empties_everything(self):
         cfg = small_config(schedules=("zero",), k_list=(16,), trials=20, eta=10.0)

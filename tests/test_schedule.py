@@ -78,6 +78,14 @@ class TestValues:
         assert expected < 0.3
         assert sched.gamma(10**6) == pytest.approx(expected, rel=1e-15)
 
+    def test_a_huge_exponent_clips_to_the_cap_without_a_warning(self):
+        # (ln 2)^-2000 overflows to inf and the cap clips it; warnings are
+        # errors in this suite, so an overflow warning would fail the call
+        gamma = LogPower(2000.0).gamma_slice(1, 4)
+        assert gamma[:2].tolist() == [0.49, 0.49]
+        expected = [math.log(3) ** -2000.0, math.log(4) ** -2000.0]
+        assert gamma[2:].tolist() == pytest.approx(expected, rel=1e-15)
+
     def test_log_power_parameter_validation(self):
         with pytest.raises(ValueError):
             LogPower(0.0)
