@@ -84,16 +84,18 @@ _ONSET_FACTOR_BOUND = (2.0 ** 0.25 - 1.0) / 2.0
 class ChenSteinParams:
     """Knobs for the Stein-method error terms at level k.
 
-    exact_cap (at most 26; 20 is the comfortable default) is the largest k
-    for which B and the C grid values are summed exactly, in chunks of 2^14
-    positions and two 2^(k/2)-entry half tables, with nothing cached.
-    mc_samples (2..MC_SAMPLES_CAP) sizes the Monte Carlo fallback; seed makes
-    it reproducible.
+    epsilon in (0, 1) sets the C term's head block, the positions below
+    2^(epsilon k), when C is not summed in full.  The reference rate is 1
+    and the concentration exponent is 1/4; neither is a knob, and the report
+    writes both as constants.  exact_cap (at most 26; 20 is the comfortable
+    default) is the largest k for which B and the C grid values are summed
+    exactly, in chunks of 2^14 positions and two 2^(k/2)-entry half tables,
+    with nothing cached.  mc_samples (2..MC_SAMPLES_CAP) sizes the Monte
+    Carlo fallback; seed makes it reproducible.
     """
 
     k: int
     epsilon: float = 0.1
-    theta: float = 0.25
     mc_samples: int = 4096
     exact_cap: int = 20
     seed: int = 0
@@ -103,8 +105,6 @@ class ChenSteinParams:
             raise ValueError("level k must be >= 1")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
-        if not 0 < self.theta < 0.5:
-            raise ValueError("theta must lie in (0, 1/2)")
         if self.mc_samples < 2:
             raise ValueError("mc_samples must be >= 2")
         if self.mc_samples > MC_SAMPLES_CAP:
@@ -121,8 +121,10 @@ class ChenSteinReport(NanGuard):
 
     total = A + B + C upper-bounds the total-variation distance between the
     law of the match count over 2^k windows and Poisson(1), whose mean 1
-    is the row's "lambda"; modes record whether each term is exact, a
-    monotone/analytic bound, or Monte Carlo (with standard error).
+    is the row's "lambda"; the concentration exponent 1/4 is a constant
+    column that the bounds schema v1 keeps.  Modes record whether each term
+    is exact, a monotone/analytic bound, or Monte Carlo (with standard
+    error).
     """
 
     k: int
@@ -135,7 +137,6 @@ class ChenSteinReport(NanGuard):
     total: float
     onset_index: int | None
     epsilon: float
-    theta: float
 
     def as_dict(self) -> dict:
         return {
@@ -150,7 +151,7 @@ class ChenSteinReport(NanGuard):
             "total": self.total,
             "j0": self.onset_index,
             "epsilon": self.epsilon,
-            "theta": self.theta,
+            "theta": 0.25,
         }
 
 
@@ -565,7 +566,6 @@ def chen_stein_terms(schedule: BiasSchedule, params: ChenSteinParams) -> ChenSte
         total=a_value + b_value + c_value,
         onset_index=critical_onset_index(schedule),
         epsilon=params.epsilon,
-        theta=params.theta,
     )
 
 

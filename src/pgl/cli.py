@@ -75,9 +75,6 @@ def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
                      help=f"master seed; default {d['master_seed']}")
     sub.add_argument("--epsilon", type=float,
                      help=f"bounds: head-block exponent in (0,1); default {d['epsilon']}")
-    sub.add_argument("--theta", type=float,
-                     help="bounds: concentration exponent in (0,1/2), recorded in the theta "
-                     f"column; enters none of A, B, C; default {d['theta']}")
     sub.add_argument("--eta", type=float, help=f"nonconv: tail-set depth >= 0; default {d['eta']}")
     sub.add_argument("--mc-samples", type=int,
                      help=f"bounds: Monte Carlo pattern samples, 2..{MC_SAMPLES_CAP}; "
@@ -269,8 +266,7 @@ def _selftest_battery():
         assert abs(tail.exact - 1 / 16) < 1e-15, "binomial tail, level 4"
 
     def check_stats():
-        po1 = stats.poisson_distribution(1.0)
-        assert stats.tv_distance(po1, po1) == 0.0, "TV self-distance"
+        assert stats.tv_distance(stats.POISSON_ONE, stats.POISSON_ONE) == 0.0, "TV self-distance"
         lo, hi = stats.binomial_ci(50, 100, 0.95)
         assert lo < 0.5 < hi, "Wilson interval covers the point estimate"
 

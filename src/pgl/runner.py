@@ -47,7 +47,7 @@ from .counter import DENSE_CAP, level_codes, quenched_distribution, window_codes
 from .errors import NanGuard, ResourceError
 from .sampler import MAX_WORD_LEVEL, derive_seed, sample_sequences, sample_words
 from .schedule import cesaro_average, parse_schedule
-from .stats import aggregate_annealed, binomial_ci, poisson_distribution, tv_distance
+from .stats import POISSON_ONE, aggregate_annealed, binomial_ci, tv_distance
 
 __all__ = [
     "DEFAULT_SCHEDULES",
@@ -75,8 +75,6 @@ SCHEMA_LINE = "# pgl-schema v1"
 _WORD_TAG = 0x57
 # Monte Carlo seed namespace for the bounds mode.
 _BOUNDS_TAG = 0xB0
-# The benchmark law of every summary.
-_POISSON_ONE = poisson_distribution(1.0)
 
 # Each scalar field's kind, keyed by its annotation (a string: future annotations).
 _FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number")}
@@ -96,7 +94,6 @@ class ExperimentConfig:
     trials: int = 50
     master_seed: int = 1
     epsilon: float = ChenSteinParams.epsilon
-    theta: float = ChenSteinParams.theta
     eta: float = 0.1
     mc_samples: int = ChenSteinParams.mc_samples
     exact_cap: int = ChenSteinParams.exact_cap
@@ -140,7 +137,6 @@ class ExperimentConfig:
         return ChenSteinParams(
             k=k,
             epsilon=self.epsilon,
-            theta=self.theta,
             mc_samples=self.mc_samples,
             exact_cap=self.exact_cap,
             seed=derive_seed(self.master_seed, _BOUNDS_TAG),
@@ -319,7 +315,7 @@ def _law_record(
         status = f"error: {law}"
     else:
         p0, p1, p2 = law.mass(0), law.mass(1), law.mass(2)
-        tv = tv_distance(law, _POISSON_ONE)
+        tv = tv_distance(law, POISSON_ONE)
     return ResultRecord(
         schedule=label, k=k, seed=seed, mode=mode, p0=p0, p1=p1, p2=p2, tv_to_po1=tv,
         p0_stderr=p0_stderr, status=status, wall_time_s=time.perf_counter() - start,

@@ -5,8 +5,9 @@ the sampled sequence has P(x_n = +1) = 1/2 + gamma_n independently.  Four
 kinds are supported: identically zero (the fair coin, constant 0 under its
 own label), constant, log-power decay gamma_n = min(cap, (ln n)^-c), and
 explicit tables with a tail rule.  A kind checks its range when built and
-answers for itself: ``envelope`` is its non-increasing |gamma| bound and
-``kakutani`` its dichotomy class.
+answers for itself: ``envelope`` is its non-increasing |gamma| bound,
+``kakutani`` its dichotomy class and ``gamma_bounds`` a run's least and
+greatest gamma.
 
 Natural logarithm throughout; swapping the base would only rescale the decay
 constants, not the threshold structure.
@@ -55,9 +56,6 @@ class BiasSchedule:
     dichotomy class) and ``label``.  Kinds with scalar fields compare by
     them; a Table compares by identity."""
 
-    # True on a kind with gamma_n >= gamma_m whenever n <= m.
-    _non_increasing = False
-
     @property
     def envelope(self) -> BiasSchedule:
         """A schedule whose |gamma*_n| is non-increasing and >= |gamma_m|
@@ -82,16 +80,13 @@ class BiasSchedule:
 
     def gamma_bounds(self, start: int, count: int) -> tuple[float, float]:
         """(least, greatest) gamma over positions start, ..., start+count-1,
-        for count >= 1: the two ends of the run for a kind whose gamma never
-        rises, the extremes of ``gamma_slice`` otherwise.  Either way they
-        are values ``gamma_slice`` itself computes."""
+        for count >= 1: the run's two ends, for a kind whose gamma never
+        rises (a Table answers for itself).  They are values
+        ``gamma_slice`` itself computes."""
         if count < 1:
             raise ValueError("a run needs count >= 1")
-        if self._non_increasing:
-            first, last = self._gamma_at(_run(start, count, np.array([0.0, count - 1.0]))).tolist()
-            return last, first
-        gam = self.gamma_slice(start, count)
-        return float(gam.min()), float(gam.max())
+        first, last = self._gamma_at(_run(start, count, np.array([0.0, count - 1.0]))).tolist()
+        return last, first
 
     def _gamma_at(self, ns: np.ndarray) -> np.ndarray:
         """Gamma at ``ns``, ascending float64 positions >= 1, written over
@@ -110,7 +105,6 @@ class Constant(BiasSchedule):
     """Fixed bias gamma_n = value at every position."""
 
     value: float
-    _non_increasing = True
 
     def __post_init__(self) -> None:
         _check_bias("const", self.value)
@@ -151,7 +145,6 @@ class LogPower(BiasSchedule):
     exponent: float
     cap: float = _DEFAULT_CAP
     n0: int = _DEFAULT_N0
-    _non_increasing = True
     # the squared biases sum like n / log^2c n
     kakutani = KakutaniClass.SINGULAR
 
@@ -223,6 +216,14 @@ class Table(BiasSchedule):
         zero).  Threads that first read it at the same time may each build
         it; the copies are equal and the last one is kept."""
         return Table(np.maximum.accumulate(np.abs(self.values)[::-1])[::-1], self.tail)
+
+    def gamma_bounds(self, start: int, count: int) -> tuple[float, float]:
+        """The extremes of ``gamma_slice`` over the run: a table's values
+        may rise and fall."""
+        if count < 1:
+            raise ValueError("a run needs count >= 1")
+        gam = self.gamma_slice(start, count)
+        return float(gam.min()), float(gam.max())
 
     def _gamma_at(self, ns: np.ndarray) -> np.ndarray:
         inside = np.searchsorted(ns, len(self.values), side="right")

@@ -1,5 +1,5 @@
-"""Reference laws and distances: Poisson pmfs, total variation, aggregation,
-and binomial confidence intervals."""
+"""Reference law and distances: the Poisson(1) pmf and law, total
+variation, aggregation, and binomial confidence intervals."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from .counter import CountDistribution
 
 __all__ = [
     "poisson_pmf",
-    "poisson_distribution",
+    "POISSON_ONE",
     "tv_distance",
     "aggregate_annealed",
     "binomial_ci",
@@ -21,31 +21,27 @@ __all__ = [
 _TAIL_TOL = 1e-12
 
 
-def poisson_pmf(lam: float, m: int) -> float:
-    """P(Poisson(lam) = m), computed in log space for stability."""
-    if lam <= 0:
-        raise ValueError("Poisson rate must be > 0")
+def poisson_pmf(m: int) -> float:
+    """P(Poisson(1) = m), computed in log space for stability."""
     if m < 0:
         raise ValueError("count must be >= 0")
-    return math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1))
+    return math.exp(-1.0 - math.lgamma(m + 1))
 
 
-def poisson_distribution(lam: float) -> CountDistribution:
-    """Poisson(lam) truncated adaptively so the neglected tail is < _TAIL_TOL."""
-    if lam <= 0:
-        raise ValueError("Poisson rate must be > 0")
+def _poisson_one() -> CountDistribution:
+    """Poisson(1) on 0..M for the least M whose neglected tail is < _TAIL_TOL."""
     pmf: dict[int, float] = {}
-    cumulative = 0.0
-    limit = int(lam + 200 * math.sqrt(lam) + 200)
-    for m in range(limit + 1):
-        p = poisson_pmf(lam, m)
-        pmf[m] = p
-        cumulative += p
-        if 1.0 - cumulative < _TAIL_TOL:
-            break
-    else:
-        raise ValueError(f"failed to reach tail tolerance for lam={lam}")
-    return CountDistribution(pmf=pmf, label=f"poisson:{lam!r}")
+    m, cumulative = 0, 0.0
+    while 1.0 - cumulative >= _TAIL_TOL:
+        pmf[m] = poisson_pmf(m)
+        cumulative += pmf[m]
+        m += 1
+    return CountDistribution(pmf=pmf, label="poisson:1.0")
+
+
+# The reference law of every summary: simple Poisson genericity compares
+# the match count with Poisson(1) alone.
+POISSON_ONE = _poisson_one()
 
 
 def tv_distance(p: CountDistribution, q: CountDistribution) -> float:

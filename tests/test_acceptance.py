@@ -58,7 +58,7 @@ from pgl.runner import (
 )
 from pgl.sampler import sample_sequence
 from pgl.schedule import Constant, LogPower, Table, Zero
-from pgl.stats import poisson_distribution, tv_distance
+from pgl.stats import POISSON_ONE, tv_distance
 
 E_INV = math.exp(-1.0)
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -124,7 +124,7 @@ def test_a04_error_terms_bound_the_exact_annealed_distance():
     for sched in (Zero(), Constant(0.1)):
         for k in (1, 2, 3):
             law = exact_annealed_pmf(sched, k)
-            distance = tv_distance(law, poisson_distribution(1.0))
+            distance = tv_distance(law, POISSON_ONE)
             report = chen_stein_terms(sched, ChenSteinParams(k=k))
             assert report.b_mode == "exact" and report.c_mode == "exact"
             assert distance <= report.total + 1e-12, (sched.label, k)

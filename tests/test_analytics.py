@@ -406,11 +406,14 @@ class TestChenSteinTerms:
         with pytest.raises(ValueError):
             ChenSteinParams(k=4, epsilon=1.0)
         with pytest.raises(ValueError):
-            ChenSteinParams(k=4, theta=0.6)
-        with pytest.raises(ValueError):
             ChenSteinParams(k=4, mc_samples=1)
         with pytest.raises(ValueError):
             ChenSteinParams(k=4, exact_cap=27)
+
+    def test_theta_is_not_a_parameter(self):
+        # the report writes the exponent 1/4 as a constant
+        with pytest.raises(TypeError, match="theta"):
+            ChenSteinParams(k=4, theta=0.25)
 
     def test_neighborhood_term_level_three(self):
         report = chen_stein_terms(Zero(), ChenSteinParams(k=3))
@@ -525,12 +528,14 @@ class TestChenSteinTerms:
     def test_report_serialization_keys(self):
         report = chen_stein_terms(Zero(), ChenSteinParams(k=3))
         payload = report.as_dict()
-        assert set(payload) == {
+        # in the bounds CSV's column order
+        assert list(payload) == [
             "k", "lambda", "A", "B", "B_mode", "C", "C_mode", "C_stderr",
             "total", "j0", "epsilon", "theta",
-        }
+        ]
         assert payload["k"] == 3
         assert payload["lambda"] == 1.0
+        assert payload["theta"] == 0.25
         assert payload["A"] == report.a_term
         assert payload["j0"] == 1
 

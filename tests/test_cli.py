@@ -192,7 +192,6 @@ FIELD_VALUES = {
     "trials": st.integers(1, 10**6),
     "master_seed": st.integers(0, 2**64 - 1),
     "epsilon": st.floats(0, 1, exclude_min=True, exclude_max=True),
-    "theta": st.floats(0, 0.5, exclude_min=True, exclude_max=True),
     "eta": st.floats(0, 100),
     "mc_samples": st.integers(2, 10**6),
     "exact_cap": st.integers(1, 26),
@@ -217,7 +216,7 @@ class TestConfigFiles:
         file=st.fixed_dictionaries({}, optional=FIELD_VALUES),
         flags=st.fixed_dictionaries({}, optional=FIELD_VALUES),
         unknown=st.dictionaries(
-            st.sampled_from(["time_limit", "timeout", "seed", "k"])
+            st.sampled_from(["time_limit", "timeout", "theta", "seed", "k"])
             | st.text(max_size=8).filter(lambda key: key not in FIELD_NAMES),
             st.integers(),
             max_size=2,
@@ -285,6 +284,7 @@ class TestConfigFiles:
             ({"epsilon": "0.1"}, "epsilon must be a real number, got '0.1'"),
             ({"epsilon": None}, "epsilon must be a real number, got None"),
             ({"time_limit": 5.0}, "unknown config keys: time_limit"),
+            ({"theta": 0.25}, "unknown config keys: theta"),
             ({"schedules": "zero"}, "schedules must be a list of strings, got 'zero'"),
         ],
     )
@@ -326,7 +326,7 @@ class TestFlags:
     SWEEP_FLAGS = [
         "--schedule", "zero", "--schedule", "const:0.1,logpow:1.0", "--k", "4,5",
         "--k", "6", "--trials", "2", "--seed", "9", "--epsilon", "0.2",
-        "--theta", "0.3", "--eta", "0.4", "--mc-samples", "10", "--exact-cap", "12",
+        "--eta", "0.4", "--mc-samples", "10", "--exact-cap", "12",
         "--threads", "2", "--union-bound-samples", "1",
     ]
 
@@ -339,7 +339,6 @@ class TestFlags:
             "trials": 2,
             "master_seed": 9,
             "epsilon": 0.2,
-            "theta": 0.3,
             "eta": 0.4,
             "mc_samples": 10,
             "exact_cap": 12,
@@ -351,10 +350,19 @@ class TestFlags:
         args = build_parser().parse_args(["bounds"])
         assert _build_config(args) == ExperimentConfig()
 
-    def test_time_limit_is_not_a_flag(self):
-        proc = run_cli("quenched", "--k", "4", "--trials", "1", "--time-limit", "5")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("quenched", "--k", "4", "--trials", "1", "--time-limit", "5"),
+            ("bounds", "--theta", "0.3"),
+        ],
+        ids=["time-limit", "theta"],
+    )
+    def test_removed_flags_are_usage_errors(self, argv):
+        proc = run_cli(*argv)
         assert proc.returncode == 1
-        assert "unrecognized arguments: --time-limit 5" in proc.stderr
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in proc.stderr
+        assert proc.stdout == ""
 
     def test_non_integer_level_is_a_usage_error(self):
         proc = run_cli("quenched", "--k", "x")
@@ -386,6 +394,16 @@ class TestOtherCommands:
         assert record["A"] == pytest.approx(0.53125, rel=1e-12)
         assert record["C"] == 0.0
         assert record["j0"] == 1
+
+    def test_bounds_rows_write_the_constant_rate_and_exponent(self):
+        proc = run_cli("bounds", "--schedule", "zero,logpow:1.0", "--k", "3,8,22",
+                       "--epsilon", "0.3", "--mc-samples", "16")
+        assert proc.returncode == 0, proc.stderr
+        header, *rows = proc.stdout.strip().splitlines()[1:]
+        cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        assert len(cells) == 6
+        for row in cells:
+            assert (row["lambda"], row["epsilon"], row["theta"]) == ("1.0", "0.3", "0.25")
 
     def test_nonconv_flags(self):
         proc = run_cli("nonconv", "--schedule", "zero", "--k", "8",

@@ -41,7 +41,7 @@ from pgl.runner import (
 )
 from pgl.sampler import derive_seed, sample_sequence, sample_words
 from pgl.schedule import LogPower, Table, Zero, parse_schedule
-from pgl.stats import aggregate_annealed, poisson_distribution, tv_distance
+from pgl.stats import POISSON_ONE, aggregate_annealed, tv_distance
 
 E_INV = math.exp(-1.0)
 
@@ -88,7 +88,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="k_list entry must be an integer"):
             small_config(k_list=(3, value))
 
-    @pytest.mark.parametrize("field", ["epsilon", "theta", "eta"])
+    @pytest.mark.parametrize("field", ["epsilon", "eta"])
     @pytest.mark.parametrize("value", ["0.1", True, None])
     def test_rejects_non_real_parameters(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a real number"):
@@ -142,6 +142,11 @@ class TestConfig:
         after = {mode: records_to_csv(mode, run(cfg)) for mode, run in sweeps.items()}
         assert after == before
 
+    def test_theta_is_not_a_field(self):
+        assert "theta" not in small_config().as_dict()
+        with pytest.raises(TypeError, match="theta"):
+            small_config(theta=0.25)
+
     def test_accepts_numpy_integers(self):
         config = small_config(trials=np.int64(2), k_list=(np.int32(3),))
         assert config.trials == 2 and config.k_list == (3,)
@@ -150,7 +155,6 @@ class TestConfig:
         "field,value,message",
         [
             ("epsilon", 0.0, r"epsilon must lie in \(0, 1\)"),
-            ("theta", 0.7, r"theta must lie in \(0, 1/2\)"),
             ("mc_samples", 1, "mc_samples must be >= 2"),
             ("exact_cap", 27, r"exact_cap must lie in 1\.\.26"),
         ],
@@ -230,7 +234,7 @@ class TestQuenched:
         assert record.p0 == law.mass(0)
         assert record.p1 == law.mass(1)
         assert record.p2 == law.mass(2)
-        tv = tv_distance(law, poisson_distribution(1.0))
+        tv = tv_distance(law, POISSON_ONE)
         assert record.tv_to_po1 == tv
 
     def test_each_trial_is_one_sampling_call_for_every_schedule(self, monkeypatch):
@@ -409,7 +413,7 @@ class TestSharedPasses:
                     seed = derive_seed(master_seed, trial)
                     sequence = sample_sequence(schedule, (1 << k) + k - 1, seed)
                     law = quenched_distribution(window_codes(sequence, k))
-                    tv = tv_distance(law, poisson_distribution(1.0))
+                    tv = tv_distance(law, POISSON_ONE)
                     expected.append((spec, k, seed, "quenched", law.mass(0), law.mass(1),
                                      law.mass(2), tv, "ok"))
         expected.sort(key=lambda row: row[:3])
@@ -441,7 +445,7 @@ class TestSharedPasses:
                 for t in range(trials)
             ]
             law, stderr = aggregate_annealed(laws)
-            tv = tv_distance(law, poisson_distribution(1.0))
+            tv = tv_distance(law, POISSON_ONE)
             expected.append((label, k, law.mass(0), law.mass(1), law.mass(2),
                              stderr.get(0, 0.0), tv))
         got = [(r.schedule, r.k, r.p0, r.p1, r.p2, r.p0_stderr, r.tv_to_po1)
@@ -599,7 +603,6 @@ class TestBounds:
         params = ChenSteinParams(
             k=8,
             epsilon=cfg.epsilon,
-            theta=cfg.theta,
             mc_samples=cfg.mc_samples,
             exact_cap=cfg.exact_cap,
             seed=derive_seed(cfg.master_seed, runner._BOUNDS_TAG),

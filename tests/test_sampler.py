@@ -131,17 +131,30 @@ class TestSequences:
                 assert np.array_equal(seq.packed, sample_sequence(sched, length, seed).packed)
 
     def test_every_threshold_lies_in_its_chunk_bracket(self):
-        # positions 1..2^24 of each log-power variant, chunk by chunk: the
-        # widened bracket holds every threshold the chunk computes
+        # chunk by chunk, the widened bracket holds every threshold the
+        # chunk computes: positions 1..2^24 of each log-power variant, and
+        # four chunks and a ragged tail of the constant kinds and of a table
+        # whose values alternate in sign and end inside chunk 1, under both
+        # tail rules
         chunk = sampler._CHUNK
-        variants = [
-            LogPower(0.25), LogPower(0.5), LogPower(1.0), LogPower(2.0),
-            parse_schedule("logpow:0.7:cap=0.3:n0=40"),
+        signs = np.where(np.arange(chunk + chunk // 2 + 5) % 2 == 0, 0.3, -0.25)
+        runs = [
+            (sched, 2**24) for sched in (
+                LogPower(0.25), LogPower(0.5), LogPower(1.0), LogPower(2.0),
+                parse_schedule("logpow:0.7:cap=0.3:n0=40"),
+            )
         ]
-        for sched in variants:
-            for start in range(1, 2**24, chunk):
-                low, high = sampler._bracket(sched, start, chunk)
-                thresholds = exact_thresholds(sched, start, chunk)
+        runs += [
+            (sched, 4 * chunk + 13) for sched in (
+                Zero(), Constant(0.3), Constant(-0.3),
+                Table(values=signs), Table(values=signs, tail="zero"),
+            )
+        ]
+        for sched, length in runs:
+            for start in range(1, length + 1, chunk):
+                count = min(chunk, length + 1 - start)
+                low, high = sampler._bracket(sched, start, count)
+                thresholds = exact_thresholds(sched, start, count)
                 assert ((low <= thresholds) & (thresholds < high)).all(), (sched.label, start)
 
     def test_accessors_agree(self):

@@ -60,6 +60,21 @@ class TestValues:
         with pytest.raises(TypeError):
             Zero(0.3)
 
+    def test_gamma_bounds_are_the_extremes_of_the_run(self):
+        # a table's values rise and fall, and its runs cross its end under
+        # either tail rule; the other kinds never rise
+        values = (0.1, -0.2, 0.3, -0.05)
+        schedules = (
+            Zero(), Constant(-0.2), LogPower(1.0), parse_schedule("logpow:0.7:cap=0.3:n0=40"),
+            Table(values), Table(values, tail="zero"),
+        )
+        for sched in schedules:
+            for start, count in ((1, 1), (1, 3), (2, 2), (3, 4), (4, 1), (5, 6), (30, 50)):
+                gam = sched.gamma_slice(start, count)
+                assert sched.gamma_bounds(start, count) == (gam.min(), gam.max()), (sched, start)
+            with pytest.raises(ValueError, match="a run needs count >= 1"):
+                sched.gamma_bounds(1, 0)
+
     def test_constant_bias_returns_its_value(self):
         sched = Constant(-0.2)
         assert sched.gamma(1) == -0.2

@@ -9,9 +9,9 @@ from pgl.counter import CountDistribution, quenched_distribution, window_codes
 from pgl.sampler import derive_seed, sample_sequence
 from pgl.schedule import Zero
 from pgl.stats import (
+    POISSON_ONE,
     aggregate_annealed,
     binomial_ci,
-    poisson_distribution,
     poisson_pmf,
     tv_distance,
 )
@@ -27,36 +27,37 @@ def random_law(rng, support=7) -> CountDistribution:
 class TestPoisson:
     def test_reference_values(self):
         e1 = math.exp(-1.0)
-        assert poisson_pmf(1.0, 0) == pytest.approx(e1, rel=1e-14)
-        assert poisson_pmf(1.0, 1) == pytest.approx(e1, rel=1e-14)
-        assert poisson_pmf(1.0, 3) == pytest.approx(e1 / 6.0, rel=1e-14)
-        assert poisson_pmf(2.0, 0) == pytest.approx(math.exp(-2.0), rel=1e-14)
+        assert poisson_pmf(0) == pytest.approx(e1, rel=1e-14)
+        assert poisson_pmf(1) == pytest.approx(e1, rel=1e-14)
+        assert poisson_pmf(3) == pytest.approx(e1 / 6.0, rel=1e-14)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            poisson_pmf(0.0, 0)
-        with pytest.raises(ValueError):
-            poisson_pmf(-1.0, 0)
-        with pytest.raises(ValueError):
-            poisson_pmf(1.0, -1)
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            poisson_pmf(-1)
 
-    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
-    def test_distribution_truncates_below_1e12(self, lam):
-        law = poisson_distribution(lam)
-        total = sum(law.pmf.values())
-        assert 0 < 1.0 - total < 1e-12
-        assert law.label == f"poisson:{lam!r}"
-        assert sorted(law.pmf) == list(range(len(law.pmf)))
+    def test_distribution_truncates_below_1e12(self):
+        # every tv_to_po1 cell is a distance to exactly these masses
+        assert list(POISSON_ONE.pmf) == list(range(15))
+        for m, mass in POISSON_ONE.pmf.items():
+            assert mass == math.exp(-1.0 - math.lgamma(m + 1))
+        assert POISSON_ONE.label == "poisson:1.0"
+        # the neglected tail, summed in order as the truncation sums it
+        tails = []
+        cumulative = 0.0
+        for mass in POISSON_ONE.pmf.values():
+            cumulative += mass
+            tails.append(1.0 - cumulative)
+        assert 0 < tails[14] < 1e-12 <= tails[13]
 
 
 class TestTvDistance:
     def test_identical_laws_have_distance_zero(self):
-        law = poisson_distribution(1.0)
+        law = POISSON_ONE
         assert tv_distance(law, law) == 0.0
 
     def test_point_mass_versus_poisson_one(self):
         point = CountDistribution(pmf={0: 1.0}, label="point")
-        assert tv_distance(point, poisson_distribution(1.0)) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+        assert tv_distance(point, POISSON_ONE) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(5)
@@ -81,7 +82,7 @@ class TestTvDistance:
         assert tv_distance(p, q) == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_unnormalized_input(self):
-        law = poisson_distribution(1.0)
+        law = POISSON_ONE
         broken = CountDistribution(pmf={0: 1.0}, label="broken")
         object.__setattr__(broken, "pmf", {0: 0.5})
         with pytest.raises(ValueError, match="masses sum to"):
@@ -134,7 +135,7 @@ class TestAggregation:
             laws.append(quenched_distribution(window_codes(seq, k)))
         mean_law, stderr = aggregate_annealed(laws)
         for m in range(7):
-            gap = abs(mean_law.mass(m) - poisson_pmf(1.0, m))
+            gap = abs(mean_law.mass(m) - poisson_pmf(m))
             assert gap <= 4.0 * stderr[m], f"bin {m}: gap {gap}, stderr {stderr[m]}"
 
 
