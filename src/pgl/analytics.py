@@ -274,7 +274,7 @@ def pair_hit_probability(schedule: BiasSchedule, i: int, j: int, k: int) -> floa
 
 
 def overlap_pair_probabilities(
-    gamma: np.ndarray, k: int, distance: int, count: int
+    gamma: np.ndarray, k: int, distance: int, count: int, scratch: _PairScratch | None = None
 ) -> np.ndarray:
     """Joint hit probabilities for window pairs (i, i+distance), vectorized
     over count consecutive lower positions i, for overlap distance 0 < d < k;
@@ -293,51 +293,104 @@ def overlap_pair_probabilities(
     once for every start m, and the product over the classes is a window
     product: F_{q+1} over the s starts i..i+s-1 times F_q over the d - s
     starts i+s..i+d-1.  Only products, no logs: O((q + log d) (count + d)).
+
+    Every step writes into ``scratch`` (a _PairScratch), which the call makes
+    for itself unless one is passed; a caller that passes one for every
+    distance over the same gamma array forms 1 ± 2 gamma once, and gets back
+    a view into it that its next call overwrites.
     """
     d = distance
     if not 0 < d < k:
         raise ValueError("overlap distance must satisfy 0 < d < k")
     if count < 1 or len(gamma) < count + k + d - 1:
         raise ValueError("need count >= 1 and a bias run of count + k + d - 1 values")
+    if scratch is None:
+        gamma = gamma[: count + k + d - 1]
+        scratch = _PairScratch(len(gamma))
+    grow, shrink = scratch.factors(gamma)
     q, s = divmod(k + d, d)
     starts = count + d - 1
-    two_g = 2.0 * gamma[: count + k + d - 1]
-    grow = 1.0 + two_g
-    shrink = 1.0 - two_g
     # chain products of length q at every start, then q + 1 for the first
     # count + s - 1 starts (the only ones a class of q + 1 positions uses)
-    up = grow[:starts].copy()
-    down = shrink[:starts].copy()
+    up = scratch.up[:starts]
+    down = scratch.down[:starts]
+    np.copyto(up, grow[:starts])
+    np.copyto(down, shrink[:starts])
     for u in range(1, q):
         up *= grow[u * d : u * d + starts]
         down *= shrink[u * d : u * d + starts]
-    long_starts = count + s - 1
-    acc = _window_products(up[s:] + down[s:], d - s, count)
+    short = np.add(up[s:], down[s:], out=scratch.values[: starts - s])
+    acc = _window_products(short, d - s, count, scratch.acc, scratch.spare)
     if s:
+        long_starts = count + s - 1
         tail = slice(q * d, q * d + long_starts)
-        longer = up[:long_starts] * grow[tail] + down[:long_starts] * shrink[tail]
-        acc *= _window_products(longer, s, count)
-    return acc * math.ldexp(1.0, -(2 * k + d))
+        up_long = np.multiply(up[:long_starts], grow[tail], out=up[:long_starts])
+        down_long = np.multiply(down[:long_starts], shrink[tail], out=down[:long_starts])
+        longer = np.add(up_long, down_long, out=scratch.values[:long_starts])
+        acc *= _window_products(longer, s, count, scratch.longer, scratch.spare)
+    acc *= math.ldexp(1.0, -(2 * k + d))
+    return acc
 
 
-def _window_products(values: np.ndarray, width: int, count: int) -> np.ndarray:
-    """out[m] = prod(values[m : m + width]) for m = 0..count-1 (width >= 1).
+class _PairScratch:
+    """The working arrays of overlap_pair_probabilities for bias runs of up
+    to ``size`` values, in one block: the factors 1 ± 2 gamma of the run
+    loaded last, the chain products, the class brackets and a spare for
+    their window doubling, and the two window products.  One exact B sum
+    makes one and hands it to every call, so no step allocates; nothing
+    else holds it.
+    """
+
+    def __init__(self, size: int) -> None:
+        (self.grow, self.shrink, self.up, self.down, self.values, self.spare, self.acc,
+         self.longer) = np.empty((8, size))
+        self._loaded = None
+
+    def factors(self, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """1 + 2 gamma and 1 - 2 gamma over the run, formed only when gamma is
+        not the array loaded last (so it must not change in between)."""
+        n = len(gamma)
+        if gamma is not self._loaded:
+            two_g = np.multiply(gamma, 2.0, out=self.shrink[:n])
+            np.add(1.0, two_g, out=self.grow[:n])
+            np.subtract(1.0, two_g, out=self.shrink[:n])
+            self._loaded = gamma
+        return self.grow[:n], self.shrink[:n]
+
+    def repeated(self, value: float, count: int) -> np.ndarray:
+        """np.full(count, value), written into the spare array."""
+        out = self.spare[:count]
+        out.fill(value)
+        return out
+
+
+def _window_products(
+    values: np.ndarray, width: int, count: int, out: np.ndarray, spare: np.ndarray
+) -> np.ndarray:
+    """out[m] = prod(values[m : m + width]) for m = 0..count-1 (width >= 1),
+    written into out[:count] and returned.
 
     Binary doubling: products over 2^b consecutive entries come from two
     products over 2^(b-1), and the set bits of width pick the spans that
-    tile each window.
+    tile each window.  Each level of spans is written over the array that
+    held the level before last, values or spare, so both are overwritten.
     """
-    spans = values[: count + width - 1]
-    out = None
+    spans, free = values[: count + width - 1], spare
+    product = None
     size, offset = 1, 0
     while True:
         if width & size:
             part = spans[offset : offset + count]
-            out = part.copy() if out is None else out * part
+            if product is None:
+                product = out[:count]
+                np.copyto(product, part)
+            else:
+                product *= part
             offset += size
         if 2 * size > width:
-            return out
-        spans = spans[:-size] * spans[size:]
+            return product
+        doubled = np.multiply(spans[:-size], spans[size:], out=free[: len(spans) - size])
+        spans, free = doubled, spans
         size *= 2
 
 
@@ -351,26 +404,42 @@ _BLOCK_ENTRIES = 1 << 12
 
 
 def _deviation_sum(schedule: BiasSchedule, j: int, count: int, k: int) -> float:
-    """sum of E|R_i - 1| over i = j..j+count-1, exact over all 2^k patterns.
+    """sum of E|R_i - 1| over i = j..j+count-1, exact over all 2^k patterns:
+    the row means of _deviation_means added in position order.  A run of one
+    bias has count equal rows, and no row mean depends on its block, so one
+    row's mean added count times has the bits of the row loop.
+    """
+    if j < 1 or k < 1:
+        raise ValueError("window position and level must be >= 1")
+    run = schedule.gamma_chunk(j, count + k - 1)
+    if np.ndim(run):
+        means = _deviation_means(2.0 * run, k)
+    else:
+        means = _deviation_means(2.0 * np.full(k, run), k) * count
+    total = 0.0
+    for mean in means:
+        total += mean
+    return total
+
+
+def _deviation_means(two_gamma: np.ndarray, k: int) -> list[float]:
+    """E|R - 1| of every window in a run of 2 gamma values, in position order.
 
     The first h = k // 2 symbols of a window give the low log-sums a, the
     rest the N high log-sums b (_pattern_sums tables, one row per window).
     R - 1 = e^a (E - t) with E = expm1(b) and t = expm1(-a); with E sorted,
     its prefix sums P and c = #{E <= t} from a stable merge of sorted E and
-    t, sum |E - t| = P_N - 2 P_c + (2c - N) t.  Each step runs along rows and
-    the row means are added in position order, so no value depends on blocks.
+    t, sum |E - t| = P_N - 2 P_c + (2c - N) t.  Each step runs along rows,
+    so no value depends on blocks.
     """
-    if j < 1 or k < 1:
-        raise ValueError("window position and level must be >= 1")
-    two_gamma = 2.0 * schedule.gamma_slice(j, count + k - 1)
     # symbol i of the window at j + r is column r of row i
     plus = sliding_window_view(np.log1p(two_gamma), k).T
     minus = sliding_window_view(np.log1p(-two_gamma), k).T
     h = k // 2
     n = 1 << (k - h)
     step = max(1, _BLOCK_ENTRIES >> (k - h))
-    total = 0.0
-    for start in range(0, count, step):
+    means = []
+    for start in range(0, plus.shape[1], step):
         rows = slice(start, start + step)
         # -a ascending, so t ascends and e^a = exp(-(-a))
         neg_low = np.sort(-_pattern_sums(plus[:h, rows], minus[:h, rows]), axis=1)
@@ -383,9 +452,8 @@ def _deviation_sum(schedule: BiasSchedule, j: int, count: int, k: int) -> float:
         spread = prefix[:, -1:] - 2.0 * np.take_along_axis(prefix, below, axis=1)
         spread += (2 * below - n) * t
         spread *= np.exp(-neg_low)
-        for mean in (spread.sum(axis=1) / (1 << k)).tolist():
-            total += mean
-    return total
+        means += (spread.sum(axis=1) / (1 << k)).tolist()
+    return means
 
 
 def mean_abs_likelihood_deviation(
@@ -429,7 +497,8 @@ def critical_onset_index(schedule: BiasSchedule) -> int | None:
 
 
 # Window positions per overlap_pair_probabilities call in the exact B sum:
-# 2^14 doubles (128 KiB) per temporary keeps every one of them in cache.
+# 2^14 doubles (128 KiB) per working array keeps every one of them in cache.
+# Each chunk's sum fixes the printed bits, so the size is part of the output.
 _PAIR_CHUNK = 1 << 14
 
 
@@ -439,16 +508,30 @@ def _pair_sum_exact(schedule: BiasSchedule, k: int) -> float:
 
     Each chunk of _PAIR_CHUNK lower positions i reads its bias run once for
     every distance d, whose pairs (i, i+d) with i <= 2^k - d go through
-    overlap_pair_probabilities (chain products per residue class); the chunk
-    sums are added exactly (math.fsum), so their order does not matter.
+    overlap_pair_probabilities (chain products per residue class), all in
+    one _PairScratch; the chunk sums are added exactly (math.fsum), so their
+    order does not matter.  A run of one bias gives every lower position the
+    same products in the same order, so one position's value, repeated
+    count times, has the bits of the run, and its sum is the same pairwise
+    sum.
     """
     n = 1 << k
+    run_length = min(_PAIR_CHUNK + 2 * k - 2, n + k - 1)
+    scratch = _PairScratch(run_length)
     chunk_sums = []
     for i in range(1, n, _PAIR_CHUNK):
-        gamma = schedule.gamma_slice(i, min(_PAIR_CHUNK + 2 * k - 2, n + k - i))
+        run = schedule.gamma_chunk(i, min(run_length, n + k - i))
+        constant = np.ndim(run) == 0
+        if constant:
+            run = np.full(2 * k - 1, run)  # one lower position at every distance
         for d in range(1, min(k - 1, n - i) + 1):
             count = min(_PAIR_CHUNK, n - d + 1 - i)
-            chunk_sums.append(float(overlap_pair_probabilities(gamma, k, d, count).sum()))
+            if constant:
+                value = overlap_pair_probabilities(run, k, d, 1, scratch)[0]
+                probs = scratch.repeated(value, count)
+            else:
+                probs = overlap_pair_probabilities(run, k, d, count, scratch)
+            chunk_sums.append(float(probs.sum()))
     return 2.0 * math.fsum(chunk_sums)
 
 
@@ -661,7 +744,8 @@ def union_bound_hit_probability(schedule: BiasSchedule, k: int, codes: list[int]
     bounds for P(w occurs).
 
     Scans all 2^k positions in chunks (k <= UNION_BOUND_CAP), reading each
-    chunk's biases once for every pattern.  Factors stay >= 1 - 2*cap > 0 for
+    chunk's biases once for every pattern, whose window products all go
+    into one array.  Factors stay >= 1 - 2*cap > 0 for
     capped schedules, so products cannot underflow within this envelope.
     """
     for code in codes:
@@ -673,15 +757,26 @@ def union_bound_hit_probability(schedule: BiasSchedule, k: int, codes: list[int]
     n = 1 << k
     totals = [0.0] * len(codes)
     chunk = 1 << 20
+    acc = np.empty(min(chunk, n))
     for j in range(1, n + 1, chunk):
         count = min(chunk, n - j + 1)
-        gam = schedule.gamma_slice(j, count + k - 1)
+        run = schedule.gamma_chunk(j, count + k - 1)
+        # a run of one bias gives every window the same product, in the same
+        # order: form it at one window and repeat it
+        if np.ndim(run):
+            gam, windows = run, count
+        else:
+            gam, windows = np.full(k, run), 1
         gam *= 2.0  # 1 + 2 gamma then overwrites it: one 2^20 array fewer per chunk
         # factors[b] is the factor of a symbol with bit b: 1 - 2 gamma or 1 + 2 gamma
         factors = (1.0 - gam, np.add(gam, 1.0, out=gam))
         for w, code in enumerate(codes):
-            acc = factors[code & 1][:count].copy()
+            products = acc[:windows]
+            np.copyto(products, factors[code & 1][:windows])
             for i in range(1, k):
-                acc *= factors[(code >> i) & 1][i : i + count]
-            totals[w] += float(acc.sum())
+                products *= factors[(code >> i) & 1][i : i + windows]
+            if windows < count:
+                products = acc[:count]
+                products.fill(products[0])
+            totals[w] += float(products.sum())
     return [math.ldexp(total, -k) for total in totals]

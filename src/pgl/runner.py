@@ -369,7 +369,8 @@ def run_bounds(config: ExperimentConfig) -> list[BoundsRecord]:
     """
     schedules = {schedule.label: schedule for schedule in config.parsed_schedules}
     cells = _cells(config)
-    distinct = sorted(set(cells))
+    # largest level first, so that the workers finish together
+    distinct = sorted(set(cells), key=lambda cell: (-cell[1], cell[0]))
 
     def work(cell):
         label, k = cell

@@ -77,6 +77,56 @@ def per_symbol_monte_carlo(schedule, j, k, mc_samples, seed):
     return float(deviations.mean()), float(deviations.std(ddof=1) / math.sqrt(mc_samples))
 
 
+def rebuilt_pair_sum(schedule, k):
+    """The exact B sum as the run kernel gives it: overlap_pair_probabilities
+    over each full chunk's bias run at every distance, chunk sums by fsum."""
+    n, chunk = 1 << k, analytics._PAIR_CHUNK
+    sums = []
+    for i in range(1, n, chunk):
+        gamma = schedule.gamma_slice(i, min(chunk + 2 * k - 2, n + k - i))
+        for d in range(1, min(k - 1, n - i) + 1):
+            count = min(chunk, n - d + 1 - i)
+            sums.append(float(overlap_pair_probabilities(gamma, k, d, count).sum()))
+    return 2.0 * math.fsum(sums)
+
+
+def rebuilt_deviation_sum(schedule, j, count, k):
+    """The exact C sum as the row loop gives it: every row's mean over the
+    whole bias run, added in position order."""
+    total = 0.0
+    for mean in analytics._deviation_means(2.0 * schedule.gamma_slice(j, count + k - 1), k):
+        total += mean
+    return total
+
+
+def rebuilt_union_bound(schedule, k, codes):
+    """The union bounds with one product per window of every 2^20 chunk."""
+    n, chunk = 1 << k, 1 << 20
+    totals = [0.0] * len(codes)
+    for j in range(1, n + 1, chunk):
+        count = min(chunk, n - j + 1)
+        two_gamma = 2.0 * schedule.gamma_slice(j, count + k - 1)
+        factors = (1.0 - two_gamma, 1.0 + two_gamma)
+        for w, code in enumerate(codes):
+            acc = factors[code & 1][:count].copy()
+            for i in range(1, k):
+                acc *= factors[(code >> i) & 1][i : i + count]
+            totals[w] += float(acc.sum())
+    return [math.ldexp(total, -k) for total in totals]
+
+
+# Constant over its first 2^14 + 64 positions, which covers the first chunk's
+# run of the exact B sum at k <= 33, then varying: one sum reads both kinds of
+# chunk.
+HALF_CONSTANT_TABLE = Table(np.concatenate((
+    np.full((1 << 14) + 64, 0.2),
+    np.random.default_rng(7).uniform(-0.3, 0.3, 1 << 14),
+)))
+# One bias in every chunk through k = 22 (the first four), and a varying
+# decay.
+CHUNK_RULE_SCHEDULES = [Zero(), Constant(-0.1), Constant(0.3), LogPower(0.25), LogPower(1.0)]
+
+
 def count_bias_reads(monkeypatch) -> list[tuple[int, int]]:
     """Record (start, count) of every BiasSchedule.gamma_slice call."""
     reads = []
@@ -243,7 +293,10 @@ class TestPairProbabilities:
         values = np.random.default_rng(d * 100 + count).uniform(0.5, 1.5, count + d)
         for width in range(1, d + 1):
             expected = [np.prod(values[m:m + width]) for m in range(count)]
-            got = analytics._window_products(values, width, count)
+            # the doubling overwrites values and spare, so each width gets a copy
+            out, spare = np.full(count + 1, np.nan), np.empty(count + d)
+            got = analytics._window_products(values.copy(), width, count, out, spare)
+            assert np.shares_memory(got, out)
             assert got.shape == (count,)
             np.testing.assert_allclose(got, expected, rtol=1e-14)
 
@@ -274,6 +327,38 @@ class TestPairProbabilities:
         reads = count_bias_reads(monkeypatch)
         analytics._pair_sum_exact(LogPower(1.0), 16)
         assert len(reads) == 4
+
+    @pytest.mark.parametrize("schedule", CHUNK_RULE_SCHEDULES + [HALF_CONSTANT_TABLE])
+    @pytest.mark.parametrize("k", [3, 8, 13, 15])
+    def test_pair_sum_keeps_the_bits_of_the_run_kernel(self, schedule, k):
+        # a constant chunk is summed from one lower position's value
+        assert analytics._pair_sum_exact(schedule, k) == rebuilt_pair_sum(schedule, k)
+
+    def test_pair_sum_takes_both_paths_in_one_sum(self, monkeypatch):
+        runs = []
+        original = overlap_pair_probabilities
+        monkeypatch.setattr(
+            analytics, "overlap_pair_probabilities",
+            lambda gamma, k, d, count, scratch=None: runs.append(count) or original(
+                gamma, k, d, count, scratch),
+        )
+        analytics._pair_sum_exact(HALF_CONSTANT_TABLE, 15)
+        # 14 distances per chunk: one position each in the constant first
+        # chunk, every position in the second
+        assert runs[:14] == [1] * 14
+        assert runs[14:] == [(1 << 14) - d for d in range(1, 15)]
+
+    def test_scratch_forms_the_factors_once_per_run(self, monkeypatch):
+        gamma = LogPower(1.0).gamma_slice(5, 40)
+        scratch = analytics._PairScratch(len(gamma))
+        for d in range(1, 8):
+            got = overlap_pair_probabilities(gamma, 8, d, 20, scratch)
+            assert np.shares_memory(got, scratch.acc)
+            assert np.array_equal(got, overlap_pair_probabilities(gamma, 8, d, 20))
+        # cleared factors are not formed again for the same run
+        scratch.grow[:] = scratch.shrink[:] = 0.0
+        assert not overlap_pair_probabilities(gamma, 8, 3, 20, scratch).any()
+        assert overlap_pair_probabilities(gamma.copy(), 8, 3, 20, scratch).all()
 
     @pytest.mark.parametrize("k", [8, 12, 16])
     def test_far_overlapping_pairs_obey_the_uniform_bound(self, k):
@@ -360,6 +445,17 @@ class TestMeanAbsDeviation:
         # every step runs along one row, and the row means are added in the
         # same order
         assert blocked == one_at_a_time
+
+    @pytest.mark.parametrize("schedule", CHUNK_RULE_SCHEDULES + [HALF_CONSTANT_TABLE])
+    @pytest.mark.parametrize("k", [3, 8, 13, 15])
+    def test_deviation_sum_keeps_the_bits_of_the_row_loop(self, schedule, k):
+        # the full sum over 2^k positions (the C term at k <= 13), or 2^12
+        # at k = 15, from the start and across the table's last constant
+        # position; a constant run is summed from one row's mean
+        count = 1 << k if k <= 13 else 1 << 12
+        for j in (1, (1 << 14) + 64 - count // 2):
+            got = analytics._deviation_sum(schedule, j, count, k)
+            assert got == rebuilt_deviation_sum(schedule, j, count, k), (j, k)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), family=st.sampled_from(BIAS_FAMILIES), k=st.integers(1, 8))
@@ -839,6 +935,24 @@ class TestUnionBound:
         reads.clear()
         assert union_bound_hit_probability(LogPower(1.0), 21, []) == []
         assert reads == []
+
+    @pytest.mark.parametrize("schedule", CHUNK_RULE_SCHEDULES)
+    @pytest.mark.parametrize("k", [3, 8, 13, 15])
+    def test_bounds_keep_the_bits_of_one_product_per_window(self, schedule, k):
+        codes = [0, (1 << k) - 1, 0b101 & ((1 << k) - 1), (1 << k) // 3]
+        assert union_bound_hit_probability(schedule, k, codes) == rebuilt_union_bound(
+            schedule, k, codes
+        )
+
+    def test_bounds_take_both_paths_in_one_scan(self):
+        # k = 21 scans two chunks of 2^20 windows: the first reads a run of
+        # one bias, the second a varying one
+        values = np.concatenate((np.full((1 << 20) + 64, -0.1), np.linspace(-0.3, 0.3, 1000)))
+        table = Table(values)
+        assert np.ndim(table.gamma_chunk(1, (1 << 20) + 20)) == 0
+        assert np.ndim(table.gamma_chunk((1 << 20) + 1, (1 << 20) + 20)) == 1
+        codes = [0, 0b1011, (1 << 21) - 1]
+        assert union_bound_hit_probability(table, 21, codes) == rebuilt_union_bound(table, 21, codes)
 
     def test_level_cap_and_word_mismatch(self):
         with pytest.raises(ResourceError):
