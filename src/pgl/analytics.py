@@ -237,6 +237,25 @@ def _check_code(k: int, code: int) -> None:
         raise ValueError(f"pattern code {code} outside [0, 2^{k})")
 
 
+def _bias_run(
+    schedule: BiasSchedule, start: int, length: int, width: int
+) -> tuple[np.ndarray, bool]:
+    """The biases at start..start+length-1, as (run, constant), for a kernel
+    that evaluates every window of the run and adds up their values.
+
+    When the run holds one bias (``gamma_chunk``), run is that bias
+    repeated over width positions, the span of the run's first window, and
+    constant is True.  Every window of such a run takes the same steps on
+    the same factors, so the kernel evaluates that one window and reduces
+    np.broadcast_to(value, count), which has the bits of the reduction over
+    every window.  Otherwise run is the run's fresh gamma_slice.
+    """
+    run = schedule.gamma_chunk(start, length)
+    if np.ndim(run):
+        return run, False
+    return np.full(width, run), True
+
+
 def likelihood_ratio(schedule: BiasSchedule, j: int, k: int, code: int) -> float:
     """R_j(w) = prod_i (1 + 2 omega_i gamma_{i+j-1}) for the level-k pattern
     with code w (``_check_code``)."""
@@ -357,12 +376,6 @@ class _PairScratch:
             self._loaded = gamma
         return self.grow[:n], self.shrink[:n]
 
-    def repeated(self, value: float, count: int) -> np.ndarray:
-        """np.full(count, value), written into the spare array."""
-        out = self.spare[:count]
-        out.fill(value)
-        return out
-
 
 def _window_products(
     values: np.ndarray, width: int, count: int, out: np.ndarray, spare: np.ndarray
@@ -405,21 +418,15 @@ _BLOCK_ENTRIES = 1 << 12
 
 def _deviation_sum(schedule: BiasSchedule, j: int, count: int, k: int) -> float:
     """sum of E|R_i - 1| over i = j..j+count-1, exact over all 2^k patterns:
-    the row means of _deviation_means added in position order.  A run of one
-    bias has count equal rows, and no row mean depends on its block, so one
-    row's mean added count times has the bits of the row loop.
+    the row means of _deviation_means added in position order (no row mean
+    depends on its block; a run of one bias gives one row, see _bias_run).
     """
     if j < 1 or k < 1:
         raise ValueError("window position and level must be >= 1")
-    run = schedule.gamma_chunk(j, count + k - 1)
-    if np.ndim(run):
-        means = _deviation_means(2.0 * run, k)
-    else:
-        means = _deviation_means(2.0 * np.full(k, run), k) * count
-    total = 0.0
-    for mean in means:
-        total += mean
-    return total
+    run, _ = _bias_run(schedule, j, count + k - 1, k)
+    means = np.broadcast_to(_deviation_means(2.0 * run, k), count)
+    # accumulate adds one mean at a time, in position order
+    return float(np.add.accumulate(means)[-1])
 
 
 def _deviation_means(two_gamma: np.ndarray, k: int) -> list[float]:
@@ -509,29 +516,21 @@ def _pair_sum_exact(schedule: BiasSchedule, k: int) -> float:
     Each chunk of _PAIR_CHUNK lower positions i reads its bias run once for
     every distance d, whose pairs (i, i+d) with i <= 2^k - d go through
     overlap_pair_probabilities (chain products per residue class), all in
-    one _PairScratch; the chunk sums are added exactly (math.fsum), so their
-    order does not matter.  A run of one bias gives every lower position the
-    same products in the same order, so one position's value, repeated
-    count times, has the bits of the run, and its sum is the same pairwise
-    sum.
+    one _PairScratch (a run of one bias: one lower position, see _bias_run);
+    the chunk sums are added exactly (math.fsum), so their order does not
+    matter.
     """
     n = 1 << k
     run_length = min(_PAIR_CHUNK + 2 * k - 2, n + k - 1)
     scratch = _PairScratch(run_length)
     chunk_sums = []
     for i in range(1, n, _PAIR_CHUNK):
-        run = schedule.gamma_chunk(i, min(run_length, n + k - i))
-        constant = np.ndim(run) == 0
-        if constant:
-            run = np.full(2 * k - 1, run)  # one lower position at every distance
+        # a pair's joint window spans k + d <= 2k - 1 positions
+        run, constant = _bias_run(schedule, i, min(run_length, n + k - i), 2 * k - 1)
         for d in range(1, min(k - 1, n - i) + 1):
             count = min(_PAIR_CHUNK, n - d + 1 - i)
-            if constant:
-                value = overlap_pair_probabilities(run, k, d, 1, scratch)[0]
-                probs = scratch.repeated(value, count)
-            else:
-                probs = overlap_pair_probabilities(run, k, d, count, scratch)
-            chunk_sums.append(float(probs.sum()))
+            probs = overlap_pair_probabilities(run, k, d, 1 if constant else count, scratch)
+            chunk_sums.append(float(np.broadcast_to(probs, count).sum()))
     return 2.0 * math.fsum(chunk_sums)
 
 
@@ -745,8 +744,9 @@ def union_bound_hit_probability(schedule: BiasSchedule, k: int, codes: list[int]
 
     Scans all 2^k positions in chunks (k <= UNION_BOUND_CAP), reading each
     chunk's biases once for every pattern, whose window products all go
-    into one array.  Factors stay >= 1 - 2*cap > 0 for
-    capped schedules, so products cannot underflow within this envelope.
+    into one array (a run of one bias: one window, see _bias_run).  Factors
+    stay >= 1 - 2*cap > 0 for capped schedules, so products cannot
+    underflow within this envelope.
     """
     for code in codes:
         _check_code(k, code)
@@ -760,13 +760,8 @@ def union_bound_hit_probability(schedule: BiasSchedule, k: int, codes: list[int]
     acc = np.empty(min(chunk, n))
     for j in range(1, n + 1, chunk):
         count = min(chunk, n - j + 1)
-        run = schedule.gamma_chunk(j, count + k - 1)
-        # a run of one bias gives every window the same product, in the same
-        # order: form it at one window and repeat it
-        if np.ndim(run):
-            gam, windows = run, count
-        else:
-            gam, windows = np.full(k, run), 1
+        gam, constant = _bias_run(schedule, j, count + k - 1, k)
+        windows = 1 if constant else count
         gam *= 2.0  # 1 + 2 gamma then overwrites it: one 2^20 array fewer per chunk
         # factors[b] is the factor of a symbol with bit b: 1 - 2 gamma or 1 + 2 gamma
         factors = (1.0 - gam, np.add(gam, 1.0, out=gam))
@@ -775,8 +770,5 @@ def union_bound_hit_probability(schedule: BiasSchedule, k: int, codes: list[int]
             np.copyto(products, factors[code & 1][:windows])
             for i in range(1, k):
                 products *= factors[(code >> i) & 1][i : i + windows]
-            if windows < count:
-                products = acc[:count]
-                products.fill(products[0])
-            totals[w] += float(products.sum())
+            totals[w] += float(np.broadcast_to(products, count).sum())
     return [math.ldexp(total, -k) for total in totals]

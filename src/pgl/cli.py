@@ -245,23 +245,26 @@ def _selftest_battery():
         mean = analytics.exact_likelihood_mean(sched, 5, 10)
         assert abs(mean - 1.0) < 1e-12, "likelihood mean is 1"
         # B and C at level 6 against a direct enumeration of windows, patterns
-        # and overlap distances (a pair at distance d needs a d-periodic word)
+        # and overlap distances (a pair at distance d needs a d-periodic word),
+        # on a decaying bias and on a negative run of one bias
         k, n = 6, 64
-        gam = [sched.gamma(m) for m in range(1, n + 2 * k)]
-        b_sum = c_sum = 0.0
-        for j in range(n):
-            for w in range(n):
-                bits = [(w >> t) & 1 for t in range(k)]
-                ratio = math.prod(1 + (4 * x - 2) * gam[j + t] for t, x in enumerate(bits))
-                c_sum += abs(ratio - 1)
-                for d in range(1, min(k, n - j)):
-                    if bits[d:] == bits[:-d]:
-                        joint = bits + bits[k - d :]
-                        b_sum += 2 * math.prod(0.5 + (x - 0.5) * 2 * gam[j + t]
-                                               for t, x in enumerate(joint))
-        rep = analytics.chen_stein_terms(sched, analytics.ChenSteinParams(k=k))
-        assert math.isclose(rep.b_term, b_sum / n, rel_tol=1e-12), "B term, level 6"
-        assert math.isclose(rep.c_term, c_sum / n**2, rel_tol=1e-12), "C term, level 6"
+        for sched in (sched, schedule.Constant(-0.1)):
+            gam = [sched.gamma(m) for m in range(1, n + 2 * k)]
+            b_sum = c_sum = 0.0
+            for j in range(n):
+                for w in range(n):
+                    bits = [(w >> t) & 1 for t in range(k)]
+                    ratio = math.prod(1 + (4 * x - 2) * gam[j + t] for t, x in enumerate(bits))
+                    c_sum += abs(ratio - 1)
+                    for d in range(1, min(k, n - j)):
+                        if bits[d:] == bits[:-d]:
+                            joint = bits + bits[k - d :]
+                            b_sum += 2 * math.prod(0.5 + (x - 0.5) * 2 * gam[j + t]
+                                                   for t, x in enumerate(joint))
+            rep = analytics.chen_stein_terms(sched, analytics.ChenSteinParams(k=k))
+            where = f"level 6, {sched.label}"
+            assert math.isclose(rep.b_term, b_sum / n, rel_tol=1e-12), f"B term, {where}"
+            assert math.isclose(rep.c_term, c_sum / n**2, rel_tol=1e-12), f"C term, {where}"
         tail = analytics.symbol_sum_tail_mass(4, 1.0)
         assert abs(tail.exact - 1 / 16) < 1e-15, "binomial tail, level 4"
 

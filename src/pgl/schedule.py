@@ -91,9 +91,7 @@ class BiasSchedule:
 
     def gamma_chunk(self, start: int, count: int) -> np.ndarray | float:
         """The run's one value when ``gamma_bounds`` gives least == greatest,
-        else its ``gamma_slice`` (a fresh array the caller owns).  A kernel
-        that gets one value may evaluate one position and repeat it: the
-        run is constant, so every position takes the same steps."""
+        else its ``gamma_slice`` (a fresh array the caller owns)."""
         lo, hi = self.gamma_bounds(start, count)
         return lo if lo == hi else self.gamma_slice(start, count)
 

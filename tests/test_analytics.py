@@ -300,7 +300,7 @@ class TestPairProbabilities:
             assert got.shape == (count,)
             np.testing.assert_allclose(got, expected, rtol=1e-14)
 
-    @pytest.mark.parametrize("schedule", [TABLE6, LogPower(1.0)])
+    @pytest.mark.parametrize("schedule", [TABLE6, LogPower(1.0), Constant(-0.3), Zero()])
     @pytest.mark.parametrize("chunk", [5, 62, 63, 1 << 14])
     def test_pair_sum_matches_brute_force_over_every_pair(self, schedule, chunk,
                                                           monkeypatch):
@@ -308,7 +308,8 @@ class TestPairProbabilities:
         # s = 0 (d = 1, 2, 3) and s > 0 (d = 4, 5); chunks of 5 positions
         # split every distance's run of pairs; with 62 the last chunk holds
         # lower position 63 alone, whose only pair is at d = 1, and with 63
-        # one chunk holds every pair, since position 64 starts none
+        # one chunk holds every pair, since position 64 starts none; the
+        # constant schedules evaluate each of those chunks at one window
         k = 6
         n = 1 << k
         expected = math.fsum(

@@ -6,13 +6,15 @@ every string cell exactly and every float cell within 1e-12 relative, so
 that a change in floating-point summation order inside the Stein terms is
 allowed and nothing else is.  The default-* files hold the four sweeps with
 every config field at its default; the annealed one is checked by test_a11,
-which runs that sweep anyway.  The table-* cases read two table files that
-render() writes to a temporary directory: A holds 3 000 seeded uniform
-values in [-0.45, 0.45], B holds 20 000 values 0.3/(1 + i/500).
+which runs that sweep anyway.  The constant-* cases sweep runs of one
+bias through the exact Stein sums and the union bounds.  The table-* cases
+read two table files that render() writes to a temporary directory: A
+holds 3 000 seeded uniform values in [-0.45, 0.45], B holds 20 000 values
+0.3/(1 + i/500).
 
 To record the files again after an intended change of output, run
-``PYTHONPATH=src python tests/test_golden.py`` and name the change in
-CHANGES.md.
+``PYTHONPATH=src python tests/test_golden.py [case ...]`` (every case when
+none is named) and name the change in CHANGES.md.
 """
 
 import csv
@@ -47,6 +49,7 @@ TABLE_FILES = {
     "B.txt": [0.3 / (1 + i / 500) for i in range(20_000)],
 }
 TABLE_SCHEDULES = (f"{TABLES}/A.txt:tail=zero", f"{TABLES}/B.txt")
+CONSTANT_SCHEDULES = ("const:-0.1", "logpow:0.25", "logpow:2.0", "zero")
 
 # case name -> (mode, sweep, config fields); schedules default unless named.
 CASES = {
@@ -71,6 +74,20 @@ CASES = {
         run_bounds,
         {"schedules": tuple(f"table:{spec}" for spec in TABLE_SCHEDULES),
          "k_list": (6, 12, 14, 15, 21), "exact_cap": 14},
+    ),
+    # Runs of one bias, a negative one among them: const:-0.1 and zero at
+    # every position, logpow:0.25 at its cap over every window at these
+    # levels.  bounds takes exact B everywhere, full-sum C at k = 8 and 13
+    # and head C at k = 16; nonconv takes the union bounds.
+    "constant-bounds": (
+        "bounds",
+        run_bounds,
+        {"schedules": CONSTANT_SCHEDULES, "k_list": (8, 13, 16)},
+    ),
+    "constant-nonconv": (
+        "nonconv",
+        run_nonconv,
+        {"schedules": CONSTANT_SCHEDULES, "k_list": (8, 13, 16)},
     ),
     "table-annealed": (
         "annealed",
@@ -112,7 +129,8 @@ def assert_close_cells(got: str, want: str) -> None:
 
 @pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize(
-    "mode", ["quenched", "quenched-levels", "annealed", "nonconv", "table-annealed"]
+    "mode",
+    ["quenched", "quenched-levels", "annealed", "nonconv", "constant-nonconv", "table-annealed"],
 )
 def test_sweep_csv_is_byte_identical(mode, threads):
     want = (GOLDEN_DIR / f"{mode}.csv").read_text()
@@ -120,7 +138,7 @@ def test_sweep_csv_is_byte_identical(mode, threads):
 
 
 @pytest.mark.parametrize("threads", [1, 4])
-@pytest.mark.parametrize("name", ["bounds", "table-bounds"])
+@pytest.mark.parametrize("name", ["bounds", "constant-bounds", "table-bounds"])
 def test_bounds_csv_matches_within_rounding(name, threads):
     want = (GOLDEN_DIR / f"{name}.csv").read_text()
     assert_close_cells(render(name, threads), want)
