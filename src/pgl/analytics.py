@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 # The exact C sum sorts two 2^(k/2)-entry half tables at each of the 2^k
-# positions, about 0.1 s at k = 13; above it, C takes the stratified bound.
+# positions, 0.04-0.06 s at k = 13; above it, C takes the stratified bound.
 _FULL_SUM_CAP = 13
 # All-prefix enumeration for the exact annealed law costs 2^(2^k + k - 1).
 EXACT_ANNEALED_CAP = 4
@@ -197,19 +197,28 @@ def _pattern_sums(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
     over its clear bits, for every k-bit code w (k = len(plus)).
 
     plus and minus hold one symbol per row: shape (k,) gives one table of
-    2^k entries, shape (k, rows) gives rows tables side by side, shape
-    (rows, 2^k), with each symbol's values broadcast down a column.  Built in
-    place by doubling: once symbols 0..i-1 are in the first n = 2^i entries,
-    symbol i copies them, plus plus[i], into the next n entries and adds
-    minus[i] to the first n.
+    2^k entries, shape (k, rows) gives rows tables side by side, returned as
+    one contiguous (rows, 2^k) array.  Built in place by doubling, with the
+    codes outer and the rows inner, so that each step runs along every row
+    at once: once symbols 0..i-1 are in the first n = 2^i codes, symbol i
+    copies them, plus plus[i], into the next n codes and adds minus[i] to the
+    first n.  Every entry takes its additions in symbol order, whatever the
+    layout.
     """
-    values = np.zeros(np.shape(plus)[1:] + (1 << len(plus),))
+    values = np.zeros((1 << len(plus),) + np.shape(plus)[1:])
     n = 1
     for up, down in zip(plus, minus):
-        np.add(values[..., :n], up[..., None], out=values[..., n : 2 * n])
-        values[..., :n] += down[..., None]
+        np.add(values[:n], up, out=values[n : 2 * n])
+        values[:n] += down
         n *= 2
-    return values
+    return np.ascontiguousarray(values.T)
+
+
+def _symbol_logs(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(1 + 2 gamma) and log(1 - 2 gamma), elementwise: the log factors
+    of a +1 and a -1 symbol."""
+    two_gamma = 2.0 * gamma
+    return np.log1p(two_gamma), np.log1p(-two_gamma)
 
 
 def log_likelihood_values(schedule: BiasSchedule, j: int, k: int) -> np.ndarray:
@@ -217,8 +226,7 @@ def log_likelihood_values(schedule: BiasSchedule, j: int, k: int) -> np.ndarray:
     entry w is log likelihood_ratio(schedule, j, k, w)."""
     if j < 1 or k < 1:
         raise ValueError("window position and level must be >= 1")
-    two_gamma = 2.0 * schedule.gamma_slice(j, k)
-    return _pattern_sums(np.log1p(two_gamma), np.log1p(-two_gamma))
+    return _pattern_sums(*_symbol_logs(schedule.gamma_slice(j, k)))
 
 
 def exact_likelihood_mean(schedule: BiasSchedule, j: int, k: int) -> float:
@@ -411,9 +419,20 @@ def _window_products(
 # Pattern-averaged deviation of the likelihood ratio
 
 
-# High-half table entries per block of the exact deviation sum (32 KiB, 64
-# rows at k = 12): of 2^10..2^16, 2^12 and 2^14 ran k = 12 fastest.
-_BLOCK_ENTRIES = 1 << 12
+# Entries in the widest working array of a block of rows: 2^15 doubles,
+# 256 KiB.  A row of the exact deviation sum is widest in its merge of
+# sorted E and t, 2^(k - h) + 2^h entries (256 rows at k = 12); a row of
+# Monte Carlo grid values in its mc_samples codes or its 12-symbol table
+# (8 rows at the default 4096 samples, 1 at MC_SAMPLES_CAP).  The exact sum
+# at k = 12 took 22, 18.6, 17.9 and 19.6 ms with 2^13..2^16 entries, and
+# its allocations peaked at 0.6, 1.0, 1.7 and 3.2 MB.
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _block_rows(row_entries: int) -> int:
+    """Rows per block when the widest working array holds row_entries
+    entries a row."""
+    return max(1, _BLOCK_ENTRIES // row_entries)
 
 
 def _deviation_sum(schedule: BiasSchedule, j: int, count: int, k: int) -> float:
@@ -424,35 +443,41 @@ def _deviation_sum(schedule: BiasSchedule, j: int, count: int, k: int) -> float:
     if j < 1 or k < 1:
         raise ValueError("window position and level must be >= 1")
     run, _ = _bias_run(schedule, j, count + k - 1, k)
-    means = np.broadcast_to(_deviation_means(2.0 * run, k), count)
+    # symbol i of the window at j + r is column r of row i
+    plus, minus = (sliding_window_view(logs, k).T for logs in _symbol_logs(run))
+    means = np.broadcast_to(_deviation_means(plus, minus), count)
     # accumulate adds one mean at a time, in position order
     return float(np.add.accumulate(means)[-1])
 
 
-def _deviation_means(two_gamma: np.ndarray, k: int) -> list[float]:
-    """E|R - 1| of every window in a run of 2 gamma values, in position order.
+def _deviation_means(plus: np.ndarray, minus: np.ndarray) -> list[float]:
+    """E|R - 1| of every window, in column order: column r of the (k,
+    windows) arrays plus and minus holds the _symbol_logs of window r.
 
     The first h = k // 2 symbols of a window give the low log-sums a, the
     rest the N high log-sums b (_pattern_sums tables, one row per window).
     R - 1 = e^a (E - t) with E = expm1(b) and t = expm1(-a); with E sorted,
     its prefix sums P and c = #{E <= t} from a stable merge of sorted E and
     t, sum |E - t| = P_N - 2 P_c + (2c - N) t.  Each step runs along rows,
-    so no value depends on blocks.
+    so no value depends on blocks or on which windows share the call.
     """
-    # symbol i of the window at j + r is column r of row i
-    plus = sliding_window_view(np.log1p(two_gamma), k).T
-    minus = sliding_window_view(np.log1p(-two_gamma), k).T
+    k, windows = plus.shape
     h = k // 2
     n = 1 << (k - h)
-    step = max(1, _BLOCK_ENTRIES >> (k - h))
+    step = _block_rows(n + (1 << h))
     means = []
-    for start in range(0, plus.shape[1], step):
+    for start in range(0, windows, step):
         rows = slice(start, start + step)
         # -a ascending, so t ascends and e^a = exp(-(-a))
-        neg_low = np.sort(-_pattern_sums(plus[:h, rows], minus[:h, rows]), axis=1)
+        neg_low = _pattern_sums(plus[:h, rows], minus[:h, rows])
+        np.negative(neg_low, out=neg_low)
+        neg_low.sort(axis=1)
         t = np.expm1(neg_low)
-        high = np.expm1(np.sort(_pattern_sums(plus[h:, rows], minus[h:, rows]), axis=1))
-        prefix = np.cumsum(np.pad(high, ((0, 0), (1, 0))), axis=1)  # P_0 = 0
+        high = _pattern_sums(plus[h:, rows], minus[h:, rows])
+        high.sort(axis=1)
+        np.expm1(high, out=high)
+        prefix = np.zeros((len(high), n + 1))  # P_0 = 0
+        np.cumsum(high, axis=1, out=prefix[:, 1:])
         # t_i lands at i + c_i in the merge: stable, so E goes first on ties
         merged = np.argsort(np.concatenate((high, t), axis=1), axis=1, kind="stable")
         below = np.nonzero(merged >= n)[1].reshape(t.shape) - np.arange(1 << h)
@@ -464,28 +489,40 @@ def _deviation_means(two_gamma: np.ndarray, k: int) -> list[float]:
 
 
 def mean_abs_likelihood_deviation(
-    schedule: BiasSchedule, j: int, params: ChenSteinParams
-) -> tuple[float, float]:
-    """E |R_j - 1| over uniform level-k patterns, k = params.k; returns (value, stderr).
+    schedule: BiasSchedule, positions: list[int], params: ChenSteinParams
+) -> tuple[list[float], list[float]]:
+    """E |R_j - 1| over uniform level-k patterns at each window position j
+    in positions, k = params.k; returns (values, stderrs) in that order.
 
-    Exact (stderr 0) for k <= params.exact_cap; beyond, Monte Carlo over mc_samples
-    patterns, reproducible per (seed, k, j), one table lookup per 12 symbols.
+    One matrix holds the windows' biases, a column per position.  Exact
+    (stderr 0) for k <= params.exact_cap: every column goes through
+    _deviation_means.  Beyond, Monte Carlo over mc_samples patterns per
+    position, reproducible per (seed, k, j), one table lookup per 12
+    symbols; the positions go in blocks of _block_rows rows, which share
+    each table build and lookup while every position keeps its own
+    sample_words stream.  No value depends on which positions share a call.
     """
     k, mc_samples = params.k, params.mc_samples
+    plus, minus = _symbol_logs(np.stack([schedule.gamma_slice(j, k) for j in positions], axis=1))
     if k <= params.exact_cap:
-        return _deviation_sum(schedule, j, 1, k), 0.0
-    two_gamma = 2.0 * schedule.gamma_slice(j, k)
-    plus = np.log1p(two_gamma)
-    minus = np.log1p(-two_gamma)
-    codes = sample_words(k, derive_seed(params.seed, k, j), mc_samples)
-    logs = np.zeros(mc_samples)
-    for lo in range(0, k, 12):
-        table = _pattern_sums(plus[lo : lo + 12], minus[lo : lo + 12])
-        logs += table[(codes >> np.uint64(lo)) & np.uint64(len(table) - 1)]
-    deviations = np.abs(np.expm1(logs))
-    value = float(deviations.mean())
-    stderr = float(deviations.std(ddof=1) / math.sqrt(mc_samples))
-    return value, stderr
+        values = _deviation_means(plus, minus)
+        return values, [0.0] * len(values)
+    values, stderrs = [], []
+    step = _block_rows(max(mc_samples, 1 << min(k, 12)))
+    for start in range(0, len(positions), step):
+        rows = slice(start, start + step)
+        codes = np.stack(
+            [sample_words(k, derive_seed(params.seed, k, j), mc_samples) for j in positions[rows]]
+        )
+        logs = np.zeros(codes.shape)
+        for lo in range(0, k, 12):
+            table = _pattern_sums(plus[lo : lo + 12, rows], minus[lo : lo + 12, rows])
+            index = (codes >> np.uint64(lo)) & np.uint64(table.shape[1] - 1)
+            logs += np.take_along_axis(table, index, axis=1)
+        deviations = np.abs(np.expm1(logs))
+        values += deviations.mean(axis=1).tolist()
+        stderrs += (deviations.std(axis=1, ddof=1) / math.sqrt(mc_samples)).tolist()
+    return values, stderrs
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +648,11 @@ def _c_term(schedule: BiasSchedule, params: ChenSteinParams) -> tuple[float, str
     else:
         c_value += 2.0 * head * math.ldexp(1.0, -k)
     # tail block j >= lo: monotone upper integration on a half-octave grid
-    for left, width in _stratum_grid(lo, n):
-        value, stderr = mean_abs_likelihood_deviation(schedule.envelope, left, params)
+    strata = _stratum_grid(lo, n)
+    values, stderrs = mean_abs_likelihood_deviation(
+        schedule.envelope, [left for left, _ in strata], params
+    )
+    for (_, width), value, stderr in zip(strata, values, stderrs):
         c_value += width * math.ldexp(value, -k)
         variance += (width * math.ldexp(stderr, -k)) ** 2
     mode = "bound" if exact_points else "monte-carlo"
@@ -744,7 +784,8 @@ def union_bound_hit_probability(schedule: BiasSchedule, k: int, codes: list[int]
 
     Scans all 2^k positions in chunks (k <= UNION_BOUND_CAP), reading each
     chunk's biases once for every pattern, whose window products all go
-    into one array (a run of one bias: one window, see _bias_run).  Factors
+    into one array, as 1 - 2 gamma goes into another, both made once per
+    call (a run of one bias: one window, see _bias_run).  Factors
     stay >= 1 - 2*cap > 0 for capped schedules, so products cannot
     underflow within this envelope.
     """
@@ -758,13 +799,14 @@ def union_bound_hit_probability(schedule: BiasSchedule, k: int, codes: list[int]
     totals = [0.0] * len(codes)
     chunk = 1 << 20
     acc = np.empty(min(chunk, n))
+    shrink = np.empty(min(chunk, n) + k - 1)
     for j in range(1, n + 1, chunk):
         count = min(chunk, n - j + 1)
         gam, constant = _bias_run(schedule, j, count + k - 1, k)
         windows = 1 if constant else count
         gam *= 2.0  # 1 + 2 gamma then overwrites it: one 2^20 array fewer per chunk
         # factors[b] is the factor of a symbol with bit b: 1 - 2 gamma or 1 + 2 gamma
-        factors = (1.0 - gam, np.add(gam, 1.0, out=gam))
+        factors = (np.subtract(1.0, gam, out=shrink[: len(gam)]), np.add(gam, 1.0, out=gam))
         for w, code in enumerate(codes):
             products = acc[:windows]
             np.copyto(products, factors[code & 1][:windows])

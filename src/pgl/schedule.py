@@ -16,7 +16,7 @@ constants, not the threshold structure.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -283,29 +283,46 @@ def cesaro_average(schedule: BiasSchedule, n_terms: int) -> float:
     return total / n_terms
 
 
+# Spans per round of first_persistent_below: the bracket 1..2^63 takes 11
+# rounds, each one _gamma_at call at about 64 candidates.
+_SPANS = 64
+
+
 def first_persistent_below(schedule: BiasSchedule, bound: float) -> int | None:
     """Smallest n with |gamma(m)| < bound for every m >= n, or None.
 
-    Binary search over the non-increasing envelope for its first position
-    below the bound; the search ceiling is 2^63.  The envelope is evaluated
-    at ``mid`` rounded to float64, and that rounding is monotone, so the
-    envelope stays non-increasing in ``mid`` and the bisection holds up to
-    the ceiling.  An index above 2^53 is exact only to float64 resolution.
+    A search over the non-increasing envelope for its first position below
+    the bound; the search ceiling is 2^63.  Each round cuts the bracket
+    lo < n <= hi into about _SPANS equal spans and reads the envelope at the
+    candidates between them in one ``_gamma_at`` call.  The envelope is
+    evaluated at each candidate rounded to float64, and that rounding is
+    monotone, so the envelope stays non-increasing in the candidate and the
+    search holds up to the ceiling.  An index above 2^53 is exact only to
+    float64 resolution.
     """
     env = schedule.envelope
-    ceiling = 1 << 63
-    if abs(env.gamma(1)) < bound:
+    lo, hi = 1, 1 << 63
+    first, last = _below(env, [lo, hi], bound)
+    if first:
         return 1
-    if not abs(env.gamma(ceiling)) < bound:
+    if not last:
         return None
-    lo, hi = 1, ceiling  # |gamma*(lo)| >= bound > |gamma*(hi)|
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if abs(env.gamma(mid)) < bound:
-            hi = mid
-        else:
-            lo = mid
+    while hi - lo > 1:  # |gamma*(lo)| >= bound > |gamma*(hi)|
+        step = max(1, (hi - lo) // _SPANS)
+        candidates = range(lo + step, hi, step)
+        # the envelope does not rise, so the candidates still at or above
+        # the bound come first
+        above = len(candidates) - int(np.count_nonzero(_below(env, candidates, bound)))
+        if above:
+            lo = candidates[above - 1]
+        if above < len(candidates):
+            hi = candidates[above]
     return hi
+
+
+def _below(env: BiasSchedule, positions: Sequence[int], bound: float) -> np.ndarray:
+    """|gamma(n)| < bound at each of the ascending positions, in one call."""
+    return np.abs(env._gamma_at(np.array(positions, dtype=np.float64))) < bound
 
 
 def parse_schedule(text: str) -> BiasSchedule:

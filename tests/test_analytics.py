@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import pgl.analytics as analytics
 from conftest import (
@@ -18,6 +19,7 @@ from conftest import (
     brute_pair_hit_probability,
 )
 from pgl.analytics import (
+    MC_SAMPLES_CAP,
     BalancedSpec,
     ChenSteinParams,
     balanced_product,
@@ -93,8 +95,11 @@ def rebuilt_pair_sum(schedule, k):
 def rebuilt_deviation_sum(schedule, j, count, k):
     """The exact C sum as the row loop gives it: every row's mean over the
     whole bias run, added in position order."""
+    two_gamma = 2.0 * schedule.gamma_slice(j, count + k - 1)
+    plus = sliding_window_view(np.log1p(two_gamma), k).T
+    minus = sliding_window_view(np.log1p(-two_gamma), k).T
     total = 0.0
-    for mean in analytics._deviation_means(2.0 * schedule.gamma_slice(j, count + k - 1), k):
+    for mean in analytics._deviation_means(plus, minus):
         total += mean
     return total
 
@@ -395,12 +400,12 @@ class TestPairProbabilities:
 
 class TestMeanAbsDeviation:
     def test_unbiased_deviation_is_zero(self):
-        value, stderr = mean_abs_likelihood_deviation(Zero(), 1, ChenSteinParams(k=12))
-        assert value == 0.0 and stderr == 0.0
+        values, stderrs = mean_abs_likelihood_deviation(Zero(), [1], ChenSteinParams(k=12))
+        assert values == [0.0] and stderrs == [0.0]
 
     def test_single_symbol_case(self):
         # R is 1.2 or 0.8 with equal odds, so E|R - 1| = 0.2
-        value, stderr = mean_abs_likelihood_deviation(Constant(0.1), 1, ChenSteinParams(k=1))
+        [value], [stderr] = mean_abs_likelihood_deviation(Constant(0.1), [1], ChenSteinParams(k=1))
         assert value == pytest.approx(0.2, rel=1e-14)
         assert stderr == 0.0
 
@@ -410,16 +415,16 @@ class TestMeanAbsDeviation:
             bits = [(code >> i) & 1 for i in range(3)]
             total += abs(brute_likelihood_ratio(TABLE6, 2, bits) - 1.0)
         expected = total / 8.0
-        value, _ = mean_abs_likelihood_deviation(TABLE6, 2, ChenSteinParams(k=3))
+        [value], _ = mean_abs_likelihood_deviation(TABLE6, [2], ChenSteinParams(k=3))
         assert value == pytest.approx(expected, rel=1e-13)
 
     def test_monte_carlo_agrees_with_exact(self):
-        exact, _ = mean_abs_likelihood_deviation(LogPower(1.0), 7, ChenSteinParams(k=8))
+        [exact], _ = mean_abs_likelihood_deviation(LogPower(1.0), [7], ChenSteinParams(k=8))
         params = ChenSteinParams(k=8, exact_cap=4, mc_samples=20000, seed=3)
-        mc, stderr = mean_abs_likelihood_deviation(LogPower(1.0), 7, params)
+        [mc], [stderr] = mean_abs_likelihood_deviation(LogPower(1.0), [7], params)
         assert stderr > 0.0
         assert abs(mc - exact) < 6 * stderr
-        again, _ = mean_abs_likelihood_deviation(LogPower(1.0), 7, params)
+        [again], _ = mean_abs_likelihood_deviation(LogPower(1.0), [7], params)
         assert mc == again
 
     @settings(max_examples=40, deadline=None)
@@ -435,12 +440,12 @@ class TestMeanAbsDeviation:
     def test_blocked_sum_equals_the_per_position_sum(
         self, values, k, j, count, block_entries
     ):
-        # block_entries >> (k - k // 2) rows per block (at least one) puts
-        # the block boundaries anywhere in the run of positions
+        # block_entries // (2^(k - k // 2) + 2^(k // 2)) rows per block (at
+        # least one) puts the block boundaries anywhere in the run of positions
         sched = Table(tuple(values))
         one_at_a_time = 0.0
         for i in range(j, j + count):
-            one_at_a_time += mean_abs_likelihood_deviation(sched, i, ChenSteinParams(k=k))[0]
+            one_at_a_time += mean_abs_likelihood_deviation(sched, [i], ChenSteinParams(k=k))[0][0]
         with unittest.mock.patch.object(analytics, "_BLOCK_ENTRIES", block_entries):
             blocked = analytics._deviation_sum(sched, j, count, k)
         # every step runs along one row, and the row means are added in the
@@ -469,11 +474,76 @@ class TestMeanAbsDeviation:
         else:
             assert abs(Fraction(got) - want) <= Fraction(1e-13) * want
 
+    @pytest.mark.parametrize("schedule", [Zero(), Constant(-0.1), LogPower(1.0), TABLE6])
+    @pytest.mark.parametrize("k,exact_cap", [(14, 20), (15, 20), (17, 16), (21, 16)])
+    def test_grid_call_keeps_the_bits_of_one_call_per_position(self, schedule, k, exact_cap):
+        # the C term's stratum grid in one call: exact at k = 14 and 15,
+        # Monte Carlo at k = 17 and 21 in blocks of 4 positions (8 192
+        # samples a position), so the grid spans several blocks
+        params = ChenSteinParams(k=k, exact_cap=exact_cap, mc_samples=8192, seed=5)
+        positions = [left for left, _ in analytics._stratum_grid(5, 1 << k)]
+        assert len(positions) > 4 * analytics._block_rows(params.mc_samples)
+        values, stderrs = mean_abs_likelihood_deviation(schedule, positions, params)
+        one_at_a_time = [mean_abs_likelihood_deviation(schedule, [j], params) for j in positions]
+        assert values == [value for [value], _ in one_at_a_time]
+        assert stderrs == [stderr for _, [stderr] in one_at_a_time]
+        if k <= exact_cap:
+            assert stderrs == [0.0] * len(positions)
+            assert values == [analytics._deviation_sum(schedule, j, 1, k) for j in positions]
+        else:
+            want = [per_symbol_monte_carlo(schedule, j, k, 8192, 5) for j in positions]
+            assert values == pytest.approx([value for value, _ in want], rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("rows", [None, 1, 3, 8])
+    def test_pattern_major_tables_keep_the_bits_of_the_column_major_build(self, k, rows):
+        # the tables as they were built with the codes innermost: each row's
+        # values broadcast down a column, the same additions in symbol order
+        rng = np.random.default_rng(k)
+        shape = (k,) if rows is None else (k, rows)
+        plus, minus = analytics._symbol_logs(rng.uniform(-0.49, 0.49, shape))
+        want = np.zeros(shape[1:] + (1 << k,))
+        n = 1
+        for up, down in zip(plus, minus):
+            np.add(want[..., :n], up[..., None], out=want[..., n : 2 * n])
+            want[..., :n] += down[..., None]
+            n *= 2
+        got = analytics._pattern_sums(plus, minus)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    def test_block_rows_follow_one_entry_budget(self):
+        # 2^15 entries in a block's widest working array
+        assert analytics._block_rows(ChenSteinParams(k=22).mc_samples) == 8
+        assert analytics._block_rows(MC_SAMPLES_CAP) == 1
+        # the exact sum at k = 12: a 64 + 64 entry merge per row
+        assert analytics._block_rows((1 << 6) + (1 << 6)) == 256
+        # a row wider than the budget still makes a block
+        assert analytics._block_rows(1 << 16) == 1
+
+    @pytest.mark.parametrize("mc_samples,rows", [(4096, 8), (100, 8), (8192, 4), (1 << 16, 1)])
+    def test_monte_carlo_blocks_hold_the_derived_rows(self, monkeypatch, mc_samples, rows):
+        # each block builds its 12-symbol tables once, one row per position;
+        # a row is as wide as its samples or its 4 096-entry table
+        built = []
+        pattern_sums = analytics._pattern_sums
+
+        def spy(plus, minus):
+            built.append(plus.shape[1])
+            return pattern_sums(plus, minus)
+
+        monkeypatch.setattr(analytics, "_pattern_sums", spy)
+        params = ChenSteinParams(k=13, exact_cap=12, mc_samples=mc_samples)
+        mean_abs_likelihood_deviation(LogPower(1.0), list(range(1, 11)), params)
+        blocks = [min(rows, 10 - start) for start in range(0, 10, rows)]
+        # two tables per block at k = 13: symbols 1..12 and symbol 13
+        assert built == [size for size in blocks for _ in range(2)]
+
     @pytest.mark.parametrize("schedule,j", [(LogPower(1.0), 3), (TABLE6, 2)])
     @pytest.mark.parametrize("k", [16, 20])
     def test_exact_value_matches_the_full_table(self, schedule, j, k):
         full = np.abs(np.expm1(log_likelihood_values(schedule, j, k))).mean()
-        value, _ = mean_abs_likelihood_deviation(schedule, j, ChenSteinParams(k=k))
+        [value], _ = mean_abs_likelihood_deviation(schedule, [j], ChenSteinParams(k=k))
         assert value == pytest.approx(full, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("schedule", [LogPower(1.0), TABLE6, Constant(-0.49)])
@@ -482,7 +552,8 @@ class TestMeanAbsDeviation:
         # exact_cap 1 is the smallest ChenSteinParams takes, so k = 2 is the
         # smallest Monte Carlo level
         params = ChenSteinParams(k=k, exact_cap=1, mc_samples=3000, seed=11)
-        got = mean_abs_likelihood_deviation(schedule, 7, params)
+        [value], [stderr] = mean_abs_likelihood_deviation(schedule, [7], params)
+        got = (value, stderr)
         want = per_symbol_monte_carlo(schedule, 7, k, 3000, 11)
         if k <= 12:
             # one table: its entries are the per-symbol sums, in that order
@@ -491,8 +562,9 @@ class TestMeanAbsDeviation:
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_deviation_shrinks_deeper_into_the_sequence(self):
-        late, _ = mean_abs_likelihood_deviation(LogPower(1.0), 2**10, ChenSteinParams(k=20))
-        early, _ = mean_abs_likelihood_deviation(LogPower(1.0), 4, ChenSteinParams(k=20))
+        (early, late), _ = mean_abs_likelihood_deviation(
+            LogPower(1.0), [4, 2**10], ChenSteinParams(k=20)
+        )
         assert late < early
 
 

@@ -4,10 +4,12 @@ tests/golden/ were recorded, whatever the thread count.
 quenched, annealed and nonconv must match byte for byte.  bounds must match
 every string cell exactly and every float cell within 1e-12 relative, so
 that a change in floating-point summation order inside the Stein terms is
-allowed and nothing else is.  The default-* files hold the four sweeps with
-every config field at its default; the annealed one is checked by test_a11,
-which runs that sweep anyway.  The constant-* cases sweep runs of one
-bias through the exact Stein sums and the union bounds.  The table-* cases
+allowed and nothing else is; the strata-bounds case, which sweeps the C
+term's stratum grid on both its exact and its Monte Carlo path, must match
+byte for byte.  The default-* files hold the four sweeps with every config
+field at its default; the annealed one is checked by test_a11, which runs
+that sweep anyway.  The constant-* cases sweep runs of one bias through
+the exact Stein sums and the union bounds.  The table-* cases
 read two table files that render() writes to a temporary directory: A
 holds 3 000 seeded uniform values in [-0.45, 0.45], B holds 20 000 values
 0.3/(1 + i/500).
@@ -84,6 +86,15 @@ CASES = {
         run_bounds,
         {"schedules": CONSTANT_SCHEDULES, "k_list": (8, 13, 16)},
     ),
+    # The C term's stratum grid: exact grid values at k = 14, Monte Carlo
+    # grid values at k = 17 and 21 in blocks of two strata (16 384 samples
+    # each), a constant run among them.  Checked byte for byte.
+    "strata-bounds": (
+        "bounds",
+        run_bounds,
+        {"schedules": ("logpow:0.5", "const:0.3", "zero"), "k_list": (14, 17, 21),
+         "exact_cap": 16, "mc_samples": 16384},
+    ),
     "constant-nonconv": (
         "nonconv",
         run_nonconv,
@@ -130,7 +141,10 @@ def assert_close_cells(got: str, want: str) -> None:
 @pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize(
     "mode",
-    ["quenched", "quenched-levels", "annealed", "nonconv", "constant-nonconv", "table-annealed"],
+    [
+        "quenched", "quenched-levels", "annealed", "nonconv", "constant-nonconv", "table-annealed",
+        "strata-bounds",
+    ],
 )
 def test_sweep_csv_is_byte_identical(mode, threads):
     want = (GOLDEN_DIR / f"{mode}.csv").read_text()

@@ -411,6 +411,26 @@ class TestPersistence:
         expected = None if abs(tail_value) >= bound else max(offenders, default=0) + 1
         assert first_persistent_below(Table(tuple(values), tail=tail), bound) == expected
 
+    @pytest.mark.parametrize("spec", [
+        "zero", "const:0.05", "const:-0.2", "logpow:0.25", "logpow:0.5", "logpow:0.7",
+        "logpow:1.0", "logpow:1.5:cap=0.1", "logpow:2.0", "logpow:3.0", "logpow:1.2:n0=50",
+    ])
+    def test_batched_search_finds_the_bisection_index(self, spec):
+        # the predicate is monotone in the position, so the rounds of
+        # candidates land where one-position bisection does
+        env = parse_schedule(spec).envelope
+        for bound in (0.0, 1e-3, 0.01, 0.05, 0.0945, 0.0946, 0.1, 0.3, 0.49, 0.5):
+            want = None
+            if abs(env.gamma(1)) < bound:
+                want = 1
+            elif abs(env.gamma(1 << 63)) < bound:
+                lo, hi = 1, 1 << 63
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if abs(env.gamma(mid)) < bound else (mid, hi)
+                want = hi
+            assert first_persistent_below(env, bound) == want, bound
+
     def test_envelope_is_the_suffix_maximum_of_the_absolute_bias(self):
         table = Table((0.1, -0.3, 0.2, -0.05, 0.0), tail="zero")
         assert table.envelope.values.tolist() == [0.3, 0.3, 0.2, 0.05, 0.0]
