@@ -459,7 +459,8 @@ def _deviation_means(plus: np.ndarray, minus: np.ndarray) -> list[float]:
     R - 1 = e^a (E - t) with E = expm1(b) and t = expm1(-a); with E sorted,
     its prefix sums P and c = #{E <= t} from a stable merge of sorted E and
     t, sum |E - t| = P_N - 2 P_c + (2c - N) t.  Each step runs along rows,
-    so no value depends on blocks or on which windows share the call.
+    so no value depends on blocks or on which windows share the call; P_c
+    is one gather from the flat (rows, N + 1) prefix array at c + row (N + 1).
     """
     k, windows = plus.shape
     h = k // 2
@@ -481,7 +482,8 @@ def _deviation_means(plus: np.ndarray, minus: np.ndarray) -> list[float]:
         # t_i lands at i + c_i in the merge: stable, so E goes first on ties
         merged = np.argsort(np.concatenate((high, t), axis=1), axis=1, kind="stable")
         below = np.nonzero(merged >= n)[1].reshape(t.shape) - np.arange(1 << h)
-        spread = prefix[:, -1:] - 2.0 * np.take_along_axis(prefix, below, axis=1)
+        flat = below + np.arange(0, prefix.size, n + 1)[:, None]
+        spread = prefix[:, -1:] - 2.0 * prefix.ravel().take(flat)
         spread += (2 * below - n) * t
         spread *= np.exp(-neg_low)
         means += (spread.sum(axis=1) / (1 << k)).tolist()
@@ -511,14 +513,19 @@ def mean_abs_likelihood_deviation(
     step = _block_rows(max(mc_samples, 1 << min(k, 12)))
     for start in range(0, len(positions), step):
         rows = slice(start, start + step)
+        # codes hold k <= MAX_WORD_LEVEL < 64 bits, so their int64 view
+        # reads the same values and yields signed indices
         codes = np.stack(
             [sample_words(k, derive_seed(params.seed, k, j), mc_samples) for j in positions[rows]]
-        )
+        ).view(np.int64)
         logs = np.zeros(codes.shape)
         for lo in range(0, k, 12):
             table = _pattern_sums(plus[lo : lo + 12, rows], minus[lo : lo + 12, rows])
-            index = (codes >> np.uint64(lo)) & np.uint64(table.shape[1] - 1)
-            logs += np.take_along_axis(table, index, axis=1)
+            width = table.shape[1]
+            # each row's 12-symbol index, offset to its row of the flat table
+            index = (codes >> lo) & (width - 1)
+            index += np.arange(0, table.size, width)[:, None]
+            logs += table.ravel().take(index)
         deviations = np.abs(np.expm1(logs))
         values += deviations.mean(axis=1).tolist()
         stderrs += (deviations.std(axis=1, ddof=1) / math.sqrt(mc_samples)).tolist()
@@ -553,21 +560,31 @@ def _pair_sum_exact(schedule: BiasSchedule, k: int) -> float:
     Each chunk of _PAIR_CHUNK lower positions i reads its bias run once for
     every distance d, whose pairs (i, i+d) with i <= 2^k - d go through
     overlap_pair_probabilities (chain products per residue class), all in
-    one _PairScratch (a run of one bias: one lower position, see _bias_run);
-    the chunk sums are added exactly (math.fsum), so their order does not
-    matter.
+    one _PairScratch.  A run of one bias is evaluated at one lower position
+    (see _bias_run), and its chunk sum depends only on (bias, d, count), so
+    each such key is summed once per call and its float reused by every
+    chunk that repeats it.  The chunk sums are added exactly (math.fsum),
+    so their order does not matter.
     """
     n = 1 << k
     run_length = min(_PAIR_CHUNK + 2 * k - 2, n + k - 1)
     scratch = _PairScratch(run_length)
     chunk_sums = []
+    repeated = {}  # (bias, d, count) -> the chunk sum of a run of one bias
     for i in range(1, n, _PAIR_CHUNK):
         # a pair's joint window spans k + d <= 2k - 1 positions
         run, constant = _bias_run(schedule, i, min(run_length, n + k - i), 2 * k - 1)
         for d in range(1, min(k - 1, n - i) + 1):
             count = min(_PAIR_CHUNK, n - d + 1 - i)
-            probs = overlap_pair_probabilities(run, k, d, 1 if constant else count, scratch)
-            chunk_sums.append(float(np.broadcast_to(probs, count).sum()))
+            if constant:
+                key = (float(run[0]), d, count)
+                if key not in repeated:
+                    probs = overlap_pair_probabilities(run, k, d, 1, scratch)
+                    repeated[key] = float(np.broadcast_to(probs, count).sum())
+                chunk_sums.append(repeated[key])
+            else:
+                probs = overlap_pair_probabilities(run, k, d, count, scratch)
+                chunk_sums.append(float(probs.sum()))
     return 2.0 * math.fsum(chunk_sums)
 
 

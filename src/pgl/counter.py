@@ -3,12 +3,13 @@
 For a sequence x and level k, the window at position j (1-based) is
 (x_j, ..., x_{j+k-1}), encoded as the integer whose bit t-1 is the 0/1 bit of
 x_{j+t-1}; x_j sits at the least significant bit.  Codes are read straight
-from the packed buffer: the 64-bit little-endian word loaded at byte b holds
-the windows at positions 8b+1, ..., 8b+8, one shift apart.  Since the level-k
-code of a window is the low k bits of its level-K code, one level-K build
-serves every level k <= K through its first 2^k codes.  Codes are uint32,
-which holds every level up to DENSE_CAP.  A level-k histogram is the plain
-array of 2^k pattern counts, entry w for the pattern with code w.
+from the packed buffer: the little-endian word loaded at byte b (32 bits up
+to level 25, 64 above) holds the windows at positions 8b+1, ..., 8b+8, one
+shift apart.  Since the level-k code of a window is the low k bits of its
+level-K code, one level-K build serves every level k <= K through its first
+2^k codes.  Codes are uint32, which holds every level up to DENSE_CAP.  A
+level-k histogram is the plain array of 2^k pattern counts, entry w for the
+pattern with code w.
 
 The quenched count law of x at level k is the distribution of the count
 N_x(w) when the pattern w is drawn uniformly: pmf(m) is the fraction of the
@@ -90,7 +91,9 @@ def window_codes(sequence: PackedSequence, k: int) -> np.ndarray:
     """Level-k codes of the windows at positions 1..2^k, as a uint32 vector.
 
     Needs length >= 2^k + k - 1.  Up to DENSE_CAP; ResourceError beyond,
-    before anything is allocated.
+    before anything is allocated.  The loads at each byte are 32-bit when
+    k + 7 <= 32, so that the window at every shift 0..7 fits one, and
+    64-bit above.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
@@ -109,7 +112,8 @@ def window_codes(sequence: PackedSequence, k: int) -> np.ndarray:
     padded = np.zeros(rows + 8, dtype=np.uint8)
     take = min(sequence.packed.size, padded.size)
     padded[:take] = sequence.packed[:take]
-    loads = np.ndarray((rows,), dtype="<u8", buffer=padded, strides=(1,))
+    load = "<u4" if k + 7 <= 32 else "<u8"
+    loads = np.ndarray((rows,), dtype=load, buffer=padded, strides=(1,))
     codes = np.empty((rows, 8), dtype=np.uint32)
     for lo in range(0, rows, _CODE_BLOCK):
         block = np.ascontiguousarray(loads[lo : lo + _CODE_BLOCK])
@@ -149,12 +153,13 @@ def quenched_distribution(codes: np.ndarray) -> CountDistribution:
     start = 0  # where the run still open starts
     for lo in range(1, n, _RUN_BLOCK):
         hi = min(lo + _RUN_BLOCK, n)
-        starts = lo + np.flatnonzero(codes[lo:hi] != codes[lo - 1 : hi - 1])
+        # run starts relative to lo: only the first and last need lo added
+        starts = np.flatnonzero(codes[lo:hi] != codes[lo - 1 : hi - 1])
         if starts.size:
-            weights[int(starts[0]) - start] += 1
+            weights[lo + int(starts[0]) - start] += 1
             lengths = np.bincount(np.diff(starts))
             weights.update({int(m): int(lengths[m]) for m in np.flatnonzero(lengths)})
-            start = int(starts[-1])
+            start = lo + int(starts[-1])
     weights[n - start] += 1
     weights[0] = n - sum(weights.values())
     weights = dict(sorted(weights.items()))

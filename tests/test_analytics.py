@@ -104,6 +104,46 @@ def rebuilt_deviation_sum(schedule, j, count, k):
     return total
 
 
+def take_along_axis_deviation_means(plus, minus):
+    """_deviation_means over all windows in one block, P_c read by
+    np.take_along_axis: each row's steps are those of the kernel."""
+    k = len(plus)
+    h = k // 2
+    n = 1 << (k - h)
+    neg_low = -analytics._pattern_sums(plus[:h], minus[:h])
+    neg_low.sort(axis=1)
+    t = np.expm1(neg_low)
+    high = analytics._pattern_sums(plus[h:], minus[h:])
+    high.sort(axis=1)
+    high = np.expm1(high)
+    prefix = np.zeros((len(high), n + 1))
+    prefix[:, 1:] = np.cumsum(high, axis=1)
+    merged = np.argsort(np.concatenate((high, t), axis=1), axis=1, kind="stable")
+    below = np.nonzero(merged >= n)[1].reshape(t.shape) - np.arange(1 << h)
+    spread = prefix[:, -1:] - 2.0 * np.take_along_axis(prefix, below, axis=1)
+    spread += (2 * below - n) * t
+    spread *= np.exp(-neg_low)
+    return (spread.sum(axis=1) / (1 << k)).tolist()
+
+
+def take_along_axis_monte_carlo(schedule, positions, params):
+    """The Monte Carlo grid values in one block, the 12-symbol tables read
+    by np.take_along_axis with uint64 indices."""
+    k, mc_samples = params.k, params.mc_samples
+    two_gamma = 2.0 * np.stack([schedule.gamma_slice(j, k) for j in positions], axis=1)
+    plus, minus = np.log1p(two_gamma), np.log1p(-two_gamma)
+    codes = np.stack([sample_words(k, derive_seed(params.seed, k, j), mc_samples)
+                      for j in positions])
+    logs = np.zeros(codes.shape)
+    for lo in range(0, k, 12):
+        table = analytics._pattern_sums(plus[lo : lo + 12], minus[lo : lo + 12])
+        index = (codes >> np.uint64(lo)) & np.uint64(table.shape[1] - 1)
+        logs += np.take_along_axis(table, index, axis=1)
+    deviations = np.abs(np.expm1(logs))
+    stderrs = deviations.std(axis=1, ddof=1) / math.sqrt(mc_samples)
+    return deviations.mean(axis=1).tolist(), stderrs.tolist()
+
+
 def rebuilt_union_bound(schedule, k, codes):
     """The union bounds with one product per window of every 2^20 chunk."""
     n, chunk = 1 << k, 1 << 20
@@ -126,6 +166,15 @@ def rebuilt_union_bound(schedule, k, codes):
 HALF_CONSTANT_TABLE = Table(np.concatenate((
     np.full((1 << 14) + 64, 0.2),
     np.random.default_rng(7).uniform(-0.3, 0.3, 1 << 14),
+)))
+# Piecewise over the 2^14-position chunks of the exact B sum at k = 16: one
+# bias over the runs of the first two chunks, varying over the third, and
+# another bias over the fourth, whose run the table ends inside (the tail
+# repeats its last value).
+PIECEWISE_TABLE = Table(np.concatenate((
+    np.full((2 << 14) + 64, 0.2),
+    np.random.default_rng(11).uniform(-0.3, 0.3, (1 << 14) - 64),
+    np.full(5000, -0.1),
 )))
 # One bias in every chunk through k = 22 (the first four), and a varying
 # decay.
@@ -354,6 +403,39 @@ class TestPairProbabilities:
         assert runs[:14] == [1] * 14
         assert runs[14:] == [(1 << 14) - d for d in range(1, 15)]
 
+    @pytest.mark.parametrize(
+        "schedule", [PIECEWISE_TABLE, Zero(), Constant(-0.1), LogPower(0.25)]
+    )
+    @pytest.mark.parametrize("k", [15, 16])
+    def test_pair_sum_reuse_keeps_the_bits_of_every_chunk_evaluated(
+        self, schedule, k, monkeypatch
+    ):
+        # the sums a run of one bias reuses, against every chunk evaluated
+        # over its whole bias run
+        got = analytics._pair_sum_exact(schedule, k)
+        monkeypatch.setattr(
+            type(schedule), "gamma_chunk", lambda self, start, count: self.gamma_slice(start, count)
+        )
+        assert got == analytics._pair_sum_exact(schedule, k)
+
+    def test_pair_sum_evaluates_each_run_of_one_bias_once(self, monkeypatch):
+        runs = []
+        original = overlap_pair_probabilities
+        monkeypatch.setattr(
+            analytics, "overlap_pair_probabilities",
+            lambda gamma, k, d, count, scratch=None: runs.append(count) or original(
+                gamma, k, d, count, scratch),
+        )
+        analytics._pair_sum_exact(PIECEWISE_TABLE, 16)
+        # 15 distances per chunk: the first chunk at one position, the
+        # second repeats its bias and counts (no call), the third varies,
+        # the last holds a new bias and shorter counts
+        assert runs == [1] * 15 + [1 << 14] * 15 + [1] * 15
+        runs.clear()
+        analytics._pair_sum_exact(Zero(), 20)
+        # 19 full-chunk counts and 19 last-chunk counts, of 64 chunks
+        assert runs == [1] * 38
+
     def test_scratch_forms_the_factors_once_per_run(self, monkeypatch):
         gamma = LogPower(1.0).gamma_slice(5, 40)
         scratch = analytics._PairScratch(len(gamma))
@@ -493,6 +575,27 @@ class TestMeanAbsDeviation:
         else:
             want = [per_symbol_monte_carlo(schedule, j, k, 8192, 5) for j in positions]
             assert values == pytest.approx([value for value, _ in want], rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("k", [7, 12])
+    def test_flat_gather_keeps_the_bits_of_take_along_axis(self, k):
+        # more than two blocks of rows (1 365 at k = 7, 256 at k = 12)
+        h = k // 2
+        windows = 2 * analytics._block_rows((1 << (k - h)) + (1 << h)) + 5
+        gamma = np.random.default_rng(k).uniform(-0.45, 0.45, windows + k - 1)
+        plus, minus = (sliding_window_view(logs, k).T for logs in analytics._symbol_logs(gamma))
+        assert analytics._deviation_means(plus, minus) == take_along_axis_deviation_means(
+            plus, minus
+        )
+
+    @pytest.mark.parametrize("schedule", [LogPower(1.0), TABLE6])
+    @pytest.mark.parametrize("k", [14, 21])
+    def test_monte_carlo_flat_gather_keeps_the_bits_of_take_along_axis(self, schedule, k):
+        # 4 positions a block at 8 192 samples; one and two 12-symbol tables
+        params = ChenSteinParams(k=k, exact_cap=12, mc_samples=8192, seed=9)
+        positions = [left for left, _ in analytics._stratum_grid(3, 1 << k)]
+        assert len(positions) > 2 * analytics._block_rows(params.mc_samples)
+        got = mean_abs_likelihood_deviation(schedule, positions, params)
+        assert got == take_along_axis_monte_carlo(schedule, positions, params)
 
     @pytest.mark.parametrize("k", range(1, 13))
     @pytest.mark.parametrize("rows", [None, 1, 3, 8])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import naive_window_counts, pack_bits
 import pgl.counter as counter
@@ -18,7 +19,7 @@ from pgl.counter import (
     window_histogram,
 )
 from pgl.errors import ResourceError
-from pgl.sampler import sample_sequence
+from pgl.sampler import PackedSequence, sample_sequence
 from pgl.schedule import Constant, LogPower, Zero, parse_schedule
 
 
@@ -87,6 +88,21 @@ class TestWindowCodes:
             )
         with pytest.raises(ValueError, match="needs 32768 window codes"):
             level_codes(codes, 15)
+
+    def test_the_widest_level_of_32_bit_loads_matches_a_naive_scan(self):
+        # k = 25: the window at shift 7 of a byte's load takes bits 7..31,
+        # the last level whose loads are 32-bit
+        k, edge = 25, 4096
+        n = 1 << k
+        length = n + k - 1
+        packed = np.random.default_rng(25).integers(0, 256, (length + 7) // 8, dtype=np.uint8)
+        codes = window_codes(PackedSequence(packed, length), k)
+        weights = 1 << np.arange(k)
+        for first in (0, n - edge):  # both on a byte boundary
+            span = edge + k - 1
+            bits = np.unpackbits(packed[first // 8 :], count=span, bitorder="little")
+            naive = sliding_window_view(bits.astype(np.int64), k) @ weights
+            assert np.array_equal(codes[first : first + edge], naive)
 
     def test_levels_above_the_cap_raise_before_any_allocation(self):
         # a 3-bit sequence: the length check would raise ValueError, so the
