@@ -251,17 +251,18 @@ def _bias_run(
     """The biases at start..start+length-1, as (run, constant), for a kernel
     that evaluates every window of the run and adds up their values.
 
-    When the run holds one bias (``gamma_chunk``), run is that bias
-    repeated over width positions, the span of the run's first window, and
-    constant is True.  Every window of such a run takes the same steps on
-    the same factors, so the kernel evaluates that one window and reduces
-    np.broadcast_to(value, count), which has the bits of the reduction over
-    every window.  Otherwise run is the run's fresh gamma_slice.
+    When ``gamma_bounds`` gives least == greatest, the run holds one bias:
+    run is that bias repeated over width positions, the span of the run's
+    first window, and constant is True.  Every window of such a run takes
+    the same steps on the same factors, so the kernel evaluates that one
+    window and reduces np.broadcast_to(value, count), which has the bits of
+    the reduction over every window.  Otherwise run is the run's fresh
+    gamma_slice.
     """
-    run = schedule.gamma_chunk(start, length)
-    if np.ndim(run):
-        return run, False
-    return np.full(width, run), True
+    lo, hi = schedule.gamma_bounds(start, length)
+    if lo == hi:
+        return np.full(width, lo), True
+    return schedule.gamma_slice(start, length), False
 
 
 def likelihood_ratio(schedule: BiasSchedule, j: int, k: int, code: int) -> float:
@@ -779,7 +780,9 @@ def symbol_sum_tail_mass(k: int, eta: float) -> TailMass:
         raise ValueError("level k must be >= 1")
     if not (math.isfinite(eta) and eta >= 0):
         raise ValueError("eta must be a finite number >= 0")
-    threshold = (k - eta * math.sqrt(k)) / 2.0
+    # below -1 every cutoff gives the empty tail; the clamp keeps an eta
+    # whose eta sqrt(k) overflows from making the threshold -inf
+    threshold = max((k - eta * math.sqrt(k)) / 2.0, -1.0)
     nearest = round(threshold)
     if abs(threshold - nearest) < 1e-9 * max(1.0, abs(threshold)):
         m_max = int(nearest) - 1

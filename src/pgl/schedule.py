@@ -6,9 +6,9 @@ kinds are supported: identically zero (the fair coin, constant 0 under its
 own label), constant, log-power decay gamma_n = min(cap, (ln n)^-c), and
 explicit tables with a tail rule.  A kind checks its range when built and
 answers for itself: ``envelope`` is its non-increasing |gamma| bound,
-``kakutani`` its dichotomy class, ``gamma_bounds`` a run's least and
-greatest gamma, and ``gamma_chunk`` a run's gamma, or its one value when
-the run is constant.
+``kakutani`` its dichotomy class and ``gamma_bounds`` a run's least and
+greatest gamma.  Whether a run holds one bias is decided by its reader,
+``analytics._bias_run``, from those bounds.
 
 Natural logarithm throughout; swapping the base would only rescale the decay
 constants, not the threshold structure.
@@ -88,12 +88,6 @@ class BiasSchedule:
             raise ValueError("a run needs count >= 1")
         first, last = self._gamma_at(_run(start, count, np.array([0.0, count - 1.0]))).tolist()
         return last, first
-
-    def gamma_chunk(self, start: int, count: int) -> np.ndarray | float:
-        """The run's one value when ``gamma_bounds`` gives least == greatest,
-        else its ``gamma_slice`` (a fresh array the caller owns)."""
-        lo, hi = self.gamma_bounds(start, count)
-        return lo if lo == hi else self.gamma_slice(start, count)
 
     def _gamma_at(self, ns: np.ndarray) -> np.ndarray:
         """Gamma at ``ns``, ascending float64 positions >= 1, written over
@@ -225,20 +219,12 @@ class Table(BiasSchedule):
         return Table(np.maximum.accumulate(np.abs(self.values)[::-1])[::-1], self.tail)
 
     def gamma_bounds(self, start: int, count: int) -> tuple[float, float]:
-        return self._slice_and_bounds(start, count)[1:]
-
-    def gamma_chunk(self, start: int, count: int) -> np.ndarray | float:
-        """The base rule from one ``gamma_slice``, which also gives the bounds."""
-        gam, lo, hi = self._slice_and_bounds(start, count)
-        return lo if lo == hi else gam
-
-    def _slice_and_bounds(self, start: int, count: int) -> tuple[np.ndarray, float, float]:
-        """``gamma_slice`` over the run and its extremes: a table's values
-        may rise and fall."""
+        """The extremes of the run's ``gamma_slice``: a table's values may
+        rise and fall."""
         if count < 1:
             raise ValueError("a run needs count >= 1")
         gam = self.gamma_slice(start, count)
-        return gam, float(gam.min()), float(gam.max())
+        return float(gam.min()), float(gam.max())
 
     def _gamma_at(self, ns: np.ndarray) -> np.ndarray:
         inside = np.searchsorted(ns, len(self.values), side="right")

@@ -37,7 +37,7 @@ from pgl.analytics import (
 )
 from pgl.errors import ResourceError
 from pgl.sampler import derive_seed, sample_words
-from pgl.schedule import BiasSchedule, Constant, LogPower, Table, Zero
+from pgl.schedule import BiasSchedule, Constant, LogPower, Table, Zero, parse_schedule
 
 TABLE6 = Table((0.1, -0.05, 0.2, 0.05, 0.15, -0.1))
 ONSET_FACTOR_BOUND = (2.0 ** 0.25 - 1.0) / 2.0
@@ -286,6 +286,44 @@ class TestLikelihoodRatio:
                 assert got == pytest.approx(expected, rel=1e-14)
 
 
+class TestBiasRun:
+    def test_one_bias_exactly_when_the_bounds_meet(self):
+        # runs of one bias and varying runs for every kind: a negative
+        # constant, a capped and a decaying log-power, and tables whose runs
+        # straddle their end under either tail rule
+        values = (0.1, 0.1, -0.2, 0.3, 0.3)
+        schedules = (
+            Zero(), Constant(-0.1), Constant(0.3), LogPower(0.25), LogPower(1.0),
+            parse_schedule("logpow:0.7:cap=0.3:n0=40"), Table(values),
+            Table(values, tail="zero"), Table((0.2, 0.0), tail="zero"),
+        )
+        runs = ((1, 1), (1, 2), (1, 5), (2, 2), (3, 4), (4, 3), (5, 3), (6, 2), (30, 50), (2**40, 4))
+        kinds = set()
+        for sched in schedules:
+            for start, length in runs:
+                width = min(length, 3)
+                run, constant = analytics._bias_run(sched, start, length, width)
+                lo, hi = sched.gamma_bounds(start, length)
+                gam = sched.gamma_slice(start, length)
+                assert constant == (lo == hi), (sched, start, length)
+                if constant:
+                    assert run.tobytes() == np.full(width, lo).tobytes()
+                    assert np.array_equal(np.full(length, lo).view(np.uint64), gam.view(np.uint64))
+                else:
+                    assert run.dtype == np.float64 and run.tobytes() == gam.tobytes()
+                    assert run.flags.writeable and run.flags.owndata
+                kinds.add((sched.label, constant))
+            with pytest.raises(ValueError, match="a run needs count >= 1"):
+                analytics._bias_run(sched, 1, 0, 1)
+        # both answers for every kind that has both
+        for sched in schedules[4:]:
+            assert {(sched.label, True), (sched.label, False)} <= kinds, sched.label
+        assert analytics._bias_run(Table(values), 4, 3, 3)[1]
+        assert not analytics._bias_run(Table(values, tail="zero"), 4, 3, 3)[1]
+        run, constant = analytics._bias_run(Table((0.2, 0.0), tail="zero"), 2, 4, 2)
+        assert constant and run.tolist() == [0.0, 0.0]
+
+
 class TestPairProbabilities:
     def test_same_position_is_rejected(self):
         with pytest.raises(ValueError):
@@ -414,7 +452,8 @@ class TestPairProbabilities:
         # over its whole bias run
         got = analytics._pair_sum_exact(schedule, k)
         monkeypatch.setattr(
-            type(schedule), "gamma_chunk", lambda self, start, count: self.gamma_slice(start, count)
+            analytics, "_bias_run",
+            lambda schedule, start, length, width: (schedule.gamma_slice(start, length), False),
         )
         assert got == analytics._pair_sum_exact(schedule, k)
 
@@ -1051,6 +1090,12 @@ class TestSymbolSumTail:
         tail = symbol_sum_tail_mass(16, 10.0)
         assert tail.exact == 0.0 and tail.max_plus == -1
 
+    @pytest.mark.parametrize("k", [10, 400])
+    def test_eta_whose_cutoff_overflows_empties_the_tail(self, k):
+        # eta sqrt(k) overflows to inf, so the cutoff (k - eta sqrt(k))/2 is -inf
+        tail = symbol_sum_tail_mass(k, 1e308)
+        assert (tail.exact, tail.normal_approx, tail.max_plus) == (0.0, 0.0, -1)
+
     @pytest.mark.parametrize(
         "eta", [0.0, 0.1, 0.5, 1 / math.sqrt(3), 1 / math.sqrt(2), 1.0, 2.0, 10.0]
     )
@@ -1125,8 +1170,8 @@ class TestUnionBound:
         # one bias, the second a varying one
         values = np.concatenate((np.full((1 << 20) + 64, -0.1), np.linspace(-0.3, 0.3, 1000)))
         table = Table(values)
-        assert np.ndim(table.gamma_chunk(1, (1 << 20) + 20)) == 0
-        assert np.ndim(table.gamma_chunk((1 << 20) + 1, (1 << 20) + 20)) == 1
+        assert analytics._bias_run(table, 1, (1 << 20) + 20, 21)[1]
+        assert not analytics._bias_run(table, (1 << 20) + 1, (1 << 20) + 20, 21)[1]
         codes = [0, 0b1011, (1 << 21) - 1]
         assert union_bound_hit_probability(table, 21, codes) == rebuilt_union_bound(table, 21, codes)
 

@@ -305,6 +305,16 @@ class TestConfigFiles:
             assert proc.stderr == "error: eta must be a finite number >= 0\n"
             assert proc.stdout == ""
 
+    def test_huge_finite_eta_gives_the_empty_tail(self):
+        # eta sqrt(k) overflows to inf: the tail is empty, not a traceback
+        proc = run_cli("quenched", "--eta", "1e308", "--k", "10", "--trials", "1")
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli("nonconv", "--eta", "1e308", "--k", "10", "--trials", "2")
+        assert proc.returncode == 0, proc.stderr
+        header, *rows = proc.stdout.strip().splitlines()[1:]
+        cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        assert cells and {row["tail_mass_exact"] for row in cells} == {"0.0"}
+
     def test_mc_samples_above_the_cap_exits_two_before_any_work(self):
         # one above the cap: were the check gone, the run would hold ~130 MB
         proc = run_cli("bounds", "--k", "21", "--schedule", "zero",

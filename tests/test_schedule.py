@@ -75,47 +75,6 @@ class TestValues:
             with pytest.raises(ValueError, match="a run needs count >= 1"):
                 sched.gamma_bounds(1, 0)
 
-    def test_gamma_chunk_is_one_value_exactly_when_the_bounds_meet(self, monkeypatch):
-        # runs of one bias and varying runs for every kind: a negative
-        # constant, a capped and a decaying log-power, and tables whose runs
-        # straddle their end under either tail rule
-        values = (0.1, 0.1, -0.2, 0.3, 0.3)
-        schedules = (
-            Zero(), Constant(-0.1), Constant(0.3), LogPower(0.25), LogPower(1.0),
-            parse_schedule("logpow:0.7:cap=0.3:n0=40"), Table(values),
-            Table(values, tail="zero"), Table((0.2, 0.0), tail="zero"),
-        )
-        runs = ((1, 1), (1, 2), (1, 5), (2, 2), (3, 4), (4, 3), (5, 3), (6, 2), (30, 50), (2**40, 4))
-        kinds = set()
-        for sched in schedules:
-            for start, count in runs:
-                chunk = sched.gamma_chunk(start, count)
-                lo, hi = sched.gamma_bounds(start, count)
-                gam = sched.gamma_slice(start, count)
-                if lo == hi:
-                    assert type(chunk) is float, (sched, start, count)
-                    assert np.array_equal(np.full(count, chunk).view(np.uint64), gam.view(np.uint64))
-                else:
-                    assert chunk.dtype == np.float64 and chunk.tobytes() == gam.tobytes()
-                    assert chunk.flags.writeable
-                kinds.add((sched.label, lo == hi))
-            with pytest.raises(ValueError, match="a run needs count >= 1"):
-                sched.gamma_chunk(1, 0)
-        # both answers for every kind that has both
-        for sched in schedules[4:]:
-            assert {(sched.label, True), (sched.label, False)} <= kinds, sched.label
-        assert (Table(values).label, True) in kinds and np.ndim(Table(values).gamma_chunk(4, 3)) == 0
-        assert np.ndim(Table(values, tail="zero").gamma_chunk(4, 3)) == 1
-        assert Table((0.2, 0.0), tail="zero").gamma_chunk(2, 4) == 0.0
-        # a table reads its run once for the bounds and the run
-        reads = []
-        original = BiasSchedule.gamma_slice
-        monkeypatch.setattr(
-            BiasSchedule, "gamma_slice", lambda self, a, n: reads.append(n) or original(self, a, n)
-        )
-        Table(values).gamma_chunk(2, 3)
-        assert reads == [3]
-
     def test_constant_bias_returns_its_value(self):
         sched = Constant(-0.2)
         assert sched.gamma(1) == -0.2
