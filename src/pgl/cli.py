@@ -228,9 +228,16 @@ def _selftest_battery():
     def check_counter():
         sched = schedule.Constant(0.2)
         seq = sampler.sample_sequence(sched, (1 << 10) + 9, 3)
-        law = counter.quenched_distribution(counter.window_codes(seq, 10))
+        codes = counter.window_codes(seq, 10)
+        multiplicity = np.bincount(np.bincount(codes, minlength=1 << 10))
+        law = counter.quenched_distribution(codes)
         exact_mean = law.exact_mean()
         assert exact_mean is not None and exact_mean == 1, "quenched mean is 1"
+        # the all-ones pattern's run outlasts the boolean passes, so both the
+        # counted and the located run lengths meet numpy's own census
+        assert max(law.weights) > counter._CHAIN, "a run longer than the passes"
+        census = {m: int(w) for m, w in enumerate(multiplicity) if w or not m}
+        assert law.weights == census, "law weights match the bincount census"
 
     def check_analytics():
         rep = analytics.chen_stein_terms(schedule.Zero(), analytics.ChenSteinParams(k=3))

@@ -16,7 +16,11 @@ N_x(w) when the pattern w is drawn uniformly: pmf(m) is the fraction of the
 2^k patterns occurring exactly m times.  Its mean is exactly 1, because the
 2^k windows distribute exactly 2^k occurrences over the 2^k patterns.  The
 law is read from the sorted codes: a pattern occurring m times is a run of
-length m, so no array of counts is built.
+length m, so no array of counts is built.  The runs are read in blocks of
+whole runs.  In a block, boolean passes compare each code with the code d
+places on, and the number of matches alone counts the runs of every length
+up to the last pass d; only the runs longer than d are located, as
+stretches of matches.
 """
 
 from __future__ import annotations
@@ -47,9 +51,21 @@ DENSE_CAP = 26
 # cache while the eight shift phases fill them.
 _CODE_BLOCK = 1 << 14
 
-# Sorted codes whose run boundaries are read at a time; larger blocks add
-# their boolean and index temporaries to the peak memory of a deep level.
+# Sorted codes whose runs are read at a time.  A block ends where the run
+# holding the code after it starts, so it holds only whole runs; a run longer
+# than a block is measured alone by a binary search for its end.  A block's
+# passes hold three bools per code; larger blocks add to the peak memory of a
+# deep level.
 _RUN_BLOCK = 1 << 16
+
+# Most boolean passes over a block; pass d marks the codes equal to the code
+# d places on.
+_CHAIN = 8
+
+# Runs shorter than this are counted in one array of _TALLY + 1 counts (the
+# last entry gathers the longer runs and is not read); a block holds at most
+# _RUN_BLOCK / _TALLY runs of _TALLY codes or more, counted one by one.
+_TALLY = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -144,23 +160,25 @@ def quenched_distribution(codes: np.ndarray) -> CountDistribution:
 
     A pattern occurring m >= 1 times is a run of m equal sorted codes, so
     weight m is the number of runs of length m, and the zero-count weight is
-    2^k less the number of runs.  The run boundaries are read in blocks,
-    carrying the open run from one block into the next.
+    2^k less the number of runs.  The runs are read in blocks of whole runs
+    (``_block_runs``); a run longer than a block is measured by its end.
     """
     n = codes.size
     codes.sort()
-    weights = Counter()
-    start = 0  # where the run still open starts
-    for lo in range(1, n, _RUN_BLOCK):
-        hi = min(lo + _RUN_BLOCK, n)
-        # run starts relative to lo: only the first and last need lo added
-        starts = np.flatnonzero(codes[lo:hi] != codes[lo - 1 : hi - 1])
-        if starts.size:
-            weights[lo + int(starts[0]) - start] += 1
-            lengths = np.bincount(np.diff(starts))
-            weights.update({int(m): int(lengths[m]) for m in np.flatnonzero(lengths)})
-            start = lo + int(starts[-1])
-    weights[n - start] += 1
+    tally = np.zeros(_TALLY + 1, dtype=np.int64)
+    weights = Counter()  # runs of _TALLY codes or more, or outgrowing a block
+    lo = 0
+    while lo < n:
+        hi = lo + _RUN_BLOCK
+        if hi < n:  # cut before the run holding codes[hi]
+            hi = lo + int(np.searchsorted(codes[lo:hi], codes[hi], side="left"))
+        if hi > lo:
+            _block_runs(codes[lo:hi], tally, weights)
+        else:  # the run at lo outgrows a block
+            hi = lo + int(np.searchsorted(codes[lo:], codes[lo], side="right"))
+            weights[hi - lo] += 1
+        lo = hi
+    weights.update({m: int(tally[m]) for m in np.flatnonzero(tally[:_TALLY]).tolist()})
     weights[0] = n - sum(weights.values())
     weights = dict(sorted(weights.items()))
     return CountDistribution(
@@ -169,3 +187,43 @@ def quenched_distribution(codes: np.ndarray) -> CountDistribution:
         weights=weights,
         denominator=n,
     )
+
+
+def _block_runs(x: np.ndarray, tally: np.ndarray, longest: Counter) -> None:
+    """Count the runs of the sorted block x, which holds whole runs: a run of
+    length L < _TALLY in ``tally[L]``, one of _TALLY codes or more in
+    ``longest``.
+
+    After pass d the chain marks the j with x[j] == x[j + d]; it holds
+    S_d = sum over runs of max(0, L - d) Trues, so S_{d-1} - S_d runs have
+    L >= d.  The passes stop once the Trues are sparse (at most one in 128
+    codes), or shrink by less than a quarter in a pass (long runs hold most
+    of them), or after ``_CHAIN``.  A run with L > d is then a stretch of
+    L - d Trues, measured between the chain's edges.
+    """
+    m = x.size
+    same = x[1:] == x[:-1]
+    chain = same
+    sums = [m, np.count_nonzero(same)]
+    while len(sums) <= _CHAIN and 128 * sums[-1] > m and 4 * sums[-1] <= 3 * sums[-2]:
+        d = len(sums)
+        out = None if chain is same else chain[:-1]
+        chain = np.logical_and(chain[:-1], same[d - 1 :], out=out)
+        sums.append(np.count_nonzero(chain))
+    d = len(sums) - 1
+    longer = 0
+    if sums[d]:
+        # chain[i] != chain[i + 1] just before a stretch and at its last
+        # True; a stretch at either end of the chain gets its edge here
+        edges = np.flatnonzero(np.not_equal(chain[1:], chain[:-1]))
+        if chain[0]:
+            edges = np.concatenate(([-1], edges))
+        if chain[-1]:
+            edges = np.concatenate((edges, [chain.size - 1]))
+        lengths = edges[1::2] - edges[::2] + d
+        tally += np.bincount(np.minimum(lengths, _TALLY), minlength=_TALLY + 1)
+        longest.update(lengths[lengths >= _TALLY].tolist())
+        longer = lengths.size
+    at_least = [sums[i - 1] - sums[i] for i in range(1, d + 1)] + [longer]
+    for length in range(1, d + 1):
+        tally[length] += at_least[length - 1] - at_least[length]

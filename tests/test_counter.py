@@ -1,5 +1,6 @@
 """Window histograms and quenched count laws against naive scans."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -181,3 +182,80 @@ class TestQuenchedDistribution:
         assert law.weights == weights
         assert law.pmf == {m: w / n for m, w in sorted(weights.items())}
         assert list(law.pmf) == sorted(weights)
+
+
+def runs_of(lengths, seed=0) -> np.ndarray:
+    """Sorted uint32 codes holding one run of each length, in the given
+    order, with gaps of 0-2 unused codes between the runs' values."""
+    values = np.cumsum(np.random.default_rng(seed).integers(1, 4, size=len(lengths)))
+    return np.repeat(values, lengths).astype(np.uint32)
+
+
+def census(codes) -> dict[int, int]:
+    """Weights by ``np.bincount`` of ``np.bincount``, with the zero weight
+    set to the number of codes less the number of distinct codes."""
+    multiplicity = np.bincount(np.bincount(codes))
+    weights = {0: codes.size - np.unique(codes).size}
+    weights.update((int(m), int(multiplicity[m])) for m in np.flatnonzero(multiplicity) if m)
+    return weights
+
+
+class TestRunRead:
+    # the first ten runs fill codes 0..63, so one ends exactly where a block
+    # of 64 does; 200 outgrows that block; every length 1.._CHAIN + 3 occurs
+    # again, and a run of one ends the codes
+    RUNS = [11, 10, 9, 8, 7, 6, 5, 4, 3, 1, 2, 200, *range(1, counter._CHAIN + 4), 1]
+
+    @pytest.mark.parametrize("tally", (counter._TALLY, 10))
+    @pytest.mark.parametrize("block", (1, 2, 3, 7, 64))
+    def test_runs_of_every_length_meet_the_census(self, block, tally):
+        # with a tally of 10, runs of 9, 10 and 11 codes fall on both sides
+        # of the last counted length
+        assert sum(self.RUNS[:10]) == 64 and self.RUNS[11] > 64
+        codes = runs_of(self.RUNS)
+        expected = census(codes)
+        with mock.patch.object(counter, "_RUN_BLOCK", block), mock.patch.object(counter, "_TALLY", tally):
+            law = quenched_distribution(codes)
+        assert law.weights == expected
+        assert list(law.weights) == sorted(expected)
+
+    @pytest.mark.parametrize("block", (1, 2, 3, 7, 64, counter._RUN_BLOCK))
+    @pytest.mark.parametrize("tail", ("geometric:0.6", "geometric:0.3", "pareto"))
+    def test_random_runs_meet_the_census(self, tail, block):
+        # in one default block, the passes over geometric(0.6) runs stop when
+        # the matches are sparse, over geometric(0.3) runs after _CHAIN, and
+        # over pareto runs when a pass shrinks the matches by under a
+        # quarter; the pareto blocks hold runs of _TALLY codes or more
+        rng = np.random.default_rng(7)
+        if tail == "pareto":
+            lengths = 1 + (rng.pareto(0.8, 4000) * 3).astype(int)
+        else:
+            lengths = rng.geometric(float(tail.split(":")[1]), 4000)
+        codes = runs_of(np.minimum(lengths, 5000), seed=block)
+        expected = census(codes)
+        with mock.patch.object(counter, "_RUN_BLOCK", block):
+            law = quenched_distribution(codes)
+        assert law.weights == expected
+
+
+class TestRunReadMemory:
+    @pytest.mark.parametrize("source", ("equal", "zero"))
+    def test_peak_stays_within_a_few_blocks(self, source):
+        # the sort is in place and a block's temporaries are a few bools per
+        # code, so the peak does not grow with 2^k: reading 2^20 codes takes
+        # less than four blocks of bytes, whether all the codes are equal
+        # or come from a fair coin
+        k = 20
+        n = 1 << k
+        if source == "equal":
+            codes = np.full(n, 12345, dtype=np.uint32)
+        else:
+            codes = window_codes(sample_sequence(Zero(), n + k - 1, seed=3), k)
+        tracemalloc.start()
+        try:
+            law = quenched_distribution(codes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert law.exact_mean() == Fraction(1)
+        assert peak < 4 * counter._RUN_BLOCK
