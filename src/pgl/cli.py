@@ -197,6 +197,7 @@ def _selftest_battery():
     import math
 
     import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
 
     from . import analytics, counter, sampler, schedule, stats
 
@@ -229,6 +230,10 @@ def _selftest_battery():
         sched = schedule.Constant(0.2)
         seq = sampler.sample_sequence(sched, (1 << 10) + 9, 3)
         codes = counter.window_codes(seq, 10)
+        # window 8b + s + 1 sits in plane s, row b: a direct per-window build
+        # laid out in planes
+        direct = sliding_window_view(seq.bits01, 10) @ (1 << np.arange(10))
+        assert np.array_equal(codes, direct.reshape(-1, 8).T.ravel()), "codes in plane order"
         multiplicity = np.bincount(np.bincount(codes, minlength=1 << 10))
         law = counter.quenched_distribution(codes)
         exact_mean = law.exact_mean()

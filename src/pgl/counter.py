@@ -5,11 +5,15 @@ For a sequence x and level k, the window at position j (1-based) is
 x_{j+t-1}; x_j sits at the least significant bit.  Codes are read straight
 from the packed buffer: the little-endian word loaded at byte b (32 bits up
 to level 25, 64 above) holds the windows at positions 8b+1, ..., 8b+8, one
-shift apart.  Since the level-k code of a window is the low k bits of its
-level-K code, one level-K build serves every level k <= K through its first
-2^k codes.  Codes are uint32, which holds every level up to DENSE_CAP.  A
-level-k histogram is the plain array of 2^k pattern counts, entry w for the
-pattern with code w.
+shift apart.  The codes are laid out in plane order: for k >= 3, entry
+s * 2^(k-3) + b is the window at position 8b + s + 1, so plane s holds the
+loads shifted by s; for k <= 2 there is one load and the codes are in
+window order.  Every reader takes them as a multiset (the law sorts them,
+a histogram bincounts them).  Since the level-k code of a window is the low
+k bits of its level-K code, one level-K build serves every level k <= K
+through the first 2^(k-3) codes of each plane (``level_codes``).  Codes are
+uint32, which holds every level up to DENSE_CAP.  A level-k histogram is
+the plain array of 2^k pattern counts, entry w for the pattern with code w.
 
 The quenched count law of x at level k is the distribution of the count
 N_x(w) when the pattern w is drawn uniformly: pmf(m) is the fraction of the
@@ -47,8 +51,8 @@ __all__ = [
 # counts; above it they would exceed the memory policy.
 DENSE_CAP = 26
 
-# Rows of eight windows built per block, so that a block's codes stay in
-# cache while the eight shift phases fill them.
+# Loads built per block, so that a block's copy stays in cache while it
+# fills its rows of the eight planes.
 _CODE_BLOCK = 1 << 14
 
 # Sorted codes whose runs are read at a time.  A block ends where the run
@@ -104,12 +108,16 @@ class CountDistribution:
 
 
 def window_codes(sequence: PackedSequence, k: int) -> np.ndarray:
-    """Level-k codes of the windows at positions 1..2^k, as a uint32 vector.
+    """Level-k codes of the windows at positions 1..2^k, as a uint32 vector
+    in plane order (module docstring): for k >= 3, entry s * 2^(k-3) + b is
+    the window at position 8b + s + 1; for k <= 2, entry j is window j + 1.
 
     Needs length >= 2^k + k - 1.  Up to DENSE_CAP; ResourceError beyond,
     before anything is allocated.  The loads at each byte are 32-bit when
     k + 7 <= 32, so that the window at every shift 0..7 fits one, and
-    64-bit above.
+    64-bit above, cast to uint32 as they are written.  Each block of loads
+    is copied once and written into all eight planes by one shift, then
+    masked in place.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
@@ -130,22 +138,30 @@ def window_codes(sequence: PackedSequence, k: int) -> np.ndarray:
     padded[:take] = sequence.packed[:take]
     load = "<u4" if k + 7 <= 32 else "<u8"
     loads = np.ndarray((rows,), dtype=load, buffer=padded, strides=(1,))
-    codes = np.empty((rows, 8), dtype=np.uint32)
+    shifts = np.arange(8, dtype=load)[:, None]
+    codes = np.empty((8, rows), dtype=np.uint32)
     for lo in range(0, rows, _CODE_BLOCK):
         block = np.ascontiguousarray(loads[lo : lo + _CODE_BLOCK])
-        for shift in range(8):
-            out = codes[lo : lo + _CODE_BLOCK, shift]
-            np.bitwise_and(block >> shift, n - 1, out=out, casting="unsafe")
+        out = codes[:, lo : lo + _CODE_BLOCK]
+        np.right_shift(block, shifts, out=out, casting="unsafe")
+        out &= np.uint32(n - 1)
     return codes.reshape(-1)[:n]
 
 
 def level_codes(codes: np.ndarray, k: int) -> np.ndarray:
-    """Level-k codes of the first 2^k windows, from the codes of a level >= k:
-    the codes themselves when there are 2^k of them, else a masked copy."""
+    """Level-k codes of the first 2^k windows, in plane order, from the
+    ``window_codes`` of a level >= k: the codes themselves when there are
+    2^k of them, else a masked copy of the first 2^(k-3) codes of each
+    plane, or for k <= 2 of the first code of each of the first 2^k planes
+    (the windows at positions 1..2^k, in window order)."""
     n = 1 << k
     if codes.size < n:
         raise ValueError(f"level {k} needs {n} window codes, got {codes.size}")
-    return codes if codes.size == n else codes[:n] & (n - 1)
+    if codes.size == n:
+        return codes
+    planes = codes.reshape(8, -1) if codes.size >= 8 else codes[:, None]
+    chosen = planes[:, : n >> 3] if n >= 8 else planes[:n, 0]
+    return (chosen & np.uint32(n - 1)).reshape(-1)
 
 
 def window_histogram(sequence: PackedSequence, k: int) -> np.ndarray:

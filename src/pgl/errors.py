@@ -20,7 +20,11 @@ class ResourceError(RuntimeError):
 
 class NanGuard:
     """Dataclass mixin: a float field holding NaN fails construction with
-    ValueError, so a NaN never reaches a result or its CSV row."""
+    ValueError, so a NaN never reaches a result or its CSV row.  It has no
+    slots of its own, so a slotted dataclass that mixes it in keeps no
+    instance dict."""
+
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         nan = [

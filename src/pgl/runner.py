@@ -152,7 +152,7 @@ class ExperimentConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultRecord(NanGuard):
     """One quenched trial, or one annealed aggregate (mode field tells).
 
@@ -175,7 +175,7 @@ class ResultRecord(NanGuard):
     wall_time_s: float = 0.0
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ class BoundsRecord:
         return {"schedule": self.schedule, **self.report.as_dict(), "wall_time_s": self.wall_time_s}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonconvRecord(NanGuard):
     """Joint word/sequence trials for one (schedule, level) cell.
 
@@ -223,7 +223,7 @@ class NonconvRecord(NanGuard):
     wall_time_s: float = 0.0
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +254,11 @@ def _level_outcomes(config: ExperimentConfig, mode: str, outcome) -> dict:
 
     One pass per trial, run by a worker thread, samples the trial once for
     every distinct schedule, at the largest level K; for each schedule it
-    builds the level-K window codes once, and each level k masks the first
-    2^k.  Levels go in ascending order, so at the top level, which comes
-    last, ``outcome`` gets the level-K codes themselves and may sort them in
-    place, as the count law does.  A MemoryError while sampling is the
+    builds the level-K window codes once, and each level k masks those
+    of its first 2^k windows (``level_codes``).  Levels go in ascending
+    order, so at the top level, which comes last, ``outcome`` gets the
+    level-K codes themselves and may sort them in place, as the count law
+    does.  A MemoryError while sampling is the
     outcome of every schedule and level of the trial, one while building a
     schedule's codes that of each of its levels, and one at a level (its
     masked copy included) that of the level alone.

@@ -21,6 +21,17 @@ monotone, so every gamma of the chunk gives a threshold inside the bracket,
 and a word outside it is on the same side of every one.  The bracket is
 widened by ``_MARGIN`` threshold units on each side, which absorbs a log or
 pow that is not monotone to the last ulp.
+
+When the chunk's least and greatest thresholds are one value T, every
+threshold of the chunk is T, and the words are compared with it alone, at
+one comparison a word.  A constant (zero among them) writes its one value
+at every position.  A table's least and greatest gamma are those of the
+chunk's own ``gamma_slice``, so equal ends mean a flat stretch or its
+repeat or zero tail.  A log-power run is non-increasing, and below 2^32
+adjacent positions differ in (ln n)^-c by far more than log and pow round,
+so its inner thresholds lie between its ends'.  In the common case, a run
+capped throughout, the inner values are ``cap`` itself, written by
+``np.minimum`` or by the n0 prefix.
 """
 
 from __future__ import annotations
@@ -116,10 +127,11 @@ def sample_sequences(
     The seed's stream is read once, in order: each chunk's words are drawn
     once and decided for every schedule against that schedule's bracket for
     the chunk (``_bracket_bits``).  The bracket saves each chunk's gamma
-    evaluation but costs a second comparison with the words and gamma at
-    each word inside the bracket, so it pays most with a slowly moving
-    gamma (README, "Performance and caps").  Memory beyond the packed
-    outputs stays one chunk of words whatever the length.
+    evaluation but costs a second comparison with the words (none for a
+    chunk of one threshold) and gamma at each word inside the bracket, so
+    it pays most with a slowly moving gamma (README, "Performance and
+    caps").  Memory beyond the packed outputs stays one chunk of words
+    whatever the length.
     """
     if length < 1:
         raise ValueError("sequence length must be >= 1")
@@ -154,8 +166,12 @@ def _bracket(schedule: BiasSchedule, start: int, count: int) -> tuple[np.uint64,
     """(T_lo, T_hi): every threshold of the chunk lies in [T_lo, T_hi).
 
     The ends are the thresholds of the chunk's least and greatest gamma,
-    widened by ``_MARGIN`` and kept inside [0, 2^64 - 1]."""
+    widened by ``_MARGIN`` and kept inside [0, 2^64 - 1]; when the two are
+    one threshold T, the bracket is [T, T + 1), T itself (module
+    docstring).  No threshold is 2^64 - 1, so T + 1 fits."""
     least, most = _limits(np.array(schedule.gamma_bounds(start, count))).tolist()
+    if least == most:
+        return np.uint64(least), np.uint64(least + 1)
     return np.uint64(max(least - _MARGIN, 0)), np.uint64(min(most + _MARGIN, _MASK64))
 
 
@@ -163,9 +179,12 @@ def _bracket_bits(schedule: BiasSchedule, start: int, words: np.ndarray) -> np.n
     """``words < _limits(schedule.gamma_slice(start, len(words)))``, the
     chunk at ``start`` compared with its exact thresholds: only the words
     that the chunk bracket's two ends decide differently get their own
-    threshold, from ``_gamma_at`` at their positions (module docstring)."""
+    threshold, from ``_gamma_at`` at their positions (module docstring).
+    A bracket of one threshold decides every word by the first comparison."""
     low, high = _bracket(schedule, start, len(words))
     bits = words < low
+    if high - low == 1:
+        return bits
     near = np.flatnonzero((words < high) != bits)
     if near.size:
         ns = near.astype(np.float64)

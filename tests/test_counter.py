@@ -28,6 +28,33 @@ def histogram_as_dict(counts) -> dict[int, int]:
     return {int(c): int(counts[c]) for c in np.flatnonzero(counts)}
 
 
+def plane_order(codes: np.ndarray) -> np.ndarray:
+    """Window-order codes of whole rows of eight windows, laid out as
+    ``window_codes`` lays them out: entry s * rows + b is window 8b + s + 1.
+    Fewer than eight codes (k <= 2) stay in window order."""
+    return codes if codes.size < 8 else codes.reshape(-1, 8).T.ravel()
+
+
+def naive_codes(packed: np.ndarray, first: int, count: int, k: int) -> np.ndarray:
+    """Window-order codes of the windows at positions first + 1, ...,
+    first + count of the packed bits, first a multiple of 8."""
+    bits = np.unpackbits(packed[first // 8 :], count=count + k - 1, bitorder="little")
+    return sliding_window_view(bits.astype(np.int64), k) @ (1 << np.arange(k))
+
+
+def check_plane_edges(k: int, rows: int) -> None:
+    """The first and last ``rows`` rows of every plane of the level-k codes
+    of a seeded packed buffer against a naive scan."""
+    n = 1 << k
+    length = n + k - 1
+    packed = np.random.default_rng(k).integers(0, 256, (length + 7) // 8, dtype=np.uint8)
+    planes = window_codes(PackedSequence(packed, length), k).reshape(8, -1)
+    edge = 8 * rows
+    for first in (0, n - edge):  # both on a byte boundary
+        naive = naive_codes(packed, first, edge, k)
+        assert np.array_equal(planes[:, first // 8 : first // 8 + rows], naive.reshape(-1, 8).T)
+
+
 class TestHistogram:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_naive_scan(self, k):
@@ -68,22 +95,27 @@ class TestWindowCodes:
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 9])
     def test_codes_match_a_naive_scan(self, k):
         # short and ragged buffers: fewer than eight windows, and lengths
-        # that are not a whole number of bytes
+        # that are not a whole number of bytes; each code at its plane
+        # position (window order below eight windows)
         for extra in (0, 1, 13):
             seq = sample_sequence(LogPower(1.0), (1 << k) + k - 1 + extra, seed=k + extra)
             bits = seq.bits01.tolist()
             expected = [sum(bits[j + t] << t for t in range(k)) for j in range(1 << k)]
             codes = window_codes(seq, k)
             assert codes.dtype == np.uint32
-            assert codes.tolist() == expected
+            assert codes.tolist() == plane_order(np.array(expected)).tolist()
 
     def test_every_level_reads_the_prefix_of_one_build(self):
         top = 14
         seq = sample_sequence(LogPower(0.5), (1 << top) + top - 1, seed=21)
         codes = window_codes(seq, top)
         assert level_codes(codes, top) is codes
-        for k in (1, 5, 8, 13, 14):
+        naive = naive_codes(seq.packed, 0, 1 << top, top)
+        for k in (1, 2, 3, 5, 8, 13, 14):
             assert np.array_equal(level_codes(codes, k), window_codes(seq, k))
+            # the first 2^k windows, each at its level-k plane position
+            expected = plane_order(naive[: 1 << k] & ((1 << k) - 1))
+            assert np.array_equal(level_codes(codes, k), expected)
             assert np.array_equal(
                 np.bincount(level_codes(codes, k), minlength=1 << k), window_histogram(seq, k)
             )
@@ -92,18 +124,30 @@ class TestWindowCodes:
 
     def test_the_widest_level_of_32_bit_loads_matches_a_naive_scan(self):
         # k = 25: the window at shift 7 of a byte's load takes bits 7..31,
-        # the last level whose loads are 32-bit
-        k, edge = 25, 4096
+        # the last level whose loads are 32-bit; the first and last 4096
+        # windows, each at its plane position
+        check_plane_edges(25, 512)
+
+    def test_the_64_bit_loads_of_the_top_level_match_a_naive_scan(self):
+        # k = 26, the only level whose loads are 64-bit and cast to uint32
+        # as they are written: the first and last 512 rows of every plane
+        # (256 MiB of codes)
+        check_plane_edges(26, 512)
+
+    def test_the_build_holds_the_codes_and_little_more(self):
+        # the padded copy of the packed bits, one block's copy of the loads
+        # and the shift's buffers above the 2^k codes themselves
+        k = 20
         n = 1 << k
-        length = n + k - 1
-        packed = np.random.default_rng(25).integers(0, 256, (length + 7) // 8, dtype=np.uint8)
-        codes = window_codes(PackedSequence(packed, length), k)
-        weights = 1 << np.arange(k)
-        for first in (0, n - edge):  # both on a byte boundary
-            span = edge + k - 1
-            bits = np.unpackbits(packed[first // 8 :], count=span, bitorder="little")
-            naive = sliding_window_view(bits.astype(np.int64), k) @ weights
-            assert np.array_equal(codes[first : first + edge], naive)
+        seq = sample_sequence(Zero(), n + k - 1, seed=4)
+        tracemalloc.start()
+        try:
+            codes = window_codes(seq, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert codes.size == n
+        assert peak <= 4 * n + n // 8 + 16 * counter._CODE_BLOCK
 
     def test_levels_above_the_cap_raise_before_any_allocation(self):
         # a 3-bit sequence: the length check would raise ValueError, so the

@@ -5,7 +5,7 @@ import io
 import json
 import math
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -500,6 +500,25 @@ class TestNanGuard:
         fields["union_bound_mean"] = math.nan
         with pytest.raises(ValueError, match="NaN in union_bound_mean"):
             NonconvRecord(**fields)
+
+    def test_slotted_records_render_as_their_fields(self):
+        # as_dict reads the slots in field order, as dataclasses.asdict
+        # would, on an ok row and an error row; the records hold no dict
+        rows = [
+            ResultRecord(schedule="zero", k=4, seed=1, mode="annealed", p0=0.5, p1=0.25,
+                         p2=0.125, tv_to_po1=0.1, p0_stderr=0.01, wall_time_s=0.5),
+            ResultRecord(schedule="zero", k=27, seed=1, mode="quenched", p0=None, p1=None,
+                         p2=None, tv_to_po1=None, status="error: out of memory"),
+            NonconvRecord(schedule="zero", k=4, eta=0.1, trials=2, tail_mass_exact=0.3,
+                          tail_mass_normal=0.25, p0_hat=0.5, p0_lo=0.1, p0_hi=0.9,
+                          tail_rate=0.5, tail_and_hit_rate=0.0, union_bound_mean=0.2,
+                          union_bound_samples=4),
+            NonconvRecord(schedule="zero", k=27, eta=0.1, trials=2, tail_mass_exact=0.3,
+                          tail_mass_normal=0.25, status="error: out of memory"),
+        ]
+        for record in rows:
+            assert not hasattr(record, "__dict__")
+            assert list(record.as_dict().items()) == list(asdict(record).items())
 
 
 class TestAnnealed:

@@ -111,11 +111,12 @@ class TestSequences:
         # with its own schedule's thresholds at all positions.  Chunk 0 of
         # a log-power decay puts about 40 % of its words inside the chunk's
         # bracket, and the table's values alternate in sign and switch to
-        # its zero tail in the middle of chunk 1.
+        # its zero tail in the middle of chunk 1.  logpow:0.01 is capped at
+        # every position, so each of its chunks has one threshold.
         chunk = sampler._CHUNK
         signs = np.where(np.arange(chunk + chunk // 2 + 5) % 2 == 0, 0.3, -0.25)
         schedules = [
-            LogPower(0.25), LogPower(0.5), LogPower(1.0), LogPower(2.0),
+            LogPower(0.25), LogPower(0.5), LogPower(1.0), LogPower(2.0), LogPower(0.01),
             parse_schedule("logpow:0.7:cap=0.3:n0=40"),
             Zero(), Constant(0.3), Constant(-0.3), Table(values=signs, tail="zero"),
         ]
@@ -156,6 +157,31 @@ class TestSequences:
                 low, high = sampler._bracket(sched, start, count)
                 thresholds = exact_thresholds(sched, start, count)
                 assert ((low <= thresholds) & (thresholds < high)).all(), (sched.label, start)
+
+    def test_a_chunk_of_one_threshold_is_decided_by_it_alone(self):
+        # crafted words at T - 1, T and T + 1 and around both ends of the
+        # widened bracket, where random words land once in 2^23 chunks:
+        # zero, a negative constant, a log-power capped at every position
+        # and a table flat over chunk 1, between two varying chunks
+        chunk = sampler._CHUNK
+        flat = np.concatenate((np.linspace(-0.2, 0.2, chunk), np.full(chunk, 0.125),
+                               np.linspace(0.2, -0.2, chunk)))
+        cases = [
+            (Zero(), 1), (Constant(-0.3), 1), (LogPower(0.01), 1), (LogPower(0.01), 5 * chunk + 1),
+            (Table(values=flat), chunk + 1), (Table(values=flat, tail="zero"), 3 * chunk + 1),
+        ]
+        margin = sampler._MARGIN
+        for sched, start in cases:
+            limits = exact_thresholds(sched, start, chunk)
+            assert (limits == limits[0]).all(), sched.label
+            low, high = sampler._bracket(sched, start, chunk)
+            assert (low, high) == (limits[0], limits[0] + 1)
+            t = int(limits[0])
+            crafted = [t - 1, t, t + 1, t - margin - 1, t - margin, t - margin + 1,
+                       t + margin - 1, t + margin, t + margin + 1, 0, 2**64 - 1]
+            words = np.resize(np.array(crafted, dtype=np.uint64), chunk)
+            bits = sampler._bracket_bits(sched, start, words)
+            assert np.array_equal(bits, words < limits), (sched.label, start)
 
     def test_accessors_agree(self):
         bits = [1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0]
