@@ -13,7 +13,9 @@ over uniform w.  The module computes:
 * exact pattern-averaged quantities by enumerating all 2^k patterns in code
   order (log R_j is a sum over symbols, so the table for k symbols is the
   table for k-1 symbols twice, one copy per value of the last symbol), and
-  mean |R_j - 1| from two sorted half-size tables, one row per window;
+  mean |R_j - 1| from two sorted half-size tables, one row per window; a
+  grid of windows that all read one bias is evaluated at one window, and
+  at bias 0 (R = 1) not at all;
 * exact joint hit probabilities for two windows, disjoint (closed form) or
   overlapping (the sum over shift-compatible patterns factorizes over
   residue classes of the overlap distance, and each class is a chain
@@ -491,6 +493,11 @@ def _deviation_means(plus: np.ndarray, minus: np.ndarray) -> list[float]:
     return means
 
 
+def _one_bias(biases: np.ndarray) -> bool:
+    """Whether every entry of biases is one value: least == greatest."""
+    return bool(biases.min() == biases.max())
+
+
 def mean_abs_likelihood_deviation(
     schedule: BiasSchedule, positions: list[int], params: ChenSteinParams
 ) -> tuple[list[float], list[float]]:
@@ -498,22 +505,37 @@ def mean_abs_likelihood_deviation(
     in positions, k = params.k; returns (values, stderrs) in that order.
 
     One matrix holds the windows' biases, a column per position.  Exact
-    (stderr 0) for k <= params.exact_cap: every column goes through
+    (stderr 0) for k <= params.exact_cap: the columns go through
     _deviation_means.  Beyond, Monte Carlo over mc_samples patterns per
     position, reproducible per (seed, k, j), one table lookup per 12
     symbols; the positions go in blocks of _block_rows rows, which share
     each table build and lookup while every position keeps its own
     sample_words stream.  No value depends on which positions share a call.
+
+    A matrix of one bias (least entry == greatest) holds one column many
+    times over, and each column's steps run along its own row: a bias of 0
+    gives R = 1, so values and stderrs 0.0 with no sample drawn; otherwise
+    the exact mean of the first column stands for every position, and each
+    Monte Carlo block builds one table row, from the first column, that all
+    its rows read.
     """
     k, mc_samples = params.k, params.mc_samples
-    plus, minus = _symbol_logs(np.stack([schedule.gamma_slice(j, k) for j in positions], axis=1))
+    biases = np.stack([schedule.gamma_slice(j, k) for j in positions], axis=1)
+    one_bias = _one_bias(biases)
+    if one_bias and biases[0, 0] == 0.0:
+        return [0.0] * len(positions), [0.0] * len(positions)
+    plus, minus = _symbol_logs(biases[:, :1] if one_bias else biases)
     if k <= params.exact_cap:
         values = _deviation_means(plus, minus)
+        if one_bias:
+            values *= len(positions)
         return values, [0.0] * len(values)
     values, stderrs = [], []
     step = _block_rows(max(mc_samples, 1 << min(k, 12)))
     for start in range(0, len(positions), step):
         rows = slice(start, start + step)
+        # one bias: one table row, whose offset 0 every row's index reads
+        cols = slice(0, 1) if one_bias else rows
         # codes hold k <= MAX_WORD_LEVEL < 64 bits, so their int64 view
         # reads the same values and yields signed indices
         codes = np.stack(
@@ -521,7 +543,7 @@ def mean_abs_likelihood_deviation(
         ).view(np.int64)
         logs = np.zeros(codes.shape)
         for lo in range(0, k, 12):
-            table = _pattern_sums(plus[lo : lo + 12, rows], minus[lo : lo + 12, rows])
+            table = _pattern_sums(plus[lo : lo + 12, cols], minus[lo : lo + 12, cols])
             width = table.shape[1]
             # each row's 12-symbol index, offset to its row of the flat table
             index = (codes >> lo) & (width - 1)
@@ -629,6 +651,9 @@ def _pair_bound(envelope: BiasSchedule, k: int) -> float:
     whose lower window starts in a half-octave stratum are bounded by the
     constant-bias pair probability at the stratum's left-end gamma*, with
     k + d = q d + s giving s classes of q + 1 positions and d - s of q.
+    The (strata, distances) array of those probabilities is built in one
+    pass; each row is reduced along its contiguous axis, as one stratum's
+    distances alone would be, and the rows are added in stratum order.
     """
     d = np.arange(1, k)
     q, s = np.divmod(k + d, d)
@@ -636,11 +661,13 @@ def _pair_bound(envelope: BiasSchedule, k: int) -> float:
     strata = _stratum_grid(1, 1 << k)
     # the left ends ascend, so one _gamma_at call reads gamma* at all of them
     left_gamma = envelope._gamma_at(np.array([left for left, _ in strata], dtype=np.float64))
+    g = 2.0 * np.abs(left_gamma)[:, None]
+    short = (1.0 + g) ** q + (1.0 - g) ** q
+    long = (1.0 + g) ** (q + 1) + (1.0 - g) ** (q + 1)
+    rows = (long**s * short ** (d - s) * scale).sum(axis=1).tolist()
     total = 0.0
-    for (_, width), g in zip(strata, (2.0 * np.abs(left_gamma)).tolist()):
-        short = (1.0 + g) ** q + (1.0 - g) ** q
-        long = (1.0 + g) ** (q + 1) + (1.0 - g) ** (q + 1)
-        total += width * float((long**s * short ** (d - s) * scale).sum())
+    for (_, width), row in zip(strata, rows):
+        total += width * row
     return 2.0 * total
 
 
@@ -677,7 +704,13 @@ def _c_term(schedule: BiasSchedule, params: ChenSteinParams) -> tuple[float, str
     return c_value, mode, math.sqrt(variance)
 
 
-def chen_stein_terms(schedule: BiasSchedule, params: ChenSteinParams) -> ChenSteinReport:
+# The default onset_index of chen_stein_terms: find it from the schedule.
+_ONSET_OF_SCHEDULE = object()
+
+
+def chen_stein_terms(
+    schedule: BiasSchedule, params: ChenSteinParams, onset_index=_ONSET_OF_SCHEDULE
+) -> ChenSteinReport:
     """Assemble the Poisson(1) approximation error terms at level k.
 
     A: exact closed form over the window-neighborhood structure.
@@ -687,7 +720,12 @@ def chen_stein_terms(schedule: BiasSchedule, params: ChenSteinParams) -> ChenSte
        small k, stratified monotone bound with exact or Monte Carlo grid
        values beyond (mode and stderr reported).  Both bounds hold for
        biases of either sign and in any order.
+
+    onset_index, reported as j0, is critical_onset_index(schedule); it does
+    not depend on k, so a caller with many levels may find it once and pass it.
     """
+    if onset_index is _ONSET_OF_SCHEDULE:
+        onset_index = critical_onset_index(schedule)
     k = params.k
     a_value = _neighborhood_term(k)
     if k <= params.exact_cap:
@@ -704,7 +742,7 @@ def chen_stein_terms(schedule: BiasSchedule, params: ChenSteinParams) -> ChenSte
         c_mode=c_mode,
         c_stderr=c_stderr,
         total=a_value + b_value + c_value,
-        onset_index=critical_onset_index(schedule),
+        onset_index=onset_index,
         epsilon=params.epsilon,
     )
 

@@ -365,10 +365,12 @@ def run_annealed(config: ExperimentConfig) -> list[ResultRecord]:
 def run_bounds(config: ExperimentConfig) -> list[BoundsRecord]:
     """Stein-method error terms A, B, C for every (schedule, level).
 
-    Each distinct (schedule label, level) cell is computed once; a repeated
-    spec or level repeats its row.
+    Each distinct (schedule label, level) cell is computed once, and each
+    schedule's onset index once for all its levels; a repeated spec or level
+    repeats its row.
     """
     schedules = {schedule.label: schedule for schedule in config.parsed_schedules}
+    onsets = {label: critical_onset_index(schedule) for label, schedule in schedules.items()}
     cells = _cells(config)
     # largest level first, so that the workers finish together
     distinct = sorted(set(cells), key=lambda cell: (-cell[1], cell[0]))
@@ -376,7 +378,7 @@ def run_bounds(config: ExperimentConfig) -> list[BoundsRecord]:
     def work(cell):
         label, k = cell
         start = time.perf_counter()
-        report = chen_stein_terms(schedules[label], config.stein_params(k))
+        report = chen_stein_terms(schedules[label], config.stein_params(k), onsets[label])
         return BoundsRecord(schedule=label, report=report, wall_time_s=time.perf_counter() - start)
 
     records = dict(zip(distinct, _map_tasks(work, distinct, config.threads)))

@@ -181,6 +181,58 @@ PIECEWISE_TABLE = Table(np.concatenate((
 CHUNK_RULE_SCHEDULES = [Zero(), Constant(-0.1), Constant(0.3), LogPower(0.25), LogPower(1.0)]
 
 
+# Random for 100 positions, flat at 0.3 through position 20 100, then a fair
+# coin: a grid inside the flat stretch holds one bias, a grid across its end
+# varies, and a grid in the tail holds the bias 0.
+FLAT_ZERO_TAIL_TABLE = Table(np.concatenate((
+    np.random.default_rng(13).uniform(-0.3, 0.3, 100),
+    np.full(20000, 0.3),
+)), tail="zero")
+GRID_RULE_SCHEDULES = [
+    Zero(), Constant(0.3), Constant(-0.1), Constant(-0.0), LogPower(0.25), FLAT_ZERO_TAIL_TABLE,
+]
+# A grid of stratum left ends (as _c_term passes them), one inside the flat
+# stretch of FLAT_ZERO_TAIL_TABLE and one in its zero tail.
+GRID_POSITIONS = {
+    "strata": lambda k: [left for left, _ in analytics._stratum_grid(5, 1 << k)],
+    "flat": lambda k: list(range(101, 20101 - k, 1999)),
+    "tail": lambda k: list(range(30000, 70000, 997)),
+}
+
+
+def per_column_deviation(monkeypatch, schedule, positions, params):
+    """mean_abs_likelihood_deviation with the one-bias test forced false, so
+    every column is evaluated on its own."""
+    with monkeypatch.context() as patch:
+        patch.setattr(analytics, "_one_bias", lambda biases: False)
+        return mean_abs_likelihood_deviation(schedule, positions, params)
+
+
+def take_along_axis_deviation(schedule, positions, params):
+    """The grid values through the take_along_axis references above, which
+    evaluate every column on its own and have no one-bias rule."""
+    if params.k > params.exact_cap:
+        return take_along_axis_monte_carlo(schedule, positions, params)
+    biases = np.stack([schedule.gamma_slice(j, params.k) for j in positions], axis=1)
+    values = take_along_axis_deviation_means(*analytics._symbol_logs(biases))
+    return values, [0.0] * len(values)
+
+
+def per_stratum_pair_bound(envelope, k):
+    """_pair_bound summed one stratum at a time: each stratum's
+    probabilities over the distances, reduced alone, added in stratum order."""
+    d = np.arange(1, k)
+    q, s = np.divmod(k + d, d)
+    scale = np.ldexp(1.0, -(2 * k + d))
+    total = 0.0
+    for left, width in analytics._stratum_grid(1, 1 << k):
+        g = 2.0 * abs(envelope.gamma(left))
+        short = (1.0 + g) ** q + (1.0 - g) ** q
+        long = (1.0 + g) ** (q + 1) + (1.0 - g) ** (q + 1)
+        total += width * float((long**s * short ** (d - s) * scale).sum())
+    return 2.0 * total
+
+
 def count_bias_reads(monkeypatch) -> list[tuple[int, int]]:
     """Record (start, count) of every BiasSchedule.gamma_slice call."""
     reads = []
@@ -615,6 +667,77 @@ class TestMeanAbsDeviation:
             want = [per_symbol_monte_carlo(schedule, j, k, 8192, 5) for j in positions]
             assert values == pytest.approx([value for value, _ in want], rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("schedule", GRID_RULE_SCHEDULES, ids=lambda s: s.label)
+    @pytest.mark.parametrize("grid", sorted(GRID_POSITIONS))
+    @pytest.mark.parametrize("k,exact_cap", [(14, 20), (16, 20), (17, 16), (21, 16)])
+    def test_a_grid_of_one_bias_keeps_the_bits_of_the_per_column_path(
+        self, monkeypatch, schedule, grid, k, exact_cap
+    ):
+        # exact at k = 14 and 16, Monte Carlo at 17 and 21 in blocks of 8
+        # positions; the table's strata grid varies, every other grid here
+        # holds one bias (logpow:0.25 sits at its cap 0.49 up to n ~ 3.3e7)
+        params = ChenSteinParams(k=k, exact_cap=exact_cap, mc_samples=256, seed=4)
+        positions = GRID_POSITIONS[grid](k)
+        got = mean_abs_likelihood_deviation(schedule, positions, params)
+        want = per_column_deviation(monkeypatch, schedule, positions, params)
+        assert got == want == take_along_axis_deviation(schedule, positions, params)
+        # the same bytes, signs of zero included
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("schedule,grid", [
+        (Zero(), "strata"), (Constant(-0.0), "strata"), (FLAT_ZERO_TAIL_TABLE, "tail"),
+    ], ids=["zero", "const:-0.0", "table-tail"])
+    @pytest.mark.parametrize("k,exact_cap", [(16, 20), (21, 16)])
+    def test_a_zero_bias_grid_draws_and_enumerates_nothing(
+        self, monkeypatch, schedule, grid, k, exact_cap
+    ):
+        def refuse(*args):
+            raise AssertionError("a zero-bias grid evaluated a pattern")
+
+        monkeypatch.setattr(analytics, "sample_words", refuse)
+        monkeypatch.setattr(analytics, "_deviation_means", refuse)
+        monkeypatch.setattr(analytics, "_pattern_sums", refuse)
+        positions = GRID_POSITIONS[grid](k)
+        params = ChenSteinParams(k=k, exact_cap=exact_cap, mc_samples=256)
+        got = mean_abs_likelihood_deviation(schedule, positions, params)
+        assert np.array(got).tobytes() == np.zeros((2, len(positions))).tobytes()
+
+    @pytest.mark.parametrize("k,exact_cap", [(14, 20), (17, 16)])
+    def test_a_grid_whose_biases_differ_in_one_entry_takes_the_per_column_path(
+        self, monkeypatch, k, exact_cap
+    ):
+        # one bias but at position 1501, which only the window at 1501 reads
+        values = np.full(4000, 0.3)
+        values[1500] = 0.31
+        table = Table(values)
+        positions = list(range(1, 3001, 100))
+        params = ChenSteinParams(k=k, exact_cap=exact_cap, mc_samples=256, seed=2)
+        want = per_column_deviation(monkeypatch, table, positions, params)
+        assert want == take_along_axis_deviation(table, positions, params)
+        widths = []
+        for name in ("_deviation_means", "_pattern_sums"):
+            real = getattr(analytics, name)
+
+            def spy(plus, minus, real=real):
+                widths.append(plus.shape[1])
+                return real(plus, minus)
+
+            monkeypatch.setattr(analytics, name, spy)
+        got = mean_abs_likelihood_deviation(table, positions, params)
+        assert got == want
+        rows = analytics._block_rows(4096)
+        if k <= exact_cap:
+            # one _deviation_means call over every column (its tables follow),
+            # and only the column that reads the odd bias differs
+            assert widths[0] == len(positions)
+            values, _ = got
+            odd = positions.index(1501)
+            assert values[odd] != values[0]
+            assert values[:odd] + values[odd + 1 :] == [values[0]] * (len(positions) - 1)
+        else:
+            # two 12-symbol tables a block, one row per position
+            assert widths == [min(rows, 30 - start) for start in range(0, 30, rows) for _ in "ab"]
+
     @pytest.mark.parametrize("k", [7, 12])
     def test_flat_gather_keeps_the_bits_of_take_along_axis(self, k):
         # more than two blocks of rows (1 365 at k = 7, 256 at k = 12)
@@ -892,6 +1015,15 @@ class TestBoundsForEverySchedule:
         assert report.b_term == analytics._pair_bound(sched.envelope, k)
         exact = analytics._pair_sum_exact(sched, k)
         assert exact <= report.b_term <= factor * exact
+
+    @pytest.mark.parametrize("sched", [
+        LogPower(0.5), LogPower(1.0), LogPower(2.0), Zero(), Constant(0.3),
+        Table(np.random.default_rng(17).uniform(-0.45, 0.45, 5000)),
+    ], ids=lambda value: value.label)
+    @pytest.mark.parametrize("k", [2, 3, 21, 22, 30, 40])
+    def test_envelope_bound_keeps_the_bits_of_the_per_stratum_loop(self, sched, k):
+        # a table's envelope is the greatest |gamma| from each position on
+        assert analytics._pair_bound(sched.envelope, k) == per_stratum_pair_bound(sched.envelope, k)
 
     def test_envelope_bound_reads_all_stratum_left_ends_in_one_call(self, monkeypatch):
         reads = []

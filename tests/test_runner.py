@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pgl.analytics as analytics
 import pgl.runner as runner
 import pgl.sampler as sampler
 from pgl.analytics import (
@@ -645,9 +646,9 @@ class TestBounds:
         real = runner.chen_stein_terms
         calls = []
 
-        def counted(schedule, params):
+        def counted(schedule, params, *onset):
             calls.append((schedule.label, params.k))
-            return real(schedule, params)
+            return real(schedule, params, *onset)
 
         monkeypatch.setattr(runner, "chen_stein_terms", counted)
         # both logpow specs have the label logpow:1.0: 9 rows, 4 cells
@@ -659,6 +660,28 @@ class TestBounds:
         expected = records_to_csv("bounds", run_bounds(once)).splitlines()
         header, (a8, a12, z8, z12) = expected[:2], expected[2:]
         assert rows == header + [a8] * 4 + [a12] * 2 + [z8] * 2 + [z12]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_schedule_finds_its_onset_index_once(self, monkeypatch, threads):
+        real = runner.critical_onset_index
+        calls = []
+
+        def counted(schedule):
+            calls.append(schedule.label)
+            return real(schedule)
+
+        monkeypatch.setattr(runner, "critical_onset_index", counted)
+        monkeypatch.setattr(analytics, "critical_onset_index", counted)
+        cfg = small_config(schedules=("logpow:1", "logpow:1.0", "zero"), k_list=(4, 8, 4),
+                           threads=threads)
+        records = run_bounds(cfg)
+        assert sorted(calls) == ["logpow:1.0", "zero"]
+        monkeypatch.undo()
+        # every row still reports the j0 that chen_stein_terms finds alone
+        for record in records:
+            params = cfg.stein_params(record.report.k)
+            alone = chen_stein_terms(parse_schedule(record.schedule), params)
+            assert record.report == alone
 
     def test_levels_beyond_the_histogram_cap_still_run(self):
         cfg = small_config(schedules=("zero",), k_list=(30,))

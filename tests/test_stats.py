@@ -81,6 +81,21 @@ class TestTvDistance:
         q = CountDistribution(pmf={5: 1.0}, label="b")
         assert tv_distance(p, q) == pytest.approx(1.0, abs=1e-15)
 
+    def test_sums_the_union_support_left_to_right(self):
+        # supports that overlap in part, so each side misses some counts
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            p = random_law(rng, support=int(rng.integers(1, 12)))
+            masses = rng.dirichlet(np.ones(int(rng.integers(1, 12))))
+            shift = int(rng.integers(0, 8))
+            q = CountDistribution(pmf={m + shift: float(v) for m, v in enumerate(masses)},
+                                  label="shifted")
+            for a, b in ((p, q), (q, p), (p, POISSON_ONE)):
+                total = 0.0
+                for m in sorted(set(a.pmf) | set(b.pmf)):
+                    total += abs(a.mass(m) - b.mass(m))
+                assert tv_distance(a, b) == 0.5 * total
+
     def test_rejects_unnormalized_input(self):
         law = POISSON_ONE
         broken = CountDistribution(pmf={0: 1.0}, label="broken")
